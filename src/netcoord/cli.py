@@ -26,26 +26,15 @@ from pathlib import Path
 
 from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import cube_report, good_set_search, partition, report_to_csv
-from .dynamics import enumerate_equilibria
-from .game import ThresholdDist, sample_shocks
-from .harness import ExperimentConfig, build_game, build_network, run_experiment
+from .dynamics import enumerate_equilibria, extremal_equilibria
+from .game import sample_shocks
+from .harness import ExperimentConfig, _fmt, build_game, build_network, run_experiment
 from .network import LatticeSpec, weighted_average
-from .stepfn import StepFn, fixed_points, ru_dominant, ru_objective
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _load_game(path: str) -> ThresholdDist:
-    doc = json.loads(Path(path).read_text())
-    if "P" in doc:
-        return ThresholdDist.from_json_dict(doc)
-    return ThresholdDist(P=StepFn.from_json_dict(doc))
+from .stepfn import fixed_points, ru_dominant, ru_objective
 
 
 def _cmd_ru_dominant(args) -> int:
-    dist = _load_game(args.game)
+    dist = build_game({"file": args.game})
     maximizers, strict = ru_dominant(dist.P)
     for x in maximizers:
         print(f"{_fmt(x)} objective={_fmt(ru_objective(dist.P, x))}")
@@ -54,14 +43,14 @@ def _cmd_ru_dominant(args) -> int:
 
 
 def _cmd_fixed_points(args) -> int:
-    dist = _load_game(args.game)
+    dist = build_game({"file": args.game})
     for f in fixed_points(dist.P):
         print(f"{_fmt(f.x)} {f.kind}")
     return 0
 
 
 def _cmd_wave(args) -> int:
-    dist = _load_game(args.game)
+    dist = build_game({"file": args.game})
     try:
         wave = build_delta_wave(dist.P, args.eta)
     except (ValueError, WaveConstructionError) as e:
@@ -106,8 +95,6 @@ def _cmd_lattice_analyze(args) -> int:
     g = build_network(cfg.network)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .dynamics import extremal_equilibria
-
     for rep in range(cfg.replications):
         shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
         largest, _ = extremal_equilibria(g, shocks)

@@ -9,15 +9,16 @@ neighborhood on the plane lies behind a front:
   segment of height 1 + x over pi.  It is "balanced": f(-1) = 0 and
   f(x) + f(-x) = 1.
 
-``solve_wave`` computes step thresholds 0 = v_0 < v_1 < ... < v_L for a
-step game Q via the monotone fixed-point iteration of the capped
-first-crossing map, so that the average action experienced at each
-threshold stays at or below the inverse of the next step value.
+``solve_wave`` computes step thresholds 0 = v_0 < v_1 < ... < v_L for
+the steps and inverse positions of a step game via the monotone
+fixed-point iteration of the capped first-crossing map, so that the
+average action experienced at each threshold stays at or below the
+inverse of the next step value.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
 approximates from above by a fine staircase topping out at 1, shifts,
-solves the wave, and verifies the wave inequality on a grid, shrinking
+solves the wave, and verifies the wave inequality exactly, shrinking
 delta geometrically until verification passes.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,6 +43,15 @@ __all__ = [
     "build_delta_wave",
     "WaveConstructionError",
 ]
+
+
+# The b* iteration stops when successive iterates differ by less than
+# _TOL in max norm, and fails after _MAX_ITER sweeps.
+_TOL = 1e-10
+_MAX_ITER = 100_000
+
+# build_delta_wave tries delta1 = min(eta, 1 - P(1)) / 2^k, k = 1.._MAX_HALVINGS.
+_MAX_HALVINGS = 20
 
 
 class WaveConstructionError(RuntimeError):
@@ -92,23 +101,29 @@ def front_f_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_wave_vector(v: np.ndarray, strict: bool = False) -> np.ndarray:
+def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs."""
+    return steps[0] + (1.0 - front_f_array(v[None, :] - xs[:, None])) @ np.diff(steps)
+
+
+def _check_wave_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size == 0 or v[0] != 0.0:
         raise ValueError("wave thresholds must start at v_0 = 0")
     gaps = np.diff(v)
-    if np.any(gaps < (1e-15 if strict else 0.0) - 1e-15):
+    if np.any(gaps < -1e-15):
         raise ValueError("wave thresholds must be monotone")
     if np.any(gaps > 1.0 + 1e-9):
         raise ValueError("wave threshold gaps must not exceed 1")
     return v
 
 
-def wave_value(x: float, v: np.ndarray, steps: np.ndarray, f: Callable[[float], float] = front_f) -> float:
+def wave_value(x: float, v: np.ndarray, steps: np.ndarray) -> float:
     """Average action experienced at location x under the step strategy.
 
     F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k), with steps
-    a_0 .. a_{L+1} and thresholds v_0 .. v_L.
+    a_0 .. a_{L+1} and thresholds v_0 .. v_L.  A scalar reference for
+    the vectorized evaluator the solver and the verifier share.
     """
     v = _check_wave_vector(v)
     a = np.asarray(steps, dtype=float)
@@ -116,7 +131,7 @@ def wave_value(x: float, v: np.ndarray, steps: np.ndarray, f: Callable[[float], 
         raise ValueError("need one more step value than thresholds")
     total = float(a[0])
     for k in range(v.size):
-        total += (1.0 - f(float(v[k] - x))) * float(a[k + 1] - a[k])
+        total += (1.0 - front_f(float(v[k] - x))) * float(a[k + 1] - a[k])
     return total
 
 
@@ -168,34 +183,19 @@ def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, f
     return worst > 0.0, worst, worst_at
 
 
-def solve_wave(
-    Q: StepFn | None = None,
-    f: Callable[[float], float] = front_f,
-    tol: float = 1e-10,
-    steps: np.ndarray | None = None,
-    inv_positions: np.ndarray | None = None,
-    max_iter: int = 100_000,
-) -> WaveSolution:
+def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     """Wave thresholds for a step game via the monotone b* iteration.
 
-    Either pass a step function Q (values strictly increasing, top value
-    1) or the raw (steps, inv_positions) arrays with inv_positions[l] =
-    Q^{-1}(steps[l]).  The map b*_l(v) = min(b_l(v), v_{l-1} + 1), with
-    b_l the first location where F(x|v) reaches Q^{-1}(a_{l+1}), is
-    iterated from the zero vector until successive iterates differ by
-    less than tol in max norm.  b_l is found by monotone bisection in x
-    (all coordinates bisected in parallel) to 1e-10.
+    ``steps`` are the step values a_0 < ... < a_{L+1} and
+    inv_positions[l] = Q^{-1}(steps[l]).  The map b*_l(v) = min(b_l(v),
+    v_{l-1} + 1), with b_l the first location where F(x|v) reaches
+    Q^{-1}(a_{l+1}), is iterated from the zero vector until successive
+    iterates differ by less than 1e-10 in max norm.  b_l is found by
+    monotone bisection in x (all coordinates bisected in parallel) to
+    1e-12.
     """
-    if Q is not None:
-        a = Q.piece_values
-        q = Q.piece_positions
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("Q's step values must be strictly increasing")
-        if a[-1] != 1.0:
-            raise ValueError("Q's top step must be exactly 1")
-    else:
-        a = np.asarray(steps, dtype=float)
-        q = np.asarray(inv_positions, dtype=float)
+    a = np.asarray(steps, dtype=float)
+    q = np.asarray(inv_positions, dtype=float)
     ok, worst, worst_at = check_ru_wave(a, q)
     if not ok:
         raise ValueError(
@@ -205,23 +205,16 @@ def solve_wave(
     if L < 1:
         raise ValueError("need at least two steps above the base")
     targets = q[2:].copy()  # Q^{-1}(a_{l+1}) for l = 1..L
-    jumps = np.diff(a)
-    f_arr = front_f_array if f is front_f else lambda z: np.vectorize(f)(z)
-
-    def F_at(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # F(x|v) = a0 + sum_k (1 - f(v_k - x)) jumps_k, vectorized over xs.
-        return a[0] + (1.0 - f_arr(v[None, :] - xs[:, None])) @ jumps
-
     v = np.zeros(L + 1)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # Parallel bisection for b_l = inf{x >= 0 : F(x|v) >= target_l}.
         lo = np.zeros(L)
         hi = np.full(L, float(v[-1] + 1.0))
-        at_zero = F_at(np.zeros(1), v)[0]
+        at_zero = _experienced(np.zeros(1), v, a)[0]
         done_zero = targets <= at_zero
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            reach = F_at(mid, v) >= targets
+            reach = _experienced(mid, v, a) >= targets
             hi = np.where(reach, mid, hi)
             lo = np.where(reach, lo, mid)
             if np.max(hi - lo) <= 1e-12:
@@ -232,13 +225,13 @@ def solve_wave(
         # The exact map is monotone; clip away bisection jitter so the
         # iterate sequence stays nondecreasing.
         new = np.maximum(new, v)
-        if np.max(np.abs(new - v)) < tol:
+        if np.max(np.abs(new - v)) < _TOL:
             v = new
             break
         v = new
     else:
         raise WaveConstructionError("wave iteration did not converge")
-    residuals = targets - F_at(v[1:], v)
+    residuals = targets - _experienced(v[1:], v, a)
     return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals)
 
 
@@ -276,52 +269,30 @@ class ContagionWave:
         return out
 
     def experienced_fraction(self, x: np.ndarray) -> np.ndarray:
-        """a* + sum over jumps (1 - f(jump_location - x)) * jump size.
-
-        For sorted inputs the transition window |v_k - x| < 1 of each
-        jump is located by bisection, so points outside every window
-        cost O(1) per jump.
-        """
+        """a* + sum over jumps (1 - f(jump_location - x)) * jump size."""
         x = np.asarray(x, dtype=float)
-        v = self.wave.thresholds
-        jumps = np.diff(self.wave.steps)
-        if x.ndim != 1 or np.any(np.diff(x) < 0):
-            out = np.full(x.shape, float(self.wave.steps[0]))
-            for k in range(v.size):
-                out += (1.0 - front_f_array(v[k] - x)) * jumps[k]
-            return out
-        n = x.size
-        out = np.full(n, float(self.wave.steps[0]))
-        const = np.zeros(n + 1)
-        for k in range(v.size):
-            lo = int(np.searchsorted(x, v[k] - 1.0, side="right"))
-            hi = int(np.searchsorted(x, v[k] + 1.0, side="left"))
-            if lo < hi:
-                out[lo:hi] += (1.0 - front_f_array(v[k] - x[lo:hi])) * jumps[k]
-            const[hi] += jumps[k]  # fully-passed front: contribution = jump
-        out += np.cumsum(const[:-1])
-        return out
+        return _experienced(x.ravel(), self.wave.thresholds, self.wave.steps).reshape(x.shape)
 
-    def verify_grid(self, P: StepFn, spacing: float | None = None) -> tuple[bool, float, float]:
-        """Check sigma(x - delta) >= delta + P(delta + a* + sum ...) on a grid.
+    def verify_grid(self, P: StepFn) -> tuple[bool, float, float]:
+        """Check sigma(x - delta) >= delta + P(clip(delta + F(x))) for every x.
 
-        Returns (ok, min slack, worst x).  Grid spacing defaults to
-        delta / 4 and always includes points in all three branch regions.
+        Exact, without sampling: sigma(x - delta) takes the value a_l on
+        the interval ending at r_l = v_l + delta (l = 0..L) and a_{L+1}
+        on [v_L + delta, inf), while the right side is nondecreasing in x
+        because F(.|v) and P are.  Its supremum on each interval is the
+        left limit at r_l, which P's right value there bounds from above;
+        on the last interval it is at most delta + P(1).  So L + 1
+        evaluations of F decide the inequality (soundly: a P jump exactly
+        at delta + F(r_l) is counted against the wave).  Returns (ok, min
+        slack, worst x); the tail check reports x = v_L + delta + 1.
         """
         d = self.delta
-        if spacing is None:
-            spacing = d / 4.0
         v = self.wave.thresholds
-        lo, hi = -1.0 - d, float(v[-1]) + 1.0 + 2.0 * d
-        n = min(int(math.ceil((hi - lo) / spacing)) + 1, 2_000_001)
-        xs = np.linspace(lo, hi, n)
-        extra = np.concatenate([[d / 2.0], (v[:-1] + d + 1e-12), [v[-1] + d, v[-1] + d + 1.0]])
-        xs = np.unique(np.concatenate([xs, extra]))
-        frac = self.experienced_fraction(xs)
-        arg = np.clip(d + frac, 0.0, 1.0)
-        rhs = d + P.eval_array(arg)
-        lhs = self.sigma_array(xs - d)
-        slack = lhs - rhs
+        a = self.wave.steps
+        r = v + d
+        rhs = d + P.eval_array(np.clip(d + self.experienced_fraction(r), 0.0, 1.0))
+        slack = np.append(a[:-1] - rhs, a[-1] - d - P.top)
+        xs = np.append(r, v[-1] + d + 1.0)
         worst = int(np.argmin(slack))
         return bool(slack[worst] >= -1e-12), float(slack[worst]), float(xs[worst])
 
@@ -371,17 +342,12 @@ def _staircase_above(P: StepFn, lift: float) -> tuple[np.ndarray, np.ndarray]:
     return levels, pos
 
 
-def build_delta_wave(
-    P: StepFn,
-    eta: float,
-    max_halvings: int = 20,
-    f: Callable[[float], float] = front_f,
-) -> ContagionWave:
+def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
     """Construct and verify a delta-contagion wave for P.
 
     Requires P(1) < 1 and a strictly dominant maximizer x* of the
     dominance integral.  The returned wave has base action a* <= x* + eta
-    and passes the grid verification of the wave inequality.  delta is
+    and passes the exact verification of the wave inequality.  delta is
     found by geometric search over {eta / 2^k}.
     """
     if eta <= 0.0:
@@ -393,7 +359,7 @@ def build_delta_wave(
         raise ValueError("build_delta_wave requires a strictly dominant maximizer")
     x_star = maximizers[0]
     last_err: str = "no admissible delta tried"
-    for k in range(1, max_halvings + 1):
+    for k in range(1, _MAX_HALVINGS + 1):
         delta1 = min(eta, 1.0 - P.top) / (2.0**k)
         try:
             levels, pos = _staircase_above(P, delta1)
@@ -426,7 +392,7 @@ def build_delta_wave(
             steps = np.concatenate([[a_star], vals[keep]])
             inv = np.concatenate([[0.0], Q.piece_positions[keep]]) - delta2
             inv[0] = 0.0
-            sol = solve_wave(steps=steps, inv_positions=inv, f=f)
+            sol = solve_wave(steps=steps, inv_positions=inv)
             if np.any(np.diff(sol.thresholds) <= 0):
                 last_err = f"wave thresholds not strictly increasing at delta1={delta1}"
                 continue
@@ -435,7 +401,7 @@ def build_delta_wave(
             ok, slack, worst_x = wave.verify_grid(P)
             if ok:
                 return wave
-            last_err = f"grid verification failed at x={worst_x:.6f} (slack {slack:.3e})"
+            last_err = f"verification failed at x={worst_x:.6f} (slack {slack:.3e})"
         except (ValueError, WaveConstructionError) as e:
             last_err = str(e)
     raise WaveConstructionError(f"no verified wave for eta={eta}: {last_err}")

@@ -302,29 +302,30 @@ def lower_dynamics(
     return _async_dynamics(g, shocks, a0, step_limit, "lower", P, order, order_seed)
 
 
-def upper_closure(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
-    """Synchronous least up-stable profile above a0 (same limit as async)."""
-    t = _thresholds(shocks, g)
+def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> np.ndarray:
+    """Monotone synchronous sweeps from a0 under the tie rule.
+
+    Each sweep moves every agent whose best response lies above (up) or
+    below (not up) its action.  The limit is the same as for the async
+    dynamics, since the revision order does not matter for a monotone map.
+    """
+    step = np.maximum if up else np.minimum
     a = np.asarray(a0, dtype=float).copy()
     for _ in range(g.n + 2):
-        beta = neighborhood_fractions(g, a)
-        new = np.maximum(a, best_response_array(t, beta, "upper"))
+        new = step(a, best_response_array(t, neighborhood_fractions(g, a), tie))
         if np.array_equal(new, a):
             return a
         a = new
-    raise AssertionError("upper closure failed to converge in n+2 sweeps")
+    raise AssertionError(f"{tie} closure ({'up' if up else 'down'}) failed to converge in n+2 sweeps")
+
+
+def upper_closure(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
+    """Synchronous least up-stable profile above a0 (same limit as async)."""
+    return _closure(g, _thresholds(shocks, g), a0, "upper", up=True)
 
 
 def lower_closure(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
-    t = _thresholds(shocks, g)
-    a = np.asarray(a0, dtype=float).copy()
-    for _ in range(g.n + 2):
-        beta = neighborhood_fractions(g, a)
-        new = np.minimum(a, best_response_array(t, beta, "lower"))
-        if np.array_equal(new, a):
-            return a
-        a = new
-    raise AssertionError("lower closure failed to converge in n+2 sweeps")
+    return _closure(g, _thresholds(shocks, g), a0, "lower", up=False)
 
 
 def initial_profile(P: StepFn, x_star: float, shocks: ShockProfile, seed: int) -> np.ndarray:
@@ -367,22 +368,8 @@ def extremal_equilibria(g: Network, shocks: ShockProfile) -> tuple[np.ndarray, n
     equilibrium of the realized game.
     """
     t = _thresholds(shocks, g)
-    a = np.ones(g.n)
-    for _ in range(g.n + 2):
-        beta = neighborhood_fractions(g, a)
-        new = np.minimum(a, best_response_array(t, beta, "upper"))
-        if np.array_equal(new, a):
-            break
-        a = new
-    largest = a
-    a = np.zeros(g.n)
-    for _ in range(g.n + 2):
-        beta = neighborhood_fractions(g, a)
-        new = np.maximum(a, best_response_array(t, beta, "lower"))
-        if np.array_equal(new, a):
-            break
-        a = new
-    smallest = a
+    largest = _closure(g, t, np.ones(g.n), "upper", up=False)
+    smallest = _closure(g, t, np.zeros(g.n), "lower", up=True)
     if not is_equilibrium(g, shocks, largest, "upper"):
         raise AssertionError("largest iterate is not an upper equilibrium")
     if not is_equilibrium(g, shocks, smallest, "lower"):

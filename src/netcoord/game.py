@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .stepfn import INV_SENTINEL, StepFn
+from .stepfn import INV_SENTINEL, StepFn, step_approximate
 
 __all__ = [
     "DOMINANT_1",
@@ -112,35 +112,6 @@ def uniform_shock_cdf(lo: float = -0.5, hi: float = 0.5) -> Callable[[float], fl
     return cdf
 
 
-def _midpoint_staircase(f: Callable[[float], float], max_step: float) -> StepFn:
-    """Midpoint staircase of a monotone f: neither dominating nor dominated."""
-    n = 4097
-    for _ in range(8):
-        xs = np.linspace(0.0, 1.0, n)
-        ys = np.clip(np.asarray([float(f(float(x))) for x in xs]), 0.0, 1.0)
-        if np.any(np.diff(ys) < -1e-12):
-            raise ValueError("shock law produced a non-monotone P")
-        if np.max(np.diff(ys)) <= max_step:
-            break
-        n = 2 * (n - 1) + 1
-    else:
-        raise ValueError("P increments exceed max_step at the finest grid")
-    sel = [0]
-    while sel[-1] < n - 1:
-        k = sel[-1] + 1
-        while k + 1 < n and ys[k + 1] - ys[sel[-1]] <= max_step:
-            k += 1
-        sel.append(k)
-    starts = [float(xs[i]) for i in sel[:-1]]
-    mids = [0.5 * (float(ys[sel[i]]) + float(ys[sel[i + 1]])) for i in range(len(sel) - 1)]
-    pos_out, val_out = [starts[0]], [mids[0]]
-    for p, v in zip(starts[1:], mids[1:]):
-        if v != val_out[-1]:
-            pos_out.append(p)
-            val_out.append(v)
-    return StepFn.from_grid(pos_out, val_out)
-
-
 def additive_game(
     alpha: float,
     lam: float,
@@ -164,7 +135,7 @@ def additive_game(
         # for the staircase grid, so the continuous formula is used.
         return 1.0 - shock_cdf((alpha - x) / lam)
 
-    P = _midpoint_staircase(P_exact, max_step)
+    P = step_approximate(P_exact, max_step, "midpoint")
     prov = {"kind": "additive", "alpha": alpha, "lambda": lam, "max_step": max_step}
     return ThresholdDist(P=P, provenance=prov)
 

@@ -50,6 +50,8 @@ from .network import (
     Network,
     complete_graph,
     disjoint_copies,
+    fineness,
+    imbalance,
     lattice,
     load_edgelist,
     unweighted_average,
@@ -164,13 +166,17 @@ class ReplicationResult:
     wall_time: float  # logged only; excluded from serialized outputs
 
 
+def _dist_from_doc(doc: dict) -> ThresholdDist:
+    """A wrapped {"P": ..., "provenance": ...} document or a bare step function."""
+    if "P" in doc:
+        return ThresholdDist.from_json_dict(doc)
+    return ThresholdDist(P=StepFn.from_json_dict(doc))
+
+
 def build_game(spec: dict) -> ThresholdDist:
     """Game source: inline step function, additive parameters, or file."""
     if "step_json" in spec:
-        doc = spec["step_json"]
-        if "P" in doc:
-            return ThresholdDist.from_json_dict(doc)
-        return ThresholdDist(P=StepFn.from_json_dict(doc))
+        return _dist_from_doc(spec["step_json"])
     if "additive" in spec:
         a = spec["additive"]
         shock = a.get("shock", "uniform")
@@ -185,10 +191,7 @@ def build_game(spec: dict) -> ThresholdDist:
             max_step=float(a.get("max_step", 0.005)),
         )
     if "file" in spec:
-        doc = json.loads(Path(spec["file"]).read_text())
-        if "P" in doc:
-            return ThresholdDist.from_json_dict(doc)
-        return ThresholdDist(P=StepFn.from_json_dict(doc))
+        return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
     raise ValueError("game spec needs one of: step_json, additive, file")
 
 
@@ -404,8 +407,6 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
     points = stable_fixed_points(dist.P, cfg.stability_gamma, radius)
     out = run_experiment(cfg)
     g = build_network(cfg.network)
-    from .network import fineness
-
     successes = {x: 0 for x in points}
     for rec in out["records"]:
         av = rec["averages"]
@@ -460,8 +461,6 @@ def probe_theorem4(cfg: ExperimentConfig) -> dict:
     cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "probes": ["ru-path"], "output": None})
     out = run_experiment(cfg)
     g = build_network(cfg.network)
-    from .network import fineness, imbalance
-
     dists = [r["x_star_distance"] for r in out["records"]]
     audits = [r["bound_audit"]["satisfied"] for r in out["records"]]
     unweighted = [r["unweighted"]["sandwich"] for r in out["records"]]

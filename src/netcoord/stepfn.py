@@ -133,7 +133,8 @@ class StepFn:
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.size and (x.min() < -_DOMAIN_EPS or x.max() > 1.0 + _DOMAIN_EPS):
+        # Written so that NaN, for which every comparison is false, fails.
+        if x.size and not (-_DOMAIN_EPS <= x.min() and x.max() <= 1.0 + _DOMAIN_EPS):
             raise ValueError("x outside [0, 1]")
         x = np.clip(x, 0.0, 1.0)
         idx = np.searchsorted(self._knots, x, side="right")
@@ -155,7 +156,7 @@ class StepFn:
 
     def inverse_array(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if y.size and (y.min() < -_DOMAIN_EPS or y.max() > 1.0 + _DOMAIN_EPS):
+        if y.size and not (-_DOMAIN_EPS <= y.min() and y.max() <= 1.0 + _DOMAIN_EPS):
             raise ValueError("y outside [0, 1]")
         y = np.clip(y, 0.0, 1.0)
         idx = np.searchsorted(self._vals, y, side="left")
@@ -377,17 +378,18 @@ def step_approximate(
     direction: str,
     grid: int = 4097,
 ) -> StepFn:
-    """Staircase above or below a monotone nondecreasing f on [0, 1].
+    """Staircase above, below or through a monotone nondecreasing f on [0, 1].
 
-    The result dominates f pointwise (direction="above") or is dominated
-    by it ("below"), with consecutive value gaps <= max_step.  The grid is
-    refined until per-cell increments of f fit under max_step; a monotone
-    violation on the evaluation grid is rejected.
+    The result dominates f pointwise (direction="above"), is dominated by
+    it ("below"), or takes the mean of the two on each cell ("midpoint"),
+    with consecutive value gaps <= max_step.  The grid is refined until
+    per-cell increments of f fit under max_step; a monotone violation on
+    the evaluation grid is rejected.
     """
     if max_step <= 0.0:
         raise ValueError("max_step must be positive")
-    if direction not in ("above", "below"):
-        raise ValueError("direction must be 'above' or 'below'")
+    if direction not in ("above", "below", "midpoint"):
+        raise ValueError("direction must be 'above', 'below' or 'midpoint'")
     n = max(grid, 3)
     for _ in range(8):
         xs = np.linspace(0.0, 1.0, n)
@@ -415,8 +417,10 @@ def step_approximate(
     starts = [float(xs[i]) for i in sel[:-1]]
     if direction == "above":
         cell_vals = [float(ys[i]) for i in sel[1:]]
-    else:
+    elif direction == "below":
         cell_vals = [float(ys[i]) for i in sel[:-1]]
+    else:
+        cell_vals = [0.5 * (float(ys[i]) + float(ys[j])) for i, j in zip(sel[:-1], sel[1:])]
     # Collapse equal consecutive values.
     pos_out = [starts[0]]
     val_out = [cell_vals[0]]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from netcoord.contagion import (
+    ContagionWave,
     WaveConstructionError,
+    WaveSolution,
     build_delta_wave,
     front_f,
     front_f_array,
@@ -302,3 +304,61 @@ def test_delta_wave_random_admissible_games(rng):
         assert wave.a_star <= maximizers[0] + 0.15
         made += 1
     assert made == 10
+
+
+# ------------------------------------------------------ exact verification
+
+
+def _grid_slack(wave, P, spacing, chunk=50_000):
+    """Minimum of sigma(x - delta) - delta - P(clip(delta + F(x))) on an
+    uncapped grid of the given spacing over [-1 - delta, v_L + 1 + 2 delta].
+
+    F is summed in chunks of x: fronts with v_k <= x - 1 contribute their
+    whole jump, fronts with v_k >= x + 1 nothing, the rest front_f.
+    """
+    d, v, a = wave.delta, wave.wave.thresholds, wave.wave.steps
+    jumps = np.diff(a)
+    passed = np.concatenate([[0.0], np.cumsum(jumps)])
+    lo_x = -1.0 - d
+    n = int(math.ceil((float(v[-1]) + 2.0 + 3.0 * d) / spacing)) + 1
+    worst = math.inf
+    for i0 in range(0, n, chunk):
+        xs = lo_x + spacing * np.arange(i0, min(n, i0 + chunk))
+        lo = int(np.searchsorted(v, xs[0] - 1.0, side="right"))
+        hi = int(np.searchsorted(v, xs[-1] + 1.0, side="left"))
+        frac = a[0] + passed[lo] + (1.0 - front_f_array(v[None, lo:hi] - xs[:, None])) @ jumps[lo:hi]
+        rhs = d + P.eval_array(np.clip(d + frac, 0.0, 1.0))
+        worst = min(worst, float(np.min(wave.sigma_array(xs - d) - rhs)))
+    return worst
+
+
+def test_verify_catches_violation_narrower_than_capped_grid():
+    # 21 thresholds 0.9 apart and delta = 1e-6: a grid capped at 2,000,001
+    # points over [-1, v_L + 1] has spacing 1e-5.  P jumps so that the
+    # right side exceeds sigma only on [v_L + delta - 1e-8, v_L + delta).
+    v = 0.9 * np.arange(21)
+    a = np.concatenate([np.linspace(0.1, 0.5, 21), [1.0]])
+    d = 1e-6
+    wave = ContagionWave(WaveSolution(a, v, np.zeros(20)), delta=d, a_star=0.1)
+    r = float(v[-1]) + d
+    z = d + float(wave.experienced_fraction(np.array([r - 1e-8]))[0])
+    P = StepFn.from_grid([0.0, z], [0.0, a[-2] - d + 0.01])
+    ok, slack, worst = wave.verify_grid(P)
+    assert not ok
+    assert slack == pytest.approx(-0.01, abs=1e-12)
+    assert worst == pytest.approx(r, abs=1e-12)
+    # Without the jump the same wave passes.
+    assert wave.verify_grid(StepFn.constant(0.0))[0]
+
+
+def test_verify_matches_dense_grid_oracle():
+    # The exact check takes the supremum of the right side on each piece
+    # of sigma, so it is never looser than any grid; on this wave the
+    # delta/4 grid (about 9e6 points) finds the same minimum.
+    P = StepFn.constant(0.05)
+    wave = build_delta_wave(P, eta=0.1)
+    ok, slack, _ = wave.verify_grid(P)
+    oracle = _grid_slack(wave, P, wave.delta / 4.0)
+    assert slack <= oracle + 1e-12
+    assert ok == (oracle >= -1e-12)
+    assert slack == pytest.approx(oracle, abs=1e-12)

@@ -62,6 +62,14 @@ def test_eval_domain_error():
         TWO_STEP.eval(-0.1)
 
 
+def test_array_domain_rejects_nan():
+    for bad in ([math.nan, 0.3], [0.3, math.nan], [math.nan]):
+        with pytest.raises(ValueError):
+            TWO_STEP.eval_array(np.array(bad))
+        with pytest.raises(ValueError):
+            TWO_STEP.inverse_array(np.array(bad))
+
+
 def test_invalid_construction():
     with pytest.raises(ValueError):
         StepFn(base=0.5, steps=((0.5, 0.4),))  # decreasing value
@@ -360,6 +368,14 @@ def test_step_approximate_logistic_dominance():
         assert np.all(sign * (Q.eval_array(xs) - fx) >= -1e-12)
         gaps = np.diff(Q.piece_values)
         assert np.all(gaps <= 0.05 + 1e-12)
+
+
+def test_step_approximate_midpoint_between_below_and_above():
+    f = lambda x: 1.0 / (1.0 + math.exp(-6.0 * (x - 0.4)))
+    xs = np.linspace(0.0, 1.0, 100_001)
+    lo, mid, hi = (step_approximate(f, 0.05, d).eval_array(xs) for d in ("below", "midpoint", "above"))
+    assert np.all(lo <= mid) and np.all(mid <= hi)
+    assert np.all(mid < hi)  # f rises on every cell, so no cell collapses
 
 
 def test_step_approximate_rejects_non_monotone():
