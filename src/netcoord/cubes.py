@@ -6,8 +6,8 @@ the classification machinery:
 
 * a cube is gamma-bad when its empirical threshold cdf exceeds the
   population P by more than gamma somewhere (exact decision: both are
-  step functions of x, so the supremum is attained just right of a
-  threshold or breakpoint);
+  step functions of x, so the supremum is approached just right of
+  one of the cube's own thresholds or of x = 0);
 * a cube is extraordinary when every agent in it has action 0 strictly
   dominant (threshold +inf);
 * ``good_set_search`` looks for a connected set W of small cubes that
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass
 from io import StringIO
 
@@ -168,41 +167,38 @@ def cube_empirical_cdf(part: CubePartition, shocks: ShockProfile, cube: int, x: 
     return float(np.mean(t < x))
 
 
-def _cube_bad_flag(t_sorted: np.ndarray, P: StepFn, gamma: float) -> bool:
-    """Exact gamma-bad decision for one cube given sorted thresholds."""
-    size = t_sorted.size
-    finite = t_sorted[np.isfinite(t_sorted)]
-    cand = np.unique(np.concatenate([finite, P.piece_positions, [0.0]]))
-    cand = cand[(cand >= 0.0) & (cand < 1.0)]
-    if cand.size:
-        # Piece value just right of u: #{t <= u}/|c| - P(u).
-        counts = np.searchsorted(t_sorted, cand, side="right")
-        vals = counts / size - P.eval_array(cand)
-        if np.max(vals) > gamma:
-            return True
-    # x = 1 is in the domain: #{t < 1}/|c| - P(1).
-    at_one = np.searchsorted(t_sorted, 1.0, side="left") / size - P.top
-    return bool(at_one > gamma)
+def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
+    """Per-node values as an (n_small, b*b) matrix, one row per small cube."""
+    s, b = part.small_side, part.b
+    grid = part.node_grid(values)
+    return grid.reshape(s, b, s, b).transpose(0, 2, 1, 3).reshape(s * s, b * b)
 
 
 def classify_bad(part: CubePartition, shocks: ShockProfile, P: StepFn, gamma: float) -> np.ndarray:
-    """Per-small-cube gamma-bad flags (exact: sup over x attained at the
-    cube's thresholds and P's breakpoints)."""
+    """Per-small-cube gamma-bad flags, decided exactly.
+
+    On (t_k, t_{k+1}] the strict cdf #{t < x}/|c| is constant and P is
+    nondecreasing and right-continuous, so the sup of the gap there is
+    approached as x decreases to t_k, with value #{t <= t_k}/|c| - P(t_k).
+    A breakpoint of P never beats the threshold (or x = 0) to its left,
+    and x = 1 lies right of the largest threshold below 1, so the
+    candidates are the cube's thresholds in [0, 1) and x = 0, where the
+    negative thresholds are scored.  With no threshold below 1 the gap
+    is -P(x) <= 0.  In the sorted row, position k counts (k+1)/|c|; the
+    last copy of a repeated threshold carries the run's maximum.
+    """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    flags = np.zeros(part.n_small, dtype=bool)
-    t = shocks.thresholds
-    for c in range(part.n_small):
-        tc = np.sort(t[part.nodes_of_small(c)])
-        flags[c] = _cube_bad_flag(tc, P, gamma)
-    return flags
+    t = np.maximum(np.sort(_blocks(part, shocks.thresholds), axis=1), 0.0)
+    size = t.shape[1]
+    inside = t < 1.0
+    gap = np.arange(1, size + 1) / size - P.eval_array(np.where(inside, t, 0.0))
+    return np.where(inside, gap, -np.inf).max(axis=1) > gamma
 
 
 def extraordinary_cubes(part: CubePartition, shocks: ShockProfile) -> np.ndarray:
     """Flags of cubes whose agents all have action 0 strictly dominant."""
-    inf_grid = part.node_grid(np.isinf(shocks.thresholds))
-    s, b = part.small_side, part.b
-    return inf_grid.reshape(s, b, s, b).all(axis=(1, 3)).ravel()
+    return np.isinf(_blocks(part, shocks.thresholds)).all(axis=1)
 
 
 # ---------------------------------------------------------- torus utilities
@@ -218,38 +214,40 @@ def _torus_edt(source_mask: np.ndarray) -> np.ndarray:
     return dist[M : 2 * M, M : 2 * M]
 
 
-def _cube_min(part: CubePartition, node_grid: np.ndarray) -> np.ndarray:
-    s, b = part.small_side, part.b
-    return node_grid.reshape(s, b, s, b).min(axis=(1, 3)).ravel()
+def _cube_distance(part: CubePartition, cubes: np.ndarray) -> np.ndarray:
+    """Per-small-cube node distance (units of m) to the flagged cubes.
+
+    ``cubes`` is a square grid of small or large cube flags; the
+    distance is +inf everywhere when nothing is flagged.
+    """
+    side = part.M // cubes.shape[0]
+    nodes = np.kron(cubes, np.ones((side, side), dtype=bool))
+    return _blocks(part, _torus_edt(nodes) / part.m).min(axis=1)
 
 
 def _largest_component(mask_grid: np.ndarray) -> np.ndarray:
-    """Largest 4-connected component on a torus grid of flags."""
-    n = mask_grid.shape[0]
-    seen = np.zeros_like(mask_grid, dtype=bool)
-    best = np.zeros_like(mask_grid, dtype=bool)
-    best_size = 0
-    for sx in range(n):
-        for sy in range(n):
-            if not mask_grid[sx, sy] or seen[sx, sy]:
-                continue
-            comp = []
-            queue = deque([(sx, sy)])
-            seen[sx, sy] = True
-            while queue:
-                x, y = queue.popleft()
-                comp.append((x, y))
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    nx, ny = (x + dx) % n, (y + dy) % n
-                    if mask_grid[nx, ny] and not seen[nx, ny]:
-                        seen[nx, ny] = True
-                        queue.append((nx, ny))
-            if len(comp) > best_size:
-                best_size = len(comp)
-                best = np.zeros_like(mask_grid, dtype=bool)
-                for x, y in comp:
-                    best[x, y] = True
-    return best
+    """Largest 4-connected component on a torus grid of flags.
+
+    ``ndimage.label`` numbers the planar components in row-major order
+    of their first cell; components touching across the torus seams are
+    then joined under their smallest label.  Ties therefore go to the
+    component whose first cell comes earliest in row-major order.
+    """
+    labels, count = ndimage.label(mask_grid)
+    seams = np.stack([np.r_[labels[0], labels[:, 0]], np.r_[labels[-1], labels[:, -1]]])
+    seams = seams[:, (seams > 0).all(axis=0)]
+    # Union by hooking the larger root under the smaller, then pointer
+    # jumping until every label points at its root.
+    root = np.arange(count + 1)
+    while True:
+        lo, hi = np.sort(root[seams], axis=0)
+        if np.array_equal(lo, hi):
+            break
+        np.minimum.at(root, hi, lo)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    comp = root[labels]
+    return mask_grid & (comp == np.argmax(np.bincount(comp[mask_grid], minlength=1)))
 
 
 def _is_connected(mask_grid: np.ndarray) -> bool:
@@ -284,13 +282,7 @@ def r_interior(part: CubePartition, U: np.ndarray, R: float) -> np.ndarray:
     ``U`` flags large cubes, shape (K, K) or flat length K^2.
     """
     U = np.asarray(U, dtype=bool).reshape(part.large_side, part.large_side)
-    outside_nodes = np.kron(~U, np.ones((part.B, part.B), dtype=bool))
-    if outside_nodes.any():
-        dist_out = _torus_edt(outside_nodes) / part.m
-        cube_dist_out = _cube_min(part, dist_out)
-    else:
-        cube_dist_out = np.full(part.n_small, np.inf)
-    return cube_dist_out > R
+    return _cube_distance(part, ~U) > R
 
 
 def good_set_search(
@@ -308,10 +300,8 @@ def good_set_search(
     U, and verifies the four conditions directly.  Absence is a value,
     not an error.
     """
-    M, m = part.M, part.m
     bad = classify_bad(part, shocks, P, gamma)
     extra = extraordinary_cubes(part, shocks)
-    s = part.small_side
     bad_grid = part.cube_grid(bad)
     # Large cube is clean iff no bad small cube inside.
     kk, Ks = part.k, part.large_side
@@ -324,30 +314,15 @@ def good_set_search(
         return None
     conditions: dict[str, bool] = {}
     # (a) coverage.
-    conditions["a"] = bool(W.sum() * part.b**2 >= (1.0 - gamma) * M * M)
+    conditions["a"] = bool(W.sum() * part.b**2 >= (1.0 - gamma) * part.M**2)
     # (b) connectivity in the small-cube network.
     conditions["b"] = _is_connected(part.cube_grid(W))
     # (c) node distance from every bad cube to every W cube >= R.
-    if bad.any():
-        bad_nodes = np.zeros((M, M), dtype=bool)
-        for c in np.nonzero(bad)[0]:
-            cx, cy = divmod(int(c), s)
-            bad_nodes[cx * part.b : (cx + 1) * part.b, cy * part.b : (cy + 1) * part.b] = True
-        dist_bad = _torus_edt(bad_nodes) / m
-        cube_dist_bad = _cube_min(part, dist_bad)
-        conditions["c"] = bool(np.all(cube_dist_bad[W] >= R))
-    else:
-        conditions["c"] = True
+    conditions["c"] = bool(np.all(_cube_distance(part, bad_grid)[W] >= R))
     # (d) a seed c0 in W whose R-ball of cubes is entirely extraordinary.
     seed = -1
     if extra.any():
-        nonextra_nodes = np.kron(part.cube_grid(~extra), np.ones((part.b, part.b), dtype=bool))
-        if nonextra_nodes.any():
-            dist_nonextra = _torus_edt(nonextra_nodes) / m
-            cube_dist_ne = _cube_min(part, dist_nonextra)
-        else:
-            cube_dist_ne = np.full(part.n_small, np.inf)
-        candidates = np.nonzero(W & (cube_dist_ne > R))[0]
+        candidates = np.nonzero(W & (_cube_distance(part, part.cube_grid(~extra)) > R))[0]
         if candidates.size:
             seed = int(candidates[0])
     conditions["d"] = seed >= 0
@@ -375,10 +350,7 @@ def domination_check(
     if not W.any():
         raise ValueError("W must be nonempty")
     a_c = cube_means(part, a)
-    w_nodes = np.kron(part.cube_grid(W), np.ones((part.b, part.b), dtype=bool))
-    dist = _torus_edt(w_nodes) / part.m
-    cube_dist = _cube_min(part, dist)
-    sigma_vals = sigma.sigma_array(cube_dist - R)
+    sigma_vals = sigma.sigma_array(_cube_distance(part, part.cube_grid(W)) - R)
     bad = a_c > sigma_vals + rho + 1e-12
     if bad.any():
         return False, int(np.nonzero(bad)[0][0])
@@ -428,9 +400,7 @@ def cube_report(
     a: np.ndarray,
     gamma: float,
 ) -> CubeReport:
-    t_grid = part.node_grid(shocks.thresholds)
-    s, b = part.small_side, part.b
-    blocks = t_grid.reshape(s, b, s, b).transpose(0, 2, 1, 3).reshape(s * s, b * b)
+    blocks = _blocks(part, shocks.thresholds)
     finite = np.isfinite(blocks)
     inf_share = 1.0 - finite.mean(axis=1)
     med = np.full(blocks.shape[0], np.nan)

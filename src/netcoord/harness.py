@@ -27,7 +27,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 
@@ -121,12 +121,21 @@ class ExperimentConfig:
             raise ValueError("replications must be at least 1")
         if not (0.0 < self.eta <= 0.5):
             raise ValueError("eta must lie in (0, 0.5]")
+        if not (0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         bad = [p for p in self.probes if p not in _ALL_PROBES]
         if bad:
             raise ValueError(f"unknown probes: {bad}")
+        if not (0.0 <= self.stability_gamma < 1.0):
+            raise ValueError("stability_gamma must lie in [0, 1)")
+        if self.stability_radius is not None and not self.stability_radius > 0.0:
+            raise ValueError("stability_radius must be positive")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         return cls(
             game=doc["game"],
             network=doc["network"],
@@ -211,14 +220,7 @@ def build_network(spec: dict) -> Network:
 
 def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> list[float]:
     """Fixed points passing the strong-stability test at (gamma, radius)."""
-    out = []
-    for f in fixed_points(P):
-        try:
-            if is_strongly_stable(P, f.x, gamma=gamma, radius=radius):
-                out.append(f.x)
-        except ValueError:
-            continue
-    return out
+    return [f.x for f in fixed_points(P) if is_strongly_stable(P, f.x, gamma=gamma, radius=radius)]
 
 
 def _mix_seed(seed: int, rep: int) -> int:
@@ -251,7 +253,7 @@ def run_replication(
         unweighted["largest"] = unweighted_average(largest)
         unweighted["smallest"] = unweighted_average(smallest)
 
-    if "enumerate" in cfg.probes and g.n <= 20:
+    if "enumerate" in cfg.probes:
         eqs = enumerate_equilibria(g, shocks, "upper")
         averages["enumerated"] = sorted(weighted_average(g, e) for e in eqs)
 
@@ -299,10 +301,14 @@ def _run_chunk(args) -> list[tuple[int, dict]]:
 
 
 def _worker_count() -> int:
+    raw = os.environ.get("SIM_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("SIM_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        raise ValueError(f"SIM_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"SIM_WORKERS must be at least 1, got {workers}")
+    return workers
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -313,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     serialized in replication order.  Exit is clean regardless of
     theorem-check outcomes -- the checks are data.
     """
-    workers = _worker_count()
+    workers = min(_worker_count(), cfg.replications)
     reps = list(range(cfg.replications))
     t0 = time.perf_counter()
     if workers == 1:

@@ -214,13 +214,14 @@ def eta_inclusion(A, B) -> float:
 def save_edgelist(g: Network, path) -> None:
     """Text format: header 'n <count>' then 'i j w' triples, 0-indexed.
 
-    Each undirected edge is written once (i < j).
+    Each undirected edge is written once (i < j), its weight as
+    ``repr(float(w))`` so that loading gives back the same float.
     """
     W = sp.triu(g.weights, k=1).tocoo()
     lines = [f"n {g.n}"]
     order = np.lexsort((W.col, W.row))
     for i, j, w in zip(W.row[order], W.col[order], W.data[order]):
-        lines.append(f"{i} {j} {w:.12g}")
+        lines.append(f"{i} {j} {float(w)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -173,6 +173,37 @@ def test_classify_bad_dkw_frequency():
     assert freq <= bound + 3.0 * math.sqrt(bound / n_cubes) + 1e-3
 
 
+def _brute_bad_flag(t: np.ndarray, P: StepFn, gamma: float) -> bool:
+    # Candidates: the cube's thresholds, every breakpoint of P and 0,
+    # scored just right of each; plus x = 1 itself.
+    t = np.sort(t)
+    cand = np.unique(np.concatenate([t[np.isfinite(t)], P.piece_positions, [0.0]]))
+    cand = cand[(cand >= 0.0) & (cand < 1.0)]
+    right = np.searchsorted(t, cand, side="right") / t.size - P.eval_array(cand)
+    at_one = np.searchsorted(t, 1.0, side="left") / t.size - P.top
+    return bool(right.max(initial=-np.inf) > gamma or at_one > gamma)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+def test_classify_bad_matches_breakpoint_oracle(rng, b):
+    # Thresholds drawn from a pool with negatives, P's breakpoints,
+    # off-breakpoint values, 0, 1, +inf and (by drawing with
+    # replacement) duplicates.
+    from conftest import random_stepfn
+
+    part = partition(LatticeSpec(M=4 * b, m=1), b=b, B=4 * b)
+    for _ in range(25):
+        P = random_stepfn(rng)
+        pool = np.concatenate(
+            [P.piece_positions, [-0.5, -1e-12, 0.0, 1.0, math.inf, 0.5], rng.uniform(-0.1, 1.1, 4)]
+        )
+        t = rng.choice(pool, size=part.M**2)
+        s = shocks_of(t)
+        for gamma in (1e-9, 0.1, 0.3, 0.6):
+            want = [_brute_bad_flag(t[part.nodes_of_small(c)], P, gamma) for c in range(part.n_small)]
+            assert classify_bad(part, s, P, gamma).tolist() == want
+
+
 # ------------------------------------------------------------- extraordinary
 
 
@@ -294,6 +325,60 @@ def test_connected_r_interior(rng):
             assert _is_connected(part.cube_grid(W))
             checked += 1
     assert checked > 0
+
+
+def _bfs_largest_component(mask):
+    # Row-major scan with a breadth-first flood; a later component
+    # replaces the best only when strictly larger.
+    n = mask.shape[0]
+    seen = np.zeros_like(mask)
+    best = np.zeros_like(mask)
+    for sx in range(n):
+        for sy in range(n):
+            if not mask[sx, sy] or seen[sx, sy]:
+                continue
+            comp, queue = [], [(sx, sy)]
+            seen[sx, sy] = True
+            while queue:
+                x, y = queue.pop(0)
+                comp.append((x, y))
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    nx, ny = (x + dx) % n, (y + dy) % n
+                    if mask[nx, ny] and not seen[nx, ny]:
+                        seen[nx, ny] = True
+                        queue.append((nx, ny))
+            if len(comp) > best.sum():
+                best = np.zeros_like(mask)
+                best[tuple(np.array(comp).T)] = True
+    return best
+
+
+def test_largest_component_matches_bfs_oracle(rng):
+    from netcoord.cubes import _largest_component
+
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
+        assert np.array_equal(_largest_component(mask), _bfs_largest_component(mask))
+
+
+def test_largest_component_ties_and_wraparound():
+    from netcoord.cubes import _largest_component
+
+    # Two components of size 3: the one starting earlier in row-major
+    # order wins.  The first wraps around the left/right edge.
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[1, [0, 4, 5]] = True
+    mask[3, [1, 2, 3]] = True
+    got = _largest_component(mask)
+    assert np.array_equal(got, _bfs_largest_component(mask))
+    assert got[1].tolist() == [True, False, False, False, True, True]
+    # Cells joined only across the top/bottom edge beat a singleton.
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[[0, 4], 2] = True
+    mask[1, 0] = True
+    assert _largest_component(mask)[[0, 4], 2].all()
+    assert not _largest_component(np.zeros((4, 4), dtype=bool)).any()
 
 
 # ------------------------------------------------------------- domination

@@ -6,6 +6,7 @@ import pytest
 from netcoord.cli import main as cli_main
 from netcoord.harness import (
     ExperimentConfig,
+    _worker_count,
     build_game,
     build_network,
     probe_theorem1,
@@ -45,6 +46,35 @@ def test_config_validation():
         small_cfg(eta=0.9)
     with pytest.raises(ValueError):
         small_cfg(probes=("bogus",))
+
+
+def test_config_rejects_unknown_keys():
+    doc = small_cfg().to_dict()
+    doc.pop("replications")
+    doc.pop("probes")
+    with pytest.raises(ValueError, match="probs.*replication"):
+        ExperimentConfig.from_dict({**doc, "replication": 50, "probs": ["ru-path"]})
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        small_cfg(seed=seed)
+    assert small_cfg(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"stability_gamma": 1.0},
+        {"stability_gamma": -0.1},
+        {"stability_radius": -1.0},
+        {"stability_radius": 0.0},
+    ],
+)
+def test_config_rejects_bad_stability_parameters(kw):
+    with pytest.raises(ValueError, match="stability"):
+        small_cfg(probes=("seeded-local",), **kw)
 
 
 def test_config_round_trip(tmp_path):
@@ -149,6 +179,26 @@ def test_enumerate_probe_small_n():
         avs = rec["averages"]["enumerated"]
         assert avs == sorted(avs)
         assert rec["averages"]["largest"] == pytest.approx(max(avs))
+
+
+def test_enumerate_probe_rejects_large_network():
+    cfg = small_cfg(network={"complete": {"n": 30}}, probes=("enumerate",), replications=1)
+    with pytest.raises(ValueError, match="n <= 20"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-3"])
+def test_worker_count_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("SIM_WORKERS", raw)
+    with pytest.raises(ValueError, match="SIM_WORKERS"):
+        _worker_count()
+
+
+def test_worker_count_reads_environment(monkeypatch):
+    monkeypatch.delenv("SIM_WORKERS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("SIM_WORKERS", "64")
+    assert _worker_count() == 64
 
 
 def test_ru_path_probe_records_audit():
