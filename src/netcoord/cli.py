@@ -25,11 +25,11 @@ import sys
 from pathlib import Path
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import cube_report, good_set_search, partition, report_to_csv
+from .cubes import cube_report, good_set_search, report_to_csv
 from .dynamics import enumerate_equilibria, extremal_equilibria
 from .game import sample_shocks
-from .harness import ExperimentConfig, _fmt, build_game, build_network, run_experiment
-from .network import LatticeSpec, weighted_average
+from .harness import ExperimentConfig, _cube_params, _fmt, build_game, build_network, run_experiment
+from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
 
@@ -85,12 +85,7 @@ def _cmd_lattice_analyze(args) -> int:
     if not cfg.cubes:
         print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
         return 2
-    M = int(cfg.network["lattice"]["M"])
-    m = int(cfg.network["lattice"]["m"])
-    spec = LatticeSpec(M=M, m=m)
-    part = partition(spec, int(cfg.cubes["b"]), int(cfg.cubes["B"]))
-    gamma = float(cfg.cubes.get("gamma", cfg.eta))
-    R = float(cfg.cubes.get("R", 2.0))
+    part, gamma, R = _cube_params(cfg)
     dist = build_game(cfg.game)
     g = build_network(cfg.network)
     out_dir = Path(cfg.output or "lattice_analysis")

@@ -302,15 +302,14 @@ class ContagionWave:
         return doc
 
 
-def _staircase_above(P: StepFn, lift: float) -> tuple[np.ndarray, np.ndarray]:
+def _staircase_above(P: StepFn, lift: float) -> StepFn:
     """Staircase Q >= P + lift with value gaps <= lift/4 and top exactly 1.
 
-    Returns (values, positions).  Levels descend from 1 in steps of
-    lift/4 down to the base level P(0) + lift; level j starts where
-    P + lift first exceeds level j-1.  Levels that P + lift never
-    reaches are squeezed in just left of x = 1 (or of the next jump), in
-    strictly increasing position order; nudging a jump left only raises
-    Q, preserving the domination.
+    Levels descend from 1 in steps of lift/4 down to the base level
+    P(0) + lift; level j starts where P + lift first exceeds level j-1.
+    Levels that P + lift never reaches are squeezed in just left of
+    x = 1 (or of the next jump), in strictly increasing position order;
+    nudging a jump left only raises Q, preserving the domination.
     """
     gap = lift / 4.0
     base = P._vals[0] + lift
@@ -339,7 +338,7 @@ def _staircase_above(P: StepFn, lift: float) -> tuple[np.ndarray, np.ndarray]:
     probe = np.unique(np.concatenate([P._pos, pos, [1.0]]))
     if np.min(Q.eval_array(probe) - P.eval_array(probe) - lift) < -1e-12:
         raise AssertionError("staircase failed to dominate P + lift")
-    return levels, pos
+    return Q
 
 
 def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
@@ -362,8 +361,7 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
     for k in range(1, _MAX_HALVINGS + 1):
         delta1 = min(eta, 1.0 - P.top) / (2.0**k)
         try:
-            levels, pos = _staircase_above(P, delta1)
-            Q = StepFn.from_grid(pos.tolist(), levels.tolist())
+            Q = _staircase_above(P, delta1)
             q_max, _ = ru_dominant(Q)
             a_star = q_max[-1]
             if a_star > x_star + eta:

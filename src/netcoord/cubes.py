@@ -300,6 +300,8 @@ def good_set_search(
     U, and verifies the four conditions directly.  Absence is a value,
     not an error.
     """
+    if not R >= 0.0:
+        raise ValueError(f"R must be nonnegative, got {R}")
     bad = classify_bad(part, shocks, P, gamma)
     extra = extraordinary_cubes(part, shocks)
     bad_grid = part.cube_grid(bad)

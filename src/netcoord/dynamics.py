@@ -28,6 +28,15 @@ inequality
 
 with A the cross term accumulated along the trace.
 
+The dynamics and the audit replay a path through one flip state,
+``_FlipState``: a flip of agent i moves beta, p = P(beta) and q = Wp
+only on J = N(i).  With dp = p' - p on J and q' = q + W dp,
+
+    Delta F = dp . [(g_J p - q) + (g_J p' - q')]     (exact change of F),
+    Delta A = dp . [(g_J beta - q) + (g_J beta' - q')],
+
+restricted to J; one helper, ``_increment``, evaluates both.
+
 A single dynamics run is strictly sequential (asynchronous revisions);
 distinct replications run concurrently with no shared mutable state,
 sharing the Network and the threshold distribution read-only.
@@ -42,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ShockProfile, best_response_array, DOMINANT_1
+from .game import ShockProfile, best_response_array
 from .network import Network, fineness, is_pure, neighborhood_fractions
 from .stepfn import StepFn, loss_L
 
@@ -146,48 +155,56 @@ def capacity(g: Network, p: np.ndarray) -> float:
 # ------------------------------------------------------------------ dynamics
 
 
-class _CapacityState:
-    """Incrementally maintained (F0, F) along a one-flip-per-step path."""
+class _FlipState:
+    """Profile a with beta = Wa/g and, given P, p = P(beta) and q = Wp.
+
+    ``flip`` is the one place where a single revision updates these
+    arrays; the async dynamics and the bound audit both replay their
+    paths through it.
+    """
 
     def __init__(self, g: Network, a: np.ndarray, P: StepFn | None):
-        self.g = g
         self.W = g.weights
+        self.deg = g.degrees
         self.P = P
-        self.F0 = capacity_simple(g, a)
+        self.a = a
+        self.beta = neighborhood_fractions(g, a)
         if P is not None:
-            beta = neighborhood_fractions(g, a)
-            self.p = P.eval_array(beta)
+            self.p = P.eval_array(self.beta)
             self.q = self.W @ self.p
-            self.s1 = float(np.dot(g.degrees, self.p * self.p))
-            self.cross = float(np.dot(self.p, self.q))
 
-    @property
-    def F(self) -> float:
-        if self.P is None:
-            return math.nan
-        return self.s1 - self.cross
+    def flip(self, i: int, up: bool):
+        """Set a_i to 1 (up) or 0 and update beta, p and q on N(i).
 
-    def apply_flip(self, i: int, beta_before: float, up: bool, beta: np.ndarray):
-        """Update after agent i flipped; ``beta`` is the post-flip array."""
-        sign = 1.0 if up else -1.0
-        self.F0 += sign * self.g.degrees[i] * (1.0 - 2.0 * beta_before)
-        if self.P is None:
-            return
+        Returns (J, beta_J before, dp, q_J before), where J = N(i); dp
+        and q_J are None when P is None or no p_j moves.
+        """
         W = self.W
         lo, hi = W.indptr[i], W.indptr[i + 1]
         J = W.indices[lo:hi]
-        p_new = self.P.eval_array(beta[J])
-        delta = p_new - self.p[J]
-        if np.any(delta != 0.0):
-            g_J = self.g.degrees[J]
-            self.s1 += float(np.dot(g_J, 2.0 * self.p[J] * delta + delta * delta))
-            # cross = p.(Wp); with symmetric W and dp supported on J:
-            # cross' = cross + 2 q.dp + dp.(W dp).
-            WJ = W[J]
-            quad = float(delta @ (WJ[:, J] @ delta))
-            self.cross += 2.0 * float(np.dot(self.q[J], delta)) + quad
-            self.q += WJ.T @ delta
-            self.p[J] = p_new
+        w = W.data[lo:hi]
+        self.a[i] = 1.0 if up else 0.0
+        beta_old = self.beta[J]
+        self.beta[J] += (w / self.deg[J]) if up else -(w / self.deg[J])
+        if self.P is None:
+            return J, beta_old, None, None
+        p_new = self.P.eval_array(self.beta[J])
+        dp = p_new - self.p[J]
+        if not np.any(dp != 0.0):
+            return J, beta_old, None, None
+        q_old = self.q[J]
+        self.q += W[J].T @ dp
+        self.p[J] = p_new
+        return J, beta_old, dp, q_old
+
+
+def _increment(g_J: np.ndarray, x_old, x_new, q_old, q_new, dp: np.ndarray) -> float:
+    """dp . [(g x_old - q_old) + (g x_new - q_new)] over J.
+
+    With x = p and q' = q + W dp this is the exact change of F(p); with
+    x = beta it is the audit's cross-term increment.
+    """
+    return float(np.dot(dp, (g_J * x_old - q_old) + (g_J * x_new - q_new)))
 
 
 def _async_dynamics(
@@ -197,31 +214,27 @@ def _async_dynamics(
     step_limit: int | None,
     direction: str,
     P: StepFn | None,
-    order: str = "min-index",
-    order_seed: int = 0,
 ) -> DynamicsTrace:
     t = _thresholds(shocks, g)
     a = np.asarray(a0, dtype=float).copy()
     if not is_pure(a):
         raise ValueError("dynamics need a pure starting profile")
-    n = g.n
     if step_limit is None:
-        step_limit = 4 * n
+        step_limit = 4 * g.n
     up = direction == "upper"
-    W = g.weights
+    target = 1.0 if up else 0.0
     deg = g.degrees
-    beta = neighborhood_fractions(g, a)
-    cap = _CapacityState(g, a, P)
+    state = _FlipState(g, a, P)
+    F0 = capacity_simple(g, a)
+    # F(p) = sum_i g_i p_i^2 - p.Wp reuses q; capacity() would redo an O(nnz) gather.
+    F = math.nan if P is None else float(np.dot(deg, state.p * state.p) - np.dot(state.p, state.q))
 
-    if up:
-        flippable = (a == 0.0) & (t <= beta) & np.isfinite(t)
-    else:
-        flippable = (a == 1.0) & (t >= beta) & (t != DOMINANT_1)
-    heap = list(np.nonzero(flippable)[0])
-    rng = np.random.default_rng(order_seed) if order == "random" else None
-    if rng is None:
-        heapq.heapify(heap)
-    in_heap = flippable.copy()
+    def movers(J):
+        return (a[J] != target) & (best_response_array(t[J], state.beta[J], direction) == target)
+
+    in_heap = movers(slice(None))
+    heap = list(np.flatnonzero(in_heap))
+    heapq.heapify(heap)
 
     steps: list[TraceStep] = []
     stop_reason = "fixed_point"
@@ -230,38 +243,25 @@ def _async_dynamics(
         if step_idx >= step_limit:
             stop_reason = "step_limit"
             break
-        if rng is None:
-            i = heapq.heappop(heap)
-        else:
-            k = int(rng.integers(len(heap)))
-            heap[k], heap[-1] = heap[-1], heap[k]
-            i = heap.pop()
-        i = int(i)
-        beta_before = float(beta[i])
-        a[i] = 1.0 if up else 0.0
-        lo, hi = W.indptr[i], W.indptr[i + 1]
-        J = W.indices[lo:hi]
-        w = W.data[lo:hi]
-        beta[J] += (w / deg[J]) if up else -(w / deg[J])
-        cap.apply_flip(i, beta_before, up, beta)
-        steps.append(TraceStep(step_idx, i, beta_before, cap.F0, cap.F))
+        i = int(heapq.heappop(heap))
+        beta_before = float(state.beta[i])
+        J, _, dp, q_old = state.flip(i, up)
+        F0 += (1.0 if up else -1.0) * deg[i] * (1.0 - 2.0 * beta_before)
+        if dp is not None:
+            p_new = state.p[J]
+            F += _increment(deg[J], p_new - dp, p_new, q_old, state.q[J], dp)
+        steps.append(TraceStep(step_idx, i, beta_before, F0, F))
         # Newly flippable neighbors; flippability is monotone along the path.
-        if up:
-            newly = J[(a[J] == 0.0) & (t[J] <= beta[J]) & np.isfinite(t[J]) & ~in_heap[J]]
-        else:
-            newly = J[(a[J] == 1.0) & (t[J] >= beta[J]) & (t[J] != DOMINANT_1) & ~in_heap[J]]
+        newly = J[movers(J) & ~in_heap[J]]
         for j in newly:
-            if rng is None:
-                heapq.heappush(heap, int(j))
-            else:
-                heap.append(int(j))
+            heapq.heappush(heap, int(j))
         in_heap[newly] = True
         step_idx += 1
         if step_idx % _BETA_AUDIT_EVERY == 0:
             fresh = neighborhood_fractions(g, a)
-            if np.max(np.abs(fresh - beta)) > 1e-12:
+            if np.max(np.abs(fresh - state.beta)) > 1e-12:
                 raise AssertionError("incremental beta drifted beyond 1e-12")
-            beta = fresh
+            state.beta = fresh
     return DynamicsTrace(
         steps=steps,
         initial_profile=np.asarray(a0, dtype=float).copy(),
@@ -277,8 +277,6 @@ def upper_dynamics(
     a0: np.ndarray,
     step_limit: int | None = None,
     P: StepFn | None = None,
-    order: str = "min-index",
-    order_seed: int = 0,
 ) -> DynamicsTrace:
     """Flip the minimum-index agent with action 0 and upper best response 1.
 
@@ -286,7 +284,7 @@ def upper_dynamics(
     wants to move up, and is independent of the revision order.  Pass P
     to record the real capacity F alongside F0 in the trace.
     """
-    return _async_dynamics(g, shocks, a0, step_limit, "upper", P, order, order_seed)
+    return _async_dynamics(g, shocks, a0, step_limit, "upper", P)
 
 
 def lower_dynamics(
@@ -295,11 +293,9 @@ def lower_dynamics(
     a0: np.ndarray,
     step_limit: int | None = None,
     P: StepFn | None = None,
-    order: str = "min-index",
-    order_seed: int = 0,
 ) -> DynamicsTrace:
     """Mirror image: flips agents playing 1 whose lower best response is 0."""
-    return _async_dynamics(g, shocks, a0, step_limit, "lower", P, order, order_seed)
+    return _async_dynamics(g, shocks, a0, step_limit, "lower", P)
 
 
 def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> np.ndarray:
@@ -397,13 +393,7 @@ def enumerate_equilibria(g: Network, shocks: ShockProfile, tie: str) -> np.ndarr
         ints = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
         prof = ((ints[:, None] >> bits_of) & 1).astype(float)
         beta = (prof @ W) / deg
-        if tie == "upper":
-            br = (t <= beta) & np.isfinite(t)
-        elif tie == "lower":
-            br = (t < beta) | (t == DOMINANT_1)
-        else:
-            raise ValueError("tie must be 'upper' or 'lower'")
-        ok = np.all(br.astype(float) == prof, axis=1)
+        ok = np.all(best_response_array(t, beta, tie) == prof, axis=1)
         if np.any(ok):
             found.append(prof[ok])
     return np.concatenate(found, axis=0) if found else np.empty((0, n))
@@ -426,42 +416,24 @@ def audit_main_bound(
     """
     if trace.direction != "upper":
         raise ValueError("the bound audits upper dynamics traces")
-    t = _thresholds(shocks, g)
+    _thresholds(shocks, g)
     if trace.initial_profile.size != g.n:
         raise ValueError("trace does not match the network size")
-    W = g.weights
     deg = g.degrees
-    a = trace.initial_profile.copy()
-    beta = neighborhood_fractions(g, a)
-    beta0 = beta.copy()
-    p = P.eval_array(beta)
-    q = W @ p
-    capacity0 = capacity(g, p)
+    state = _FlipState(g, trace.initial_profile.copy(), P)
+    beta0 = state.beta.copy()
+    capacity0 = capacity(g, state.p)
     A = 0.0
     for step in trace.steps:
         i = step.agent
-        if not (0 <= i < g.n) or a[i] != 0.0:
+        if not (0 <= i < g.n) or state.a[i] != 0.0:
             raise ValueError("trace replay mismatch: invalid flip")
-        lo, hi = W.indptr[i], W.indptr[i + 1]
-        J = W.indices[lo:hi]
-        w = W.data[lo:hi]
-        a[i] = 1.0
-        beta_old_J = beta[J].copy()
-        beta[J] += w / deg[J]
-        p_new_J = P.eval_array(beta[J])
-        delta = p_new_J - p[J]
-        if np.any(delta != 0.0):
-            q_new = q + W[J].T @ delta
-            # sum_j g_ij (a_j - p_j) = g_i beta_i - (W p)_i, evaluated at
-            # both s = t and s = t+1 for the flipping stage.
-            term_old = deg[J] * beta_old_J - q[J]
-            term_new = deg[J] * beta[J] - q_new[J]
-            A += float(np.dot(delta, term_old + term_new))
-            p[J] = p_new_J
-            q = q_new
-        else:
-            # p unchanged: the A increment is zero regardless of a/beta.
-            pass
+        J, beta_old, dp, q_old = state.flip(i, up=True)
+        # sum_j g_ij (a_j - p_j) = g_i beta_i - (W p)_i at both s = t and
+        # s = t+1; the increment is zero when no p_j moves.
+        if dp is not None:
+            A += _increment(deg[J], beta_old, state.beta[J], q_old, state.q[J], dp)
+    p = state.p
     # lhs: expected actions take values in P's range; evaluate L per value.
     vals, inv = np.unique(p, return_inverse=True)
     L_vals = np.array([loss_L(P, x_star, float(v)) for v in vals])

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import domination_check, good_set_search, partition
+from .cubes import CubePartition, domination_check, good_set_search, partition
 from .dynamics import (
     audit_main_bound,
     enumerate_equilibria,
@@ -76,6 +76,7 @@ __all__ = [
 log = logging.getLogger("netcoord")
 
 _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
+_CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
 
 
 def _sig12(x):
@@ -130,6 +131,15 @@ class ExperimentConfig:
             raise ValueError("stability_gamma must lie in [0, 1)")
         if self.stability_radius is not None and not self.stability_radius > 0.0:
             raise ValueError("stability_radius must be positive")
+        if self.cubes is not None:
+            unknown = sorted(set(self.cubes) - set(_CUBE_KEYS))
+            if unknown:
+                raise ValueError(f"unknown cubes keys: {unknown}")
+            R = float(self.cubes.get("R", 2.0))
+            if not (math.isfinite(R) and R >= 0.0):
+                raise ValueError(f"cubes.R must be finite and nonnegative, got {R}")
+            if not float(self.cubes.get("gamma", self.eta)) > 0.0:
+                raise ValueError("cubes.gamma must be positive")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -221,6 +231,13 @@ def build_network(spec: dict) -> Network:
 def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> list[float]:
     """Fixed points passing the strong-stability test at (gamma, radius)."""
     return [f.x for f in fixed_points(P) if is_strongly_stable(P, f.x, gamma=gamma, radius=radius)]
+
+
+def _cube_params(cfg: ExperimentConfig) -> tuple[CubePartition, float, float]:
+    """Cube partition of the lattice, gamma (default eta) and R (default 2.0)."""
+    c, lat = cfg.cubes, cfg.network["lattice"]
+    part = partition(LatticeSpec(M=int(lat["M"]), m=int(lat["m"])), b=int(c["b"]), B=int(c["B"]))
+    return part, float(c.get("gamma", cfg.eta)), float(c.get("R", 2.0))
 
 
 def _mix_seed(seed: int, rep: int) -> int:
@@ -529,12 +546,8 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     dominated = 0
     good_runs = 0
     if cfg.cubes:
-        b = int(cfg.cubes["b"])
-        B = int(cfg.cubes["B"])
-        gamma = float(cfg.cubes.get("gamma", cfg.eta))
-        R = float(cfg.cubes.get("R", 2.0))
-        rho = float(cfg.cubes.get("rho", b / m))
-        part = partition(LatticeSpec(M=M, m=m), b=b, B=B)
+        part, gamma, R = _cube_params(cfg)
+        rho = float(cfg.cubes.get("rho", part.b / m))
         g = build_network(cfg.network)
         for rep in range(cfg.replications):
             shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)

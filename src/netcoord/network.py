@@ -149,12 +149,7 @@ def lattice(spec: LatticeSpec) -> Network:
 
 def fineness(g: Network) -> float:
     """d(g) = max over pairs of g_ij / g_i."""
-    W = g.weights
-    row_max = np.zeros(g.n)
-    if W.nnz:
-        # CSR row-wise maxima.
-        maxes = W.max(axis=1).toarray().ravel()
-        row_max = maxes
+    row_max = g.weights.max(axis=1).toarray().ravel()
     return float(np.max(row_max / g.degrees))
 
 

@@ -237,18 +237,14 @@ def ru_objective(P: StepFn, x: float) -> float:
 
 
 def _objective_candidates(P: StepFn) -> np.ndarray:
-    """Candidate maximizer locations: 0, 1, segment boundaries, vertices."""
-    lo, hi, c = _inverse_segments(P)
-    pts = [0.0, 1.0]
-    pts.extend(v for v in lo if 0.0 <= v <= 1.0)
-    pts.extend(v for v in hi if 0.0 <= v <= 1.0)
-    # Per-piece vertex of the quadratic (derivative y - c = 0); the pieces
-    # are convex so vertices are interior minima, kept only for symmetry
-    # with minimum-finding uses.
-    for a, b, cc in zip(lo, hi, c):
-        if a < cc < b:
-            pts.append(float(cc))
-    return np.unique(np.asarray(pts, dtype=float))
+    """Candidate maximizer locations: 0, 1 and the segment boundaries.
+
+    Each piece is convex (derivative y - c), so its maximum over the piece
+    lies at an end; the vertex y = c is an interior minimum.
+    """
+    lo, hi, _ = _inverse_segments(P)
+    pts = np.concatenate([[0.0, 1.0], lo, hi])
+    return np.unique(pts[(0.0 <= pts) & (pts <= 1.0)])
 
 
 def ru_dominant(P: StepFn) -> tuple[list[float], bool]:

@@ -278,6 +278,19 @@ def test_good_set_absent_without_seed():
     assert good_set_search(part, s, P, gamma=0.2, R=1.0) is None
 
 
+def test_good_set_rejects_negative_radius():
+    # With R < 0 condition (d) held at distance 0, so a non-extraordinary
+    # cube could be returned as the seed.
+    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    t = np.full(24 * 24, 0.9)
+    t[part.nodes_of_small(10)] = math.inf
+    s = shocks_of(t)
+    P = StepFn.constant(0.95)
+    assert good_set_search(part, s, P, gamma=0.2, R=0.0).seed_cube == 10
+    with pytest.raises(ValueError, match="R must"):
+        good_set_search(part, s, P, gamma=0.2, R=-1.0)
+
+
 # ------------------------------------------------------------ r-interior lemmas
 
 

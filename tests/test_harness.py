@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +76,23 @@ def test_config_rejects_seed_outside_64_bits(seed):
 def test_config_rejects_bad_stability_parameters(kw):
     with pytest.raises(ValueError, match="stability"):
         small_cfg(probes=("seeded-local",), **kw)
+
+
+@pytest.mark.parametrize(
+    "cubes, match",
+    [
+        ({"b": 3, "B": 6, "radius": 1.0}, "unknown cubes keys"),
+        ({"b": 3, "B": 6, "R": -1.0}, "R must"),
+        ({"b": 3, "B": 6, "R": math.inf}, "R must"),
+        ({"b": 3, "B": 6, "R": math.nan}, "R must"),
+        ({"b": 3, "B": 6, "gamma": 0.0}, "gamma must"),
+        ({"b": 3, "B": 6, "gamma": -0.2}, "gamma must"),
+    ],
+)
+def test_config_rejects_bad_cubes(cubes, match):
+    with pytest.raises(ValueError, match=match):
+        small_cfg(cubes=cubes)
+    small_cfg(cubes={"b": 3, "B": 6, "gamma": 0.2, "R": 0.0, "rho": 1.5})
 
 
 def test_config_round_trip(tmp_path):
