@@ -13,7 +13,8 @@ neighborhood on the plane lies behind a front:
 the steps and inverse positions of a step game via the monotone
 fixed-point iteration of the capped first-crossing map, so that the
 average action experienced at each threshold stays at or below the
-inverse of the next step value.
+inverse of the next step value; each sweep finds the crossings by
+bracketed Newton steps warm-started at the previous iterate.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -101,9 +102,12 @@ def front_f_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs."""
-    return steps[0] + (1.0 - front_f_array(v[None, :] - xs[:, None])) @ np.diff(steps)
+def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool = False):
+    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with
+    ``slope`` also F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi."""
+    y, da = v[None, :] - xs[:, None], np.diff(steps)
+    F = steps[0] + (1.0 - front_f_array(y)) @ da
+    return (F, (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ da) if slope else F
 
 
 def _check_wave_vector(v: np.ndarray) -> np.ndarray:
@@ -140,12 +144,14 @@ class WaveSolution:
     """Steps a_0 < ... < a_{L+1} and thresholds 0 = v_0 < ... < v_L.
 
     ``residuals[l]`` is the slack of target_{l} - F(v_l | v) for
-    l = 1..L (nonnegative up to 1e-9 on valid solutions).
+    l = 1..L (nonnegative up to 1e-9 on valid solutions); ``sweeps`` is
+    the number of b* sweeps the solver ran.
     """
 
     steps: np.ndarray
     thresholds: np.ndarray
     residuals: np.ndarray
+    sweeps: int
 
     @property
     def L(self) -> int:
@@ -156,6 +162,7 @@ class WaveSolution:
             "steps": self.steps.tolist(),
             "thresholds": self.thresholds.tolist(),
             "residuals": self.residuals.tolist(),
+            "sweeps": self.sweeps,
         }
 
 
@@ -183,19 +190,61 @@ def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, f
     return worst > 0.0, worst, worst_at
 
 
+def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
+    """One b* sweep: b*_l(v) = min(b_l, v_{l-1} + 1), b_l = inf{x >= 0 : F(x|v) >= targets_l}.
+
+    F at 0 and at the caps settles most l exactly; the rest take Newton
+    steps from v_l inside [lo_l, cap_l], bisecting when a step leaves the
+    bracket or is longer than half the step before (rtsafe; Numerical
+    Recipes sec. 9.4), until a point reaching the target lies within
+    1e-12 of one that does not.
+    lo_l must miss the target where F(0|v) does; the returned lo keeps
+    missing it at every v' >= v, since F(x|v) falls as v rises.
+    """
+    cap = v[:-1] + 1.0
+    ends = _experienced(np.append(0.0, cap), v, a)
+    capped = ends[1:] < targets  # b_l > cap, so b*_l = cap exactly
+    b = np.where(targets <= ends[0], 0.0, cap)
+    lo = np.where(capped, cap, lo)
+    idx = np.flatnonzero((targets > ends[0]) & ~capped)
+    lo_i, hi, t, x, step = lo[idx], cap[idx], targets[idx], v[idx + 1], np.inf
+    for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
+        if not idx.size:
+            return b, lo
+        # A pair that straddles the root closes the bracket in one call.
+        pts = np.stack([x - 0.45e-12, x + 0.45e-12])
+        f, df = (r.reshape(2, -1) for r in _experienced(pts.ravel(), v, a, slope=True))
+        reach = f >= t
+        hi = np.minimum(hi, np.where(reach, pts, np.inf).min(axis=0))
+        lo_i = np.maximum(lo_i, np.where(reach, -np.inf, pts).max(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - (f[0] + f[1] - 2.0 * t) / (df[0] + df[1])
+        ok = (lo_i < newton) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
+        newton = np.where(ok, newton, 0.5 * (lo_i + hi))
+        step, x = np.abs(newton - x), newton
+        done = hi - lo_i <= 1e-12
+        b[idx[done]], lo[idx[done]] = hi[done], lo_i[done]
+        idx, lo_i, hi, t, x, step = (arr[~done] for arr in (idx, lo_i, hi, t, x, step))
+    raise WaveConstructionError("first-crossing search did not close its bracket")
+
+
 def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     """Wave thresholds for a step game via the monotone b* iteration.
 
-    ``steps`` are the step values a_0 < ... < a_{L+1} and
+    ``steps`` are the finite step values a_0 < ... < a_{L+1} and
     inv_positions[l] = Q^{-1}(steps[l]).  The map b*_l(v) = min(b_l(v),
     v_{l-1} + 1), with b_l the first location where F(x|v) reaches
     Q^{-1}(a_{l+1}), is iterated from the zero vector until successive
-    iterates differ by less than 1e-10 in max norm.  b_l is found by
-    monotone bisection in x (all coordinates bisected in parallel) to
-    1e-12.
+    iterates differ by less than 1e-10 in max norm.  Each sweep brackets
+    b_l to 1e-12 by safeguarded Newton steps, warm-started at the
+    previous iterate (see ``_b_star``).
     """
     a = np.asarray(steps, dtype=float)
     q = np.asarray(inv_positions, dtype=float)
+    if a.ndim != 1 or a.shape != q.shape or not np.all(np.isfinite(a) & np.isfinite(q)):
+        raise ValueError("need finite step values, each with a finite inverse position")
+    if np.any(np.diff(a) <= 0.0):
+        raise ValueError("step values must be strictly increasing")
     ok, worst, worst_at = check_ru_wave(a, q)
     if not ok:
         raise ValueError(
@@ -206,25 +255,12 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
         raise ValueError("need at least two steps above the base")
     targets = q[2:].copy()  # Q^{-1}(a_{l+1}) for l = 1..L
     v = np.zeros(L + 1)
-    for _ in range(_MAX_ITER):
-        # Parallel bisection for b_l = inf{x >= 0 : F(x|v) >= target_l}.
-        lo = np.zeros(L)
-        hi = np.full(L, float(v[-1] + 1.0))
-        at_zero = _experienced(np.zeros(1), v, a)[0]
-        done_zero = targets <= at_zero
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            reach = _experienced(mid, v, a) >= targets
-            hi = np.where(reach, mid, hi)
-            lo = np.where(reach, lo, mid)
-            if np.max(hi - lo) <= 1e-12:
-                break
-        b = np.where(done_zero, 0.0, hi)
-        new = v.copy()
-        new[1:] = np.minimum(b, v[:-1] + 1.0)
-        # The exact map is monotone; clip away bisection jitter so the
+    lo = np.zeros(L)
+    for sweeps in range(1, _MAX_ITER + 1):
+        b, lo = _b_star(v, a, targets, lo)
+        # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
-        new = np.maximum(new, v)
+        new = np.maximum(np.append(0.0, b), v)
         if np.max(np.abs(new - v)) < _TOL:
             v = new
             break
@@ -232,7 +268,7 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     else:
         raise WaveConstructionError("wave iteration did not converge")
     residuals = targets - _experienced(v[1:], v, a)
-    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals)
+    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps)
 
 
 @dataclass(frozen=True)
@@ -347,9 +383,10 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
     Requires P(1) < 1 and a strictly dominant maximizer x* of the
     dominance integral.  The returned wave has base action a* <= x* + eta
     and passes the exact verification of the wave inequality.  delta is
-    found by geometric search over {eta / 2^k}.
+    found by geometric search over {eta / 2^k}; if no k <= _MAX_HALVINGS
+    succeeds, the WaveConstructionError gives each halving's reason.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError("eta must be positive")
     if P.top >= 1.0:
         raise ValueError("build_delta_wave requires P(1) < 1")
@@ -357,7 +394,7 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
     if not strict:
         raise ValueError("build_delta_wave requires a strictly dominant maximizer")
     x_star = maximizers[0]
-    last_err: str = "no admissible delta tried"
+    reasons: list[tuple[float, str]] = []
     for k in range(1, _MAX_HALVINGS + 1):
         delta1 = min(eta, 1.0 - P.top) / (2.0**k)
         try:
@@ -365,7 +402,7 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             q_max, _ = ru_dominant(Q)
             a_star = q_max[-1]
             if a_star > x_star + eta:
-                last_err = f"a*={a_star} drifted above x*+eta at delta1={delta1}"
+                reasons.append((delta1, f"a*={a_star} drifted above x*+eta"))
                 continue
             # delta2: uniform strictness margin of the RU-wave integral
             # above a_star.
@@ -380,7 +417,7 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             ]
             margin = min(margins)
             if margin <= 0.0:
-                last_err = f"RU-wave margin nonpositive at delta1={delta1}"
+                reasons.append((delta1, "RU-wave margin nonpositive"))
                 continue
             delta2 = min(delta1 / 2.0, margin / 2.0)
             # Wave steps: base a_star plus the Q values above it; targets
@@ -392,14 +429,15 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             inv[0] = 0.0
             sol = solve_wave(steps=steps, inv_positions=inv)
             if np.any(np.diff(sol.thresholds) <= 0):
-                last_err = f"wave thresholds not strictly increasing at delta1={delta1}"
+                reasons.append((delta1, "wave thresholds not strictly increasing"))
                 continue
             delta = min(delta2, float(np.min(np.diff(sol.thresholds))))
             wave = ContagionWave(wave=sol, delta=delta, a_star=a_star)
             ok, slack, worst_x = wave.verify_grid(P)
             if ok:
                 return wave
-            last_err = f"verification failed at x={worst_x:.6f} (slack {slack:.3e})"
+            reasons.append((delta1, f"verification failed at x={worst_x:.6f} (slack {slack:.3e})"))
         except (ValueError, WaveConstructionError) as e:
-            last_err = str(e)
-    raise WaveConstructionError(f"no verified wave for eta={eta}: {last_err}")
+            reasons.append((delta1, str(e)))
+    tried = "; ".join(f"delta1={d:.6g}: {why}" for d, why in reasons)
+    raise WaveConstructionError(f"no verified wave for eta={eta}: {tried}")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import netcoord.contagion as contagion
 from netcoord.contagion import (
     ContagionWave,
     WaveConstructionError,
@@ -29,6 +30,49 @@ def lens_mc(d, r1, r2, n=1_000_000, seed=0):
     inside2 = ((pts[:, 0] - d) ** 2 + pts[:, 1] ** 2) <= r2 * r2
     # disc area = pi r1^2; intersection/pi = fraction * r1^2.
     return inside2.mean() * r1 * r1
+
+
+def bisection_solve_wave(a, q):
+    """The b* iteration with every coordinate bisected from [0, v_L + 1]
+    to 1e-12 in each sweep.  Returns (thresholds, sweeps)."""
+    L = a.size - 2
+    targets = q[2:]
+    v = np.zeros(L + 1)
+    for sweeps in range(1, 100_001):
+        lo = np.zeros(L)
+        hi = np.full(L, float(v[-1] + 1.0))
+        done_zero = targets <= contagion._experienced(np.zeros(1), v, a)[0]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            reach = contagion._experienced(mid, v, a) >= targets
+            hi = np.where(reach, mid, hi)
+            lo = np.where(reach, lo, mid)
+            if np.max(hi - lo) <= 1e-12:
+                break
+        new = v.copy()
+        new[1:] = np.minimum(np.where(done_zero, 0.0, hi), v[:-1] + 1.0)
+        new = np.maximum(new, v)
+        if np.max(np.abs(new - v)) < 1e-10:
+            return new, sweeps
+        v = new
+    raise AssertionError("oracle did not converge")
+
+
+# The first game of the benchmark's wave panel (94 sweeps, L = 44).
+PANEL_GAME_0 = StepFn(
+    base=0.09172123396241166,
+    steps=((0.215327690175707, 0.11736508326369241), (0.8603709570607483, 0.23818937284156608)),
+)
+
+
+def panel_wave_inputs(monkeypatch):
+    """The steps and inverse positions of the wave build_delta_wave returns
+    for PANEL_GAME_0 at eta = 0.15."""
+    calls = []
+    solve = contagion.solve_wave
+    monkeypatch.setattr(contagion, "solve_wave", lambda **kw: calls.append(kw) or solve(**kw))
+    build_delta_wave(PANEL_GAME_0, eta=0.15)
+    return np.asarray(calls[-1]["steps"]), np.asarray(calls[-1]["inv_positions"])
 
 
 from conftest import random_admissible_wave_inputs
@@ -180,7 +224,73 @@ def test_solve_wave_random_admissible(rng):
         assert np.all(sol.residuals >= -1e-9)
         assert np.all(np.diff(sol.thresholds) > 0)
         assert sol.thresholds[-1] <= sol.L + 1e-9
+        want, sweeps = bisection_solve_wave(vals, pos)
+        assert np.max(np.abs(sol.thresholds - want)) <= 1e-10
+        assert sol.sweeps == sweeps
         made += 1
+
+
+def test_solve_wave_panel_game_matches_bisection_oracle(monkeypatch):
+    vals, pos = panel_wave_inputs(monkeypatch)
+    sol = solve_wave(steps=vals, inv_positions=pos)
+    want, sweeps = bisection_solve_wave(vals, pos)
+    assert (sol.L, sol.sweeps, sweeps) == (44, 94, 94)
+    assert np.max(np.abs(sol.thresholds - want)) <= 1e-10
+    assert np.all(sol.residuals >= -1e-9)
+
+
+def _assert_sweep_exact(v, a, targets, b):
+    """Each b*_l(v) is 0, the cap v_{l-1} + 1 bit for bit, or a point that
+    reaches the target with x - 1e-12 short of it."""
+    cap = v[:-1] + 1.0
+    F = lambda x: contagion._experienced(x, v, a)  # noqa: E731
+    zero = targets <= F(np.zeros(1))[0]
+    capped = F(cap) < targets
+    assert np.all(b[zero] == 0.0)
+    assert np.array_equal(b[capped], cap[capped])
+    rest = ~zero & ~capped
+    assert np.all(b[rest] <= cap[rest])
+    assert np.all(F(b[rest]) >= targets[rest])
+    assert np.all(F(b[rest] - 1e-12) < targets[rest])
+
+
+def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
+    # solve_wave's own iteration, warm brackets included, checked sweep by
+    # sweep against the first-crossing guarantee of plain bisection.
+    inputs = [panel_wave_inputs(monkeypatch)]
+    while len(inputs) < 11:
+        out = random_admissible_wave_inputs(rng)
+        if out is not None:
+            inputs.append(out)
+    for a, q in inputs:
+        targets = q[2:]
+        v, lo = np.zeros(a.size - 1), np.zeros(a.size - 2)
+        for sweeps in range(1, 10_000):
+            b, lo = contagion._b_star(v, a, targets, lo)
+            _assert_sweep_exact(v, a, targets, b)
+            new = np.maximum(np.append(0.0, b), v)
+            v, step = new, np.max(np.abs(new - v))
+            if step < 1e-10:
+                break
+        sol = solve_wave(steps=a, inv_positions=q)
+        assert sol.sweeps == sweeps
+        assert np.array_equal(sol.thresholds, v)
+
+
+@pytest.mark.parametrize(
+    "steps, inv",
+    [
+        ([0.1, 0.3, 0.2], [0.0, 0.5, 0.6]),  # steps not increasing
+        ([0.1, 0.3, 0.3, 1.0], [0.0, 0.5, 0.6, 1.0]),  # a repeated step
+        ([0.1, math.nan, 1.0], [0.0, 0.5, 1.0]),
+        ([0.1, 0.5, 1.0], [0.0, math.nan, 1.0]),
+        ([0.1, 0.5, 1.0], [0.0, 0.7, math.inf]),
+        ([0.1, 0.5, 1.0], [0.0, 0.7]),  # one inverse position short
+    ],
+)
+def test_solve_wave_rejects_bad_inputs(steps, inv):
+    with pytest.raises(ValueError):
+        solve_wave(steps=np.array(steps), inv_positions=np.array(inv))
 
 
 def test_solve_wave_iterates_monotone(rng):
@@ -263,6 +373,26 @@ def test_delta_wave_requires_top_below_one():
         build_delta_wave(P, eta=0.1)
 
 
+def test_delta_wave_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta must be positive"):
+        build_delta_wave(StepFn.constant(0.05), eta=math.nan)
+
+
+def test_delta_wave_failure_lists_every_halving(monkeypatch):
+    # Failing at the staircase keeps the 20 halvings cheap: the staircase
+    # at delta1 = 0.1 / 2^20 would have ~4e7 levels.
+    def fail(P, lift):
+        raise WaveConstructionError("no staircase")
+
+    monkeypatch.setattr(contagion, "_staircase_above", fail)
+    with pytest.raises(WaveConstructionError) as err:
+        build_delta_wave(StepFn.constant(0.05), eta=0.1)
+    msg = str(err.value)
+    assert msg.count("no staircase") == contagion._MAX_HALVINGS
+    for k in range(1, contagion._MAX_HALVINGS + 1):
+        assert f"delta1={0.1 / 2.0**k:.6g}: no staircase" in msg
+
+
 def test_delta_wave_requires_strict_dominance():
     P = StepFn(base=0.1, steps=((0.5, 0.9),))  # exact tie at 0.1 and 0.9
     with pytest.raises(ValueError):
@@ -339,7 +469,7 @@ def test_verify_catches_violation_narrower_than_capped_grid():
     v = 0.9 * np.arange(21)
     a = np.concatenate([np.linspace(0.1, 0.5, 21), [1.0]])
     d = 1e-6
-    wave = ContagionWave(WaveSolution(a, v, np.zeros(20)), delta=d, a_star=0.1)
+    wave = ContagionWave(WaveSolution(a, v, np.zeros(20), sweeps=0), delta=d, a_star=0.1)
     r = float(v[-1]) + d
     z = d + float(wave.experienced_fraction(np.array([r - 1e-8]))[0])
     P = StepFn.from_grid([0.0, z], [0.0, a[-2] - d + 0.01])

@@ -335,7 +335,13 @@ def test_cli_wave(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "a_star=" in out and "delta=" in out
-    assert (tmp_path / "w.json").exists()
+    assert json.loads((tmp_path / "w.json").read_text())["sweeps"] >= 1
+
+
+def test_cli_wave_rejects_nan_eta(tmp_path, capsys):
+    game = write_game(tmp_path, {"base": 0.05, "steps": []})
+    assert cli_main(["wave", game, "--eta", "nan"]) == 1
+    assert "eta must be positive" in capsys.readouterr().err
 
 
 def test_cli_wave_failure_path(tmp_path, capsys):
