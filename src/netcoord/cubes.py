@@ -16,6 +16,8 @@ the classification machinery:
   extraordinary;
 * ``domination_check`` tests a(c) <= sigma(d(c, W) - R) + rho per cube.
 
+Per-cube neighborhood fractions beta(c) average the lattice network's
+own ``neighborhood_fractions`` (its torus stencil, no CSR matrix).
 Node distances are the torus Euclidean metric scaled by 1/m; set
 distances are minima over node pairs, computed with an exact Euclidean
 distance transform on a 3x3 tiling of the torus.
@@ -23,17 +25,15 @@ distance transform on a 3x3 tiling of the torus.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 from scipy import ndimage
 
 from .contagion import ContagionWave
 from .game import ShockProfile
-from .network import LatticeSpec, lattice_ball_offsets
+from .network import LatticeSpec, lattice, neighborhood_fractions
 from .stepfn import StepFn
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "domination_check",
     "cube_best_response_gap",
     "cube_means",
-    "ball_fractions",
     "cube_report",
     "report_to_csv",
 ]
@@ -132,31 +131,6 @@ def cube_means(part: CubePartition, values: np.ndarray) -> np.ndarray:
     grid = part.node_grid(np.asarray(values, dtype=float))
     s, b = part.small_side, part.b
     return grid.reshape(s, b, s, b).mean(axis=(1, 3)).ravel()
-
-
-def ball_fractions(part: CubePartition, a: np.ndarray) -> np.ndarray:
-    """Per-node neighborhood fraction beta_i on the lattice, via a wrapped
-    convolution with the radius-1 ball kernel (center excluded).
-
-    Large kernels go through the FFT (exact circular convolution up to
-    fp roundoff); small ones use direct convolution.
-    """
-    m, M = part.m, part.M
-    grid = part.node_grid(np.asarray(a, dtype=float))
-    offsets = lattice_ball_offsets(m)
-    if m <= 8:
-        size = 2 * m + 1
-        kernel = np.zeros((size, size))
-        for dx, dy in offsets:
-            kernel[dx + m, dy + m] = 1.0
-        summed = ndimage.convolve(grid, kernel, mode="wrap")
-        return (summed / kernel.sum()).ravel()
-    # The ball is symmetric under negation, so circular correlation
-    # equals circular convolution with the same mask.
-    kern = np.zeros((M, M))
-    kern[offsets[:, 0] % M, offsets[:, 1] % M] = 1.0
-    summed = np.fft.irfft2(np.fft.rfft2(grid) * np.fft.rfft2(kern), s=(M, M))
-    return (summed / offsets.shape[0]).ravel()
 
 
 def cube_empirical_cdf(part: CubePartition, shocks: ShockProfile, cube: int, x: float) -> float:
@@ -375,7 +349,7 @@ def cube_best_response_gap(
     """
     bad = classify_bad(part, shocks, P, gamma)
     a_c = cube_means(part, a)
-    beta_c = cube_means(part, ball_fractions(part, a))
+    beta_c = cube_means(part, neighborhood_fractions(lattice(part.spec), a))
     arg = np.clip(beta_c + D * rho, 0.0, 1.0)
     res = gamma + P.eval_array(arg) - a_c
     res[bad] = np.nan
@@ -391,8 +365,6 @@ class CubeReport:
     beta_c: np.ndarray
     bad: np.ndarray
     extraordinary: np.ndarray
-    inf_share: np.ndarray
-    median_threshold: np.ndarray
 
 
 def cube_report(
@@ -402,40 +374,20 @@ def cube_report(
     a: np.ndarray,
     gamma: float,
 ) -> CubeReport:
-    blocks = _blocks(part, shocks.thresholds)
-    finite = np.isfinite(blocks)
-    inf_share = 1.0 - finite.mean(axis=1)
-    med = np.full(blocks.shape[0], np.nan)
-    rows = finite.any(axis=1)
-    if rows.any():
-        masked = np.where(finite[rows], blocks[rows], np.nan)
-        med[rows] = np.nanmedian(masked, axis=1)
     return CubeReport(
         part=part,
         a_c=cube_means(part, a),
-        beta_c=cube_means(part, ball_fractions(part, a)),
+        beta_c=cube_means(part, neighborhood_fractions(lattice(part.spec), a)),
         bad=classify_bad(part, shocks, P, gamma),
         extraordinary=extraordinary_cubes(part, shocks),
-        inf_share=inf_share,
-        median_threshold=med,
     )
 
 
 def report_to_csv(report: CubeReport) -> str:
-    out = StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["cube_x", "cube_y", "a_c", "beta_c", "bad", "extraordinary"])
-    s = report.part.small_side
-    for c in range(report.part.n_small):
-        cx, cy = divmod(c, s)
-        writer.writerow(
-            [
-                cx,
-                cy,
-                f"{report.a_c[c]:.12g}",
-                f"{report.beta_c[c]:.12g}",
-                int(report.bad[c]),
-                int(report.extraordinary[c]),
-            ]
-        )
-    return out.getvalue()
+    """CSV with CRLF line ends, one row per small cube in cube-id order."""
+    cx, cy = np.divmod(np.arange(report.part.n_small), report.part.small_side)
+    cols = (cx, cy, report.a_c, report.beta_c, report.bad.astype(int), report.extraordinary.astype(int))
+    rows = zip(*(c.tolist() for c in cols))
+    return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "".join(
+        f"{x},{y},{a:.12g},{b:.12g},{bad},{extra}\r\n" for x, y, a, b, bad, extra in rows
+    )

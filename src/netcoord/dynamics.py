@@ -74,9 +74,6 @@ __all__ = [
     "trace_to_jsonl",
 ]
 
-_BETA_AUDIT_EVERY = 512  # full beta recomputation cadence (drift <= 1e-12)
-
-
 @dataclass(frozen=True)
 class TraceStep:
     t: int
@@ -145,7 +142,7 @@ def capacity_simple(g: Network, a: np.ndarray) -> float:
 
 
 def capacity(g: Network, p: np.ndarray) -> float:
-    """F(p) = 1/2 sum_ij g_ij (p_i - p_j)^2."""
+    """F(p) = 1/2 sum_ij g_ij (p_i - p_j)^2 by definition (a test oracle)."""
     p = np.asarray(p, dtype=float)
     W = g.weights.tocoo()
     d = p[W.row] - p[W.col]
@@ -164,28 +161,38 @@ class _FlipState:
     """
 
     def __init__(self, g: Network, a: np.ndarray, P: StepFn | None):
-        self.W = g.weights
+        self.W = W = g.weights
         self.deg = g.degrees
         self.P = P
         self.a = a
         self.beta = neighborhood_fractions(g, a)
+        self.offsets = np.arange(np.diff(W.indptr).max())
         if P is not None:
             self.p = P.eval_array(self.beta)
-            self.q = self.W @ self.p
+            self.q = W @ self.p
+
+    def capacity(self) -> float:
+        """F(p) = sum_i g_i p_i^2 - p.Wp, from the q the state holds."""
+        return float(np.dot(self.deg, self.p * self.p) - np.dot(self.p, self.q))
 
     def flip(self, i: int, up: bool):
         """Set a_i to 1 (up) or 0 and update beta, p and q on N(i).
 
-        Returns (J, beta_J before, dp, q_J before), where J = N(i); dp
-        and q_J are None when P is None or no p_j moves.
+        Both updates gather the CSR rows of J = N(i) and add them in the
+        order the matvecs do, so beta and q equal Wa/g and Wp bit for
+        bit; W is symmetric, so row j of W is also its column j.
+        Returns (J, beta_J before, dp, q_J before); dp and q_J are None
+        when P is None or no p_j moves.
         """
         W = self.W
-        lo, hi = W.indptr[i], W.indptr[i + 1]
-        J = W.indices[lo:hi]
-        w = W.data[lo:hi]
+        J = W.indices[W.indptr[i] : W.indptr[i + 1]]
         self.a[i] = 1.0 if up else 0.0
         beta_old = self.beta[J]
-        self.beta[J] += (w / self.deg[J]) if up else -(w / self.deg[J])
+        pos = W.indptr[J][:, None] + self.offsets
+        real = pos < W.indptr[J + 1][:, None]
+        pos = np.where(real, pos, 0)
+        cols, w = W.indices[pos], np.where(real, W.data[pos], 0.0)
+        self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
         if self.P is None:
             return J, beta_old, None, None
         p_new = self.P.eval_array(self.beta[J])
@@ -193,7 +200,8 @@ class _FlipState:
         if not np.any(dp != 0.0):
             return J, beta_old, None, None
         q_old = self.q[J]
-        self.q += W[J].T @ dp
+        rows, inv = np.unique(cols[real], return_inverse=True)
+        self.q[rows] += np.bincount(inv, weights=(w * dp[:, None])[real])
         self.p[J] = p_new
         return J, beta_old, dp, q_old
 
@@ -226,8 +234,7 @@ def _async_dynamics(
     deg = g.degrees
     state = _FlipState(g, a, P)
     F0 = capacity_simple(g, a)
-    # F(p) = sum_i g_i p_i^2 - p.Wp reuses q; capacity() would redo an O(nnz) gather.
-    F = math.nan if P is None else float(np.dot(deg, state.p * state.p) - np.dot(state.p, state.q))
+    F = math.nan if P is None else state.capacity()
 
     def movers(J):
         return (a[J] != target) & (best_response_array(t[J], state.beta[J], direction) == target)
@@ -257,11 +264,6 @@ def _async_dynamics(
             heapq.heappush(heap, int(j))
         in_heap[newly] = True
         step_idx += 1
-        if step_idx % _BETA_AUDIT_EVERY == 0:
-            fresh = neighborhood_fractions(g, a)
-            if np.max(np.abs(fresh - state.beta)) > 1e-12:
-                raise AssertionError("incremental beta drifted beyond 1e-12")
-            state.beta = fresh
     return DynamicsTrace(
         steps=steps,
         initial_profile=np.asarray(a0, dtype=float).copy(),
@@ -422,7 +424,7 @@ def audit_main_bound(
     deg = g.degrees
     state = _FlipState(g, trace.initial_profile.copy(), P)
     beta0 = state.beta.copy()
-    capacity0 = capacity(g, state.p)
+    capacity0 = state.capacity()
     A = 0.0
     for step in trace.steps:
         i = step.agent

@@ -1,7 +1,11 @@
 """Weighted undirected graphs, generators, statistics, and averages.
 
-Weights are held in a scipy CSR matrix with symmetric nonnegative
-entries and zero diagonal; every node must have positive degree.
+Weights are symmetric, nonnegative, with zero diagonal; every node must
+have positive degree.  General graphs hold a scipy CSR matrix.  Torus
+lattices and copies of complete graphs hold their structure: neighbor
+sums come from a window-sum stencil or from block sums, which on pure
+profiles add the integers the CSR matvec adds, so the fractions are
+bit-identical; their CSR matrix is built on first access to ``weights``.
 Profiles are plain float arrays with entries in [0, 1].
 
 Statistics follow the usual conventions for these games:
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +49,23 @@ __all__ = [
 class Network:
     """Symmetric weighted graph with cached degree statistics.
 
-    Immutable after construction; safe for shared reads from concurrent
-    replications.  Profiles are owned per replication.
+    ``structure`` is None for a CSR graph, the block size s for disjoint
+    unit-weight complete graphs K_s, or the ``LatticeSpec`` of a torus
+    lattice.  Immutable after construction apart from the lazily built
+    ``weights``; safe for shared reads from concurrent replications.
+    Profiles are owned per replication.
     """
 
-    weights: sp.csr_matrix
     degrees: np.ndarray
     total_degree: float
     sum_sq_degree: float
+    structure: LatticeSpec | int | None = None
+
+    @classmethod
+    def _from_degrees(cls, deg: np.ndarray, structure=None) -> "Network":
+        if np.any(deg <= 0):
+            raise ValueError("every node needs positive degree g_i > 0")
+        return cls(deg, float(deg.sum()), float(np.dot(deg, deg)), structure)
 
     @classmethod
     def from_weights(cls, W, validate: bool = True) -> "Network":
@@ -66,19 +80,22 @@ class Network:
                 raise ValueError("weights must be symmetric")
             if W.nnz and W.data.min() < 0:
                 raise ValueError("weights must be nonnegative")
-        deg = np.asarray(W.sum(axis=1)).ravel()
-        if np.any(deg <= 0):
-            raise ValueError("every node needs positive degree g_i > 0")
-        return cls(
-            weights=W,
-            degrees=deg,
-            total_degree=float(deg.sum()),
-            sum_sq_degree=float(np.dot(deg, deg)),
-        )
+        g = cls._from_degrees(np.asarray(W.sum(axis=1)).ravel())
+        g.__dict__["weights"] = W  # the cached_property's slot
+        return g
+
+    @cached_property
+    def weights(self) -> sp.csr_matrix:
+        """CSR weights; a structured network builds them on first access."""
+        if isinstance(self.structure, LatticeSpec):
+            return _torus_csr(self.structure)
+        s = self.structure
+        block = sp.csr_matrix(np.ones((s, s)) - np.eye(s))
+        return block if s == self.n else sp.block_diag([block] * (self.n // s), format="csr")
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.degrees.size
 
 
 @dataclass(frozen=True)
@@ -100,8 +117,7 @@ class LatticeSpec:
 def complete_graph(n: int) -> Network:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    W = np.ones((n, n)) - np.eye(n)
-    return Network.from_weights(sp.csr_matrix(W))
+    return Network._from_degrees(np.full(n, float(n - 1)), n)
 
 
 def disjoint_copies(g: Network, k: int) -> Network:
@@ -109,6 +125,8 @@ def disjoint_copies(g: Network, k: int) -> Network:
         raise ValueError("k must be at least 1")
     if k == 1:
         return g
+    if isinstance(g.structure, int):
+        return Network._from_degrees(np.tile(g.degrees, k), g.structure)
     W = sp.block_diag([g.weights] * k, format="csr")
     return Network.from_weights(W, validate=False)
 
@@ -130,26 +148,39 @@ def lattice(spec: LatticeSpec) -> Network:
     M, m = spec.M, spec.m
     if M < 3 * m:
         raise ValueError("need M >= 3m so neighborhoods do not self-wrap")
-    offsets = lattice_ball_offsets(m)
+    return Network._from_degrees(np.full(M * M, float(len(lattice_ball_offsets(m)))), spec)
+
+
+def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
+    M = spec.M
     xs, ys = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    base = (xs * M + ys).ravel()
-    rows = []
-    cols = []
-    for dx, dy in offsets:
-        tx = (xs + dx) % M
-        ty = (ys + dy) % M
-        rows.append(base)
-        cols.append((tx * M + ty).ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(rows.size)
-    W = sp.csr_matrix((data, (rows, cols)), shape=(M * M, M * M))
-    return Network.from_weights(W, validate=False)
+    cols = [(((xs + dx) % M) * M + (ys + dy) % M).ravel() for dx, dy in lattice_ball_offsets(spec.m)]
+    rows = np.tile(np.arange(M * M), len(cols))
+    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))), shape=(M * M, M * M))
+
+
+def _torus_sums(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
+    """Sum of a over each node's radius-1 ball, center excluded.
+
+    Column dy of the ball is the window |dx| <= isqrt(m^2 - dy^2); each
+    window is a difference of column prefix sums of the wrap-padded grid.
+    """
+    M, m = spec.M, spec.m
+    grid = a.reshape(M, M)
+    pre = np.zeros((M + 2 * m + 1, M + 2 * m))
+    np.cumsum(np.pad(grid, m, mode="wrap"), axis=0, out=pre[1:])
+    sums = -grid
+    for dy in range(-m, m + 1):
+        w = math.isqrt(m * m - dy * dy)
+        cols = pre[:, m + dy : m + dy + M]
+        sums += cols[m + w + 1 : m + w + 1 + M]
+        sums -= cols[m - w : m - w + M]
+    return sums.ravel()
 
 
 def fineness(g: Network) -> float:
-    """d(g) = max over pairs of g_ij / g_i."""
-    row_max = g.weights.max(axis=1).toarray().ravel()
+    """d(g) = max over pairs of g_ij / g_i (structured weights are 1)."""
+    row_max = 1.0 if g.structure is not None else g.weights.max(axis=1).toarray().ravel()
     return float(np.max(row_max / g.degrees))
 
 
@@ -173,7 +204,15 @@ def is_pure(a: np.ndarray) -> bool:
 def neighborhood_fractions(g: Network, a: np.ndarray) -> np.ndarray:
     """beta_i = (1/g_i) sum_j g_ij a_j."""
     a = _check_profile(g, a)
-    return (g.weights @ a) / g.degrees
+    s = g.structure
+    if isinstance(s, LatticeSpec):
+        sums = _torus_sums(s, a)
+    elif s is not None:
+        blocks = a.reshape(-1, s)
+        sums = (blocks.sum(axis=1, keepdims=True) - blocks).ravel()
+    else:
+        sums = g.weights @ a
+    return sums / g.degrees
 
 
 def weighted_average(g: Network, a: np.ndarray) -> float:

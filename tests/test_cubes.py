@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,7 +7,6 @@ import pytest
 
 from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (
-    ball_fractions,
     classify_bad,
     cube_best_response_gap,
     cube_empirical_cdf,
@@ -18,8 +19,9 @@ from netcoord.cubes import (
     r_interior,
     report_to_csv,
 )
+from netcoord.dynamics import extremal_equilibria
 from netcoord.game import ShockProfile, ThresholdDist, sample_shocks
-from netcoord.network import LatticeSpec
+from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
 from netcoord.stepfn import StepFn
 
 
@@ -456,35 +458,11 @@ def test_beliefs_in_a_cube_bound(rng):
     worst = 0.0
     for _ in range(5):
         a = (rng.random(300 * 300) < rng.uniform(0.2, 0.8)).astype(float)
-        beta = ball_fractions(part, a)
+        beta = neighborhood_fractions(lattice(part.spec), a)
         beta_c = cube_means(part, beta)
         dev = np.abs(part.node_grid(beta) - np.kron(part.cube_grid(beta_c), np.ones((10, 10))))
         worst = max(worst, float(dev.max()))
     assert worst <= 0.3
-
-
-def test_ball_fractions_fft_matches_direct(rng):
-    # The FFT path (m > 8) agrees with direct convolution.
-    from netcoord.network import LatticeSpec as LS, lattice, neighborhood_fractions
-
-    spec = LS(M=30, m=9)
-    part = partition(spec, b=3, B=30)
-    g = lattice(spec)
-    for _ in range(3):
-        a = (rng.random(900) < 0.5).astype(float)
-        got = ball_fractions(part, a)
-        want = neighborhood_fractions(g, a)
-        assert np.max(np.abs(got - want)) <= 1e-10
-
-
-def test_ball_fractions_matches_network(rng):
-    from netcoord.network import LatticeSpec as LS, lattice, neighborhood_fractions
-
-    spec = LS(M=18, m=3)
-    part = partition(spec, b=3, B=18)
-    g = lattice(spec)
-    a = (rng.random(18 * 18) < 0.4).astype(float)
-    assert np.max(np.abs(ball_fractions(part, a) - neighborhood_fractions(g, a))) <= 1e-12
 
 
 # ------------------------------------------------------------------ report
@@ -501,3 +479,31 @@ def test_cube_report_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "cube_x,cube_y,a_c,beta_c,bad,extraordinary"
     assert len(lines) == 17
+
+
+def test_report_csv_matches_csv_writer(rng):
+    part = partition(LatticeSpec(M=60, m=3), b=3, B=30)
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    shocks = sample_shocks(ThresholdDist(P=P), part.M**2, seed=5)
+    a = (rng.random(part.M**2) < 0.5).astype(float)
+    rep = cube_report(part, shocks, P, a, gamma=0.2)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["cube_x", "cube_y", "a_c", "beta_c", "bad", "extraordinary"])
+    for c in range(part.n_small):
+        cx, cy = divmod(c, part.small_side)
+        row = [cx, cy, f"{rep.a_c[c]:.12g}", f"{rep.beta_c[c]:.12g}", int(rep.bad[c]), int(rep.extraordinary[c])]
+        writer.writerow(row)
+    assert report_to_csv(rep) == out.getvalue()
+
+
+def test_lattice_analysis_leaves_csr_unbuilt():
+    spec = LatticeSpec(M=60, m=3)
+    part = partition(spec, b=3, B=30)
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    g = lattice(spec)
+    shocks = sample_shocks(ThresholdDist(P=P), g.n, seed=7)
+    largest, _ = extremal_equilibria(g, shocks)
+    cube_report(part, shocks, P, largest, gamma=0.2)
+    cube_best_response_gap(part, shocks, P, largest, gamma=0.2, rho=0.1)
+    assert "weights" not in g.__dict__

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from netcoord.dynamics import (
+    _FlipState,
     audit_main_bound,
     capacity,
     capacity_decrement_check,
@@ -394,18 +395,31 @@ def test_capacities_and_audit_over_a_thousand_flips(thousand_flips):
     assert audit.cross_term_A == pytest.approx(up_A, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the async dynamics update beta by adding +-w/g_j, which drifts an ulp off "
-    "the exact fraction; at P's breakpoints and at ties t = beta that moves p and the "
-    "best response (ROADMAP item 3)",
-)
 def test_async_dynamics_follow_exact_fractions(thousand_flips):
     g, P, x_star, shocks, _, (down, _, _, _) = thousand_flips
     for trace, _, Fs, _ in thousand_flips[4:]:
         for step, F in zip(trace.steps, Fs[1:]):
             assert abs(step.capacity - F) <= 1e-9
     assert is_equilibrium(g, shocks, down.final_profile, "lower")
+
+
+def test_flip_state_equals_matvecs_bit_for_bit(rng):
+    # Random weights, uneven row lengths: after every flip beta equals
+    # Wa/g, and q equals the scipy update q + W[J].T @ dp, bit for bit.
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.6, 0.7), (0.75, 0.9)))
+    for _ in range(10):
+        n = int(rng.integers(20, 120))
+        W = (rng.random((n, n)) < rng.uniform(0.05, 0.5)) * rng.uniform(0.1, 3.0, (n, n))
+        W = np.triu(W, 1) + np.diag(np.full(n - 1, 0.5), 1)
+        g = Network.from_weights(sp.csr_matrix(W + W.T))
+        state = _FlipState(g, (rng.random(n) < 0.5).astype(float), P)
+        q_ref = state.q.copy()
+        for i in rng.integers(n, size=3 * n):
+            J, _, dp, _ = state.flip(int(i), up=state.a[i] == 0.0)
+            if dp is not None:
+                q_ref += g.weights[J].T @ dp
+            assert np.array_equal(state.beta, neighborhood_fractions(g, state.a))
+            assert np.array_equal(state.q, q_ref)
 
 
 # ---------------------------------------------------------------- main bound

@@ -115,6 +115,51 @@ def test_lattice_rejects_self_wrap():
         lattice(LatticeSpec(M=5, m=2))
 
 
+# ------------------------------------------------- structured operators
+
+
+def _profiles(rng, n):
+    """Pure profiles at several densities (all-0 and all-1 included)."""
+    return [np.zeros(n), np.ones(n)] + [(rng.random(n) < p).astype(float) for p in (0.1, 0.5, 0.9)]
+
+
+STRUCTURED = {
+    f"lattice({M},{m})": (lambda M=M, m=m: lattice(LatticeSpec(M=M, m=m)))
+    for M, m in [(300, 3), (200, 5), (120, 2), (60, 12), (90, 9)]
+}
+STRUCTURED["complete(2000)"] = lambda: complete_graph(2000)
+STRUCTURED["copies(200x10)"] = lambda: disjoint_copies(complete_graph(200), 10)
+
+
+@pytest.mark.parametrize("name", STRUCTURED)
+def test_structured_fractions_match_csr(rng, name):
+    # Bit for bit on pure profiles (the sums are exact integers), 1e-12 otherwise.
+    g = STRUCTURED[name]()
+    csr = Network.from_weights(g.weights, validate=False)
+    assert np.array_equal(g.degrees, csr.degrees)
+    assert (g.total_degree, g.sum_sq_degree) == (csr.total_degree, csr.sum_sq_degree)
+    for a in _profiles(rng, g.n):
+        assert np.array_equal(neighborhood_fractions(g, a), neighborhood_fractions(csr, a))
+    for _ in range(3):
+        a = rng.random(g.n)
+        assert np.max(np.abs(neighborhood_fractions(g, a) - neighborhood_fractions(csr, a))) <= 1e-12
+
+
+def test_structured_statistics_equal_csr_values():
+    for g in (
+        complete_graph(2),
+        complete_graph(101),
+        disjoint_copies(complete_graph(7), 4),
+        lattice(LatticeSpec(M=12, m=2)),
+        lattice(LatticeSpec(M=60, m=12)),
+    ):
+        fine, imb = fineness(g), imbalance(g)
+        assert "weights" not in g.__dict__
+        csr = Network.from_weights(g.weights, validate=False)
+        assert (fine, imb) == (fineness(csr), imbalance(csr))
+        assert fine == 1.0 / g.degrees[0] and imb == 1.0
+
+
 # ------------------------------------------------------------- statistics
 
 
