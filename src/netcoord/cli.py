@@ -22,6 +22,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .contagion import WaveConstructionError, build_delta_wave
@@ -69,7 +70,7 @@ def _cmd_wave(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if cfg.output is None:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "output": str(Path(args.config).with_suffix("")) + "_out"})
+        cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
     out = run_experiment(cfg)
     print(f"replications={out['replications']}")
     for name in out["outputs"]:
@@ -110,13 +111,14 @@ def _cmd_enumerate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     dist = build_game(cfg.game)
     g = build_network(cfg.network)
-    if g.n > 20:
-        print("enumerate needs n <= 20", file=sys.stderr)
-        return 2
     for rep in range(cfg.replications):
         shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
         for tie in ("upper", "lower"):
-            eqs = enumerate_equilibria(g, shocks, tie)
+            try:
+                eqs = enumerate_equilibria(g, shocks, tie)
+            except ValueError as e:  # e.g. the n <= 20 guard
+                print(e, file=sys.stderr)
+                return 2
             avs = sorted(weighted_average(g, e) for e in eqs)
             print(f"replication {rep} {tie}: " + " ".join(_fmt(a) for a in avs))
     return 0

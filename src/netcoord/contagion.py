@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepfn import StepFn, loss_L, ru_dominant
+from .stepfn import StepFn, _dominance_integral, _ru_objective_at, ru_dominant
 
 __all__ = [
     "lens_f0",
@@ -169,25 +169,24 @@ class WaveSolution:
 def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, float, float]:
     """Check int_{a0}^{a} (Q^{-1}(x) - x) dx > 0 for each step value a > a0.
 
-    ``inv_positions[l]`` is Q^{-1}(steps[l]).  The integrand is linear in
-    x between consecutive step values, so the integral is checked at the
-    values and midpoints.  Returns (ok, worst value, worst location).
+    ``inv_positions[l]`` is Q^{-1}(steps[l]), the inverse's value on
+    (a_{l-1}, a_l], so the integral is minus the stepfn dominance
+    integral over those segments.  The integrand is linear in x between
+    consecutive step values, so the integral is checked at the values and
+    midpoints, in the order mid_1, a_1, mid_2, a_2, ...  Returns (ok,
+    worst value, worst location); a tie goes to the first point.
     """
     a = np.asarray(steps, dtype=float)
     q = np.asarray(inv_positions, dtype=float)
-    worst = math.inf
-    worst_at = math.nan
-    total = 0.0
-    for l in range(1, a.size):
-        lo, hi = a[l - 1], a[l]
-        cpos = q[l]
-        mid = 0.5 * (lo + hi)
-        part_mid = total + (cpos * (mid - lo) - 0.5 * (mid * mid - lo * lo))
-        total += cpos * (hi - lo) - 0.5 * (hi * hi - lo * lo)
-        for val, at in ((part_mid, mid), (total, hi)):
-            if at > a[0] and val < worst:
-                worst, worst_at = val, at
-    return worst > 0.0, worst, worst_at
+    if a.ndim != 1 or a.shape != q.shape or np.any(np.diff(a) < 0.0):
+        raise ValueError("need nondecreasing step values, each with an inverse position")
+    xs = np.column_stack([0.5 * (a[:-1] + a[1:]), a[1:]]).ravel()
+    vals = -_dominance_integral(a[:-1], a[1:], q[1:], xs)
+    above = xs > a[:1]
+    if not above.any():
+        return True, math.inf, math.nan
+    worst = int(np.argmin(np.where(above, vals, np.inf)))
+    return bool(vals[worst] > 0.0), float(vals[worst]), float(xs[worst])
 
 
 def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
@@ -351,18 +350,15 @@ def _staircase_above(P: StepFn, lift: float) -> StepFn:
     base = P._vals[0] + lift
     if base > 1.0:
         raise WaveConstructionError("lift exceeds the headroom above P(0)")
-    down = [1.0]
-    while down[-1] - gap > base + 1e-15:
-        down.append(down[-1] - gap)
-    down.append(base)
-    levels = np.asarray(down[::-1])
+    # d_k = d_{k-1} - gap from d_0 = 1, rounded step by step; the levels
+    # stop before the first d_k at or below the base (the 3 spare steps
+    # cover the rounding), and the base itself closes them.
+    down = np.subtract.accumulate(np.append(1.0, np.full(int((1.0 - base) / gap) + 3, gap)))
+    stop = int(np.argmax(down[1:] <= base + 1e-15))
+    levels = np.append(down[: stop + 1], base)[::-1]
     n_levels = levels.size
-    raw = [0.0]
-    for j in range(1, n_levels):
-        thresh = levels[j - 1] - lift
-        idx = int(np.searchsorted(P._vals, thresh, side="right"))
-        raw.append(float(P._pos[idx]) if idx < P._vals.size else 1.0)
-    raw = np.maximum.accumulate(np.asarray(raw))
+    idx = np.searchsorted(P._vals, levels[:-1] - lift, side="right")
+    raw = np.maximum.accumulate(np.append(0.0, np.append(P._pos, 1.0)[idx]))
     spread = min(1e-6, gap * 1e-3)
     pos = raw.copy()
     for j in range(n_levels - 2, 0, -1):
@@ -375,6 +371,19 @@ def _staircase_above(P: StepFn, lift: float) -> StepFn:
     if np.min(Q.eval_array(probe) - P.eval_array(probe) - lift) < -1e-12:
         raise AssertionError("staircase failed to dominate P + lift")
     return Q
+
+
+def _ru_wave_margin(Q: StepFn, a_star: float) -> float:
+    """Uniform strictness margin of the RU-wave integral above a_star.
+
+    The minimum of int_{a_star}^{c} (Q^{-1}(y) - y) dy / (c - a_star) over
+    the Q values c above a_star, 1, and the midpoints between them.
+    """
+    ups = np.unique(np.append(Q.piece_values[Q.piece_values > a_star], 1.0))
+    cands = np.append(0.5 * (np.append(a_star, ups[:-1]) + ups), ups)
+    cands = cands[cands > a_star]
+    K = _ru_objective_at(Q, np.append(a_star, cands))
+    return float(np.min((K[0] - K[1:]) / (cands - a_star)))
 
 
 def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
@@ -404,18 +413,7 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             if a_star > x_star + eta:
                 reasons.append((delta1, f"a*={a_star} drifted above x*+eta"))
                 continue
-            # delta2: uniform strictness margin of the RU-wave integral
-            # above a_star.
-            cand_vals = [v for v in Q.piece_values if v > a_star] + [1.0]
-            cands = []
-            prev = a_star
-            for v in sorted(set(cand_vals)):
-                cands.extend([0.5 * (prev + v), v])
-                prev = v
-            margins = [
-                loss_L(Q, a_star, c) / (c - a_star) for c in cands if c > a_star
-            ]
-            margin = min(margins)
+            margin = _ru_wave_margin(Q, a_star)
             if margin <= 0.0:
                 reasons.append((delta1, "RU-wave margin nonpositive"))
                 continue

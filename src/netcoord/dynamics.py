@@ -53,7 +53,7 @@ import numpy as np
 
 from .game import ShockProfile, best_response_array
 from .network import Network, fineness, is_pure, neighborhood_fractions
-from .stepfn import StepFn, loss_L
+from .stepfn import StepFn, _ru_objective_at
 
 __all__ = [
     "TraceStep",
@@ -436,10 +436,11 @@ def audit_main_bound(
         if dp is not None:
             A += _increment(deg[J], beta_old, state.beta[J], q_old, state.q[J], dp)
     p = state.p
-    # lhs: expected actions take values in P's range; evaluate L per value.
+    # lhs: expected actions take values in P's range; L(x*, v) = objective
+    # at x* minus objective at v, over the unique values in one call.
     vals, inv = np.unique(p, return_inverse=True)
-    L_vals = np.array([loss_L(P, x_star, float(v)) for v in vals])
-    lhs = 2.0 * float(np.dot(deg, L_vals[inv]))
+    K = _ru_objective_at(P, np.append(x_star, vals))
+    lhs = 2.0 * float(np.dot(deg, (K[0] - K[1:])[inv]))
     beta_dev = 2.0 * float(np.dot(deg, np.abs(beta0 - x_star)))
     fine_term = 2.0 * fineness(g) * g.total_degree
     rhs = capacity0 + A + beta_dev + fine_term

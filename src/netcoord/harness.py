@@ -27,7 +27,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
 
@@ -77,6 +77,8 @@ log = logging.getLogger("netcoord")
 
 _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
 _CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
+# ExperimentConfig.from_dict coerces these fields and takes the others as given.
+_COERCE = {"replications": int, "seed": int, "eta": float, "probes": tuple, "stability_gamma": float}
 
 
 def _sig12(x):
@@ -141,41 +143,27 @@ class ExperimentConfig:
             if not float(self.cubes.get("gamma", self.eta)) > 0.0:
                 raise ValueError("cubes.gamma must be positive")
 
+    @property
+    def effective_stability_radius(self) -> float:
+        """stability_radius, or max(1e-6, eta / 2) when it is unset."""
+        return self.stability_radius if self.stability_radius is not None else max(1e-6, self.eta / 2)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        return cls(
-            game=doc["game"],
-            network=doc["network"],
-            replications=int(doc.get("replications", 1)),
-            seed=int(doc.get("seed", 0)),
-            eta=float(doc.get("eta", 0.05)),
-            probes=tuple(doc.get("probes", ["extremal"])),
-            output=doc.get("output"),
-            stability_gamma=float(doc.get("stability_gamma", 0.9)),
-            stability_radius=doc.get("stability_radius"),
-            cubes=doc.get("cubes"),
-        )
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"config needs the keys: {missing}")
+        return cls(**{k: _COERCE.get(k, lambda v: v)(v) for k, v in doc.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "network": self.network,
-            "replications": self.replications,
-            "seed": self.seed,
-            "eta": self.eta,
-            "probes": list(self.probes),
-            "output": self.output,
-            "stability_gamma": self.stability_gamma,
-            "stability_radius": self.stability_radius,
-            "cubes": self.cubes,
-        }
+        return {**asdict(self), "probes": list(self.probes)}
 
 
 @dataclass
@@ -275,9 +263,8 @@ def run_replication(
         averages["enumerated"] = sorted(weighted_average(g, e) for e in eqs)
 
     if "seeded-local" in cfg.probes:
-        radius = cfg.stability_radius if cfg.stability_radius is not None else max(1e-6, cfg.eta / 2)
         seeded = {}
-        for x in stable_fixed_points(P, cfg.stability_gamma, radius):
+        for x in stable_fixed_points(P, cfg.stability_gamma, cfg.effective_stability_radius):
             a0 = (shocks.thresholds <= x).astype(float)
             eq = _sandwich_from(g, shocks, a0)
             seeded[_fmt(x)] = weighted_average(g, eq)
@@ -305,16 +292,13 @@ def run_replication(
     return ReplicationResult(rep, record, time.perf_counter() - t0)
 
 
-def _run_chunk(args) -> list[tuple[int, dict]]:
-    cfg_doc, reps = args
-    cfg = ExperimentConfig.from_dict(cfg_doc)
+def _run_chunk(args) -> tuple[list[tuple[int, dict]], dict]:
+    """Replications ``reps`` of config ``cfg``, plus the network's statistics."""
+    cfg, reps = args
     dist = build_game(cfg.game)
     g = build_network(cfg.network)
-    out = []
-    for rep in reps:
-        res = run_replication(g, dist, cfg, rep)
-        out.append((rep, res.record))
-    return out
+    records = [(rep, run_replication(g, dist, cfg, rep).record) for rep in reps]
+    return records, {"fineness": fineness(g), "imbalance": imbalance(g)}
 
 
 def _worker_count() -> int:
@@ -334,20 +318,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Deterministic given (config, seed): replication r is seeded by the
     stream (seed, r) regardless of which worker executes it; results are
     serialized in replication order.  Exit is clean regardless of
-    theorem-check outcomes -- the checks are data.
+    theorem-check outcomes -- the checks are data.  The result also holds
+    the network's ``fineness`` and ``imbalance``.
     """
     workers = min(_worker_count(), cfg.replications)
     reps = list(range(cfg.replications))
     t0 = time.perf_counter()
+    chunks = [(cfg, reps[w::workers]) for w in range(workers)]
     if workers == 1:
-        records = _run_chunk((cfg.to_dict(), reps))
+        parts = [_run_chunk(chunks[0])]
     else:
-        chunks = [(cfg.to_dict(), reps[w::workers]) for w in range(workers)]
-        records = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part_out in pool.map(_run_chunk, chunks):
-                records.extend(part_out)
-    records.sort(key=lambda pair: pair[0])
+            parts = list(pool.map(_run_chunk, chunks))
+    records = sorted((pair for part, _ in parts for pair in part), key=lambda pair: pair[0])
     log.info("ran %d replications in %.2fs", len(records), time.perf_counter() - t0)
 
     jsonl_lines = [json.dumps(_sig12(rec)) for _, rec in records]
@@ -405,6 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "replications": cfg.replications,
         "records": [rec for _, rec in records],
         "outputs": outputs,
+        **parts[0][1],
     }
 
 
@@ -422,14 +406,10 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
     """
     if not ({"complete", "copies"} & set(cfg.network)):
         raise ValueError("probe_theorem1 needs a complete or copies network")
-    cfg = ExperimentConfig.from_dict(
-        {**cfg.to_dict(), "probes": ["extremal", "seeded-local"], "output": None}
-    )
+    cfg = replace(cfg, probes=("extremal", "seeded-local"), output=None)
     dist = build_game(cfg.game)
-    radius = cfg.stability_radius if cfg.stability_radius is not None else max(1e-6, cfg.eta / 2)
-    points = stable_fixed_points(dist.P, cfg.stability_gamma, radius)
+    points = stable_fixed_points(dist.P, cfg.stability_gamma, cfg.effective_stability_radius)
     out = run_experiment(cfg)
-    g = build_network(cfg.network)
     successes = {x: 0 for x in points}
     for rec in out["records"]:
         av = rec["averages"]
@@ -447,15 +427,15 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
         "stable_points": points,
         "success_frequency": freq,
         "ci95": ci,
-        "fineness": fineness(g),
-        "coarse_network": fineness(g) > 0.01,
+        "fineness": out["fineness"],
+        "coarse_network": out["fineness"] > 0.01,
         "records": out["records"],
     }
 
 
 def probe_theorem2(cfg: ExperimentConfig) -> dict:
     """Escape frequencies of extremal averages from [x_min-eta, x_max+eta]."""
-    cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "probes": ["extremal"], "output": None})
+    cfg = replace(cfg, probes=("extremal",), output=None)
     dist = build_game(cfg.game)
     fps = fixed_points(dist.P)
     x_min, x_max = fps[0].x, fps[-1].x
@@ -481,9 +461,7 @@ def probe_theorem4(cfg: ExperimentConfig) -> dict:
     maximizers, strict = ru_dominant(dist.P)
     if not strict:
         raise ValueError("probe_theorem4 requires strict dominance of the maximizer")
-    cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "probes": ["ru-path"], "output": None})
-    out = run_experiment(cfg)
-    g = build_network(cfg.network)
+    out = run_experiment(replace(cfg, probes=("ru-path",), output=None))
     dists = [r["x_star_distance"] for r in out["records"]]
     audits = [r["bound_audit"]["satisfied"] for r in out["records"]]
     unweighted = [r["unweighted"]["sandwich"] for r in out["records"]]
@@ -498,8 +476,8 @@ def probe_theorem4(cfg: ExperimentConfig) -> dict:
         },
         "audit_pass_rate": sum(audits) / len(audits),
         "unweighted_distances": [abs(u - x_star) for u in unweighted],
-        "fineness": fineness(g),
-        "imbalance": imbalance(g),
+        "fineness": out["fineness"],
+        "imbalance": out["imbalance"],
         "records": out["records"],
     }
 
@@ -520,13 +498,9 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     maximizers, strict = ru_dominant(dist.P)
     x_star = maximizers[0] if strict else None
 
-    lat_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "probes": ["extremal"], "output": None})
-    comp_n = min(2000, M * M)
-    comp_cfg = ExperimentConfig.from_dict(
-        {**cfg.to_dict(), "network": {"complete": {"n": comp_n}}, "probes": ["extremal"], "output": None}
-    )
+    lat_cfg = replace(cfg, probes=("extremal",), output=None)
     lat_out = run_experiment(lat_cfg)
-    comp_out = run_experiment(comp_cfg)
+    comp_out = run_experiment(replace(lat_cfg, network={"complete": {"n": min(2000, M * M)}}))
     lat_large = [r["averages"]["largest"] for r in lat_out["records"]]
     comp_large = [r["averages"]["largest"] for r in comp_out["records"]]
     lat_small = [r["averages"]["smallest"] for r in lat_out["records"]]

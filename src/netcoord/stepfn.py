@@ -10,13 +10,17 @@ including 1.  Values are weakly increasing, so P behaves like a
                 the set is empty, i.e. y > P(1)).
 
 On top of evaluation the module provides the exact piecewise-quadratic
-integral
+dominance integral
 
     ru_objective(P, x) = int_0^x (y - P^{-1}(y)) dy,
 
-its global maximizers (``ru_dominant``), fixed points of P, a local
-stability test, the loss integral relative to a reference point, and
-staircase approximation of arbitrary monotone functions.
+its global maximizers (``ru_dominant``), the loss integral relative to a
+reference point (``loss_L``), fixed points of P, a local stability test,
+and staircase approximation of arbitrary monotone functions.  One
+kernel, ``_dominance_integral``, evaluates the integral at any number of
+points with one prefix sum over the segments on which the inverse is
+constant; every integral in the package (the three functions above, the
+contagion wave's RU checks and the bound audit) goes through it.
 
 Where P^{-1}(y) = +inf (y above P(1)) the integrand is clamped at the
 sentinel ``INV_SENTINEL = 2.0``: the clamped integrand is <= -1 there,
@@ -201,25 +205,36 @@ class StepFn:
         return cls.from_json_dict(json.loads(text))
 
 
-# -- generalized-inverse segments ------------------------------------------
+# -- the dominance integral ------------------------------------------------
 
 
 def _inverse_segments(P: StepFn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Segments of y on which P^{-1} is constant.
 
     Returns (lo, hi, c): P^{-1}(y) = c_j for y in (lo_j, hi_j], covering
-    [0, 1] with the sentinel on (P(1), 1].  Zero-length segments from
-    repeated values are kept (their integral contribution is zero).
+    [0, 1] contiguously with the sentinel on (P(1), 1].  Zero-length
+    segments from repeated values are kept (their integral is zero).
     """
-    vals = P._vals
-    pos = P._pos
-    lo = np.concatenate(([0.0], vals))
-    hi = np.concatenate((vals, [1.0]))
-    c = np.concatenate((pos, [INV_SENTINEL]))
-    # For y in [0, vals[0]] the inverse is 0; splitting it off as its own
-    # segment keeps the convention lo_0 = 0 exact.
-    keep = hi >= lo
-    return lo[keep], hi[keep], c[keep]
+    lo = np.concatenate(([0.0], P._vals))
+    hi = np.concatenate((P._vals, [1.0]))
+    return lo, hi, np.concatenate((P._pos, [INV_SENTINEL]))
+
+
+def _dominance_integral(lo: np.ndarray, hi: np.ndarray, c: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """int_{lo_0}^{x} (y - c(y)) dy at every x of xs in [lo_0, hi_-1].
+
+    c(y) = c_j on (lo_j, hi_j], the segments contiguous (lo_{j+1} = hi_j).
+    The integral is the prefix sum of the whole segments left of x plus
+    the partial segment that holds x.
+    """
+    whole = np.concatenate(([0.0], np.cumsum(0.5 * (hi * hi - lo * lo) - c * (hi - lo))))
+    j = np.minimum(np.searchsorted(hi, xs, side="left"), hi.size - 1)
+    return whole[j] + (0.5 * (xs * xs - lo[j] * lo[j]) - c[j] * (xs - lo[j]))
+
+
+def _ru_objective_at(P: StepFn, xs) -> np.ndarray:
+    """ru_objective(P, x) at every x of xs, in one kernel call."""
+    return _dominance_integral(*_inverse_segments(P), np.asarray(xs, dtype=float))
 
 
 def ru_objective(P: StepFn, x: float) -> float:
@@ -228,36 +243,22 @@ def ru_objective(P: StepFn, x: float) -> float:
     P^{-1} is clamped at INV_SENTINEL above P(1); the integral is a
     finite sum of quadratic-minus-linear pieces, no quadrature.
     """
-    x = _check_unit("x", x)
-    lo, hi, c = _inverse_segments(P)
-    a = np.minimum(np.maximum(lo, 0.0), x)
-    b = np.minimum(hi, x)
-    m = b > a
-    return float(np.sum(0.5 * (b[m] ** 2 - a[m] ** 2) - c[m] * (b[m] - a[m])))
-
-
-def _objective_candidates(P: StepFn) -> np.ndarray:
-    """Candidate maximizer locations: 0, 1 and the segment boundaries.
-
-    Each piece is convex (derivative y - c), so its maximum over the piece
-    lies at an end; the vertex y = c is an interior minimum.
-    """
-    lo, hi, _ = _inverse_segments(P)
-    pts = np.concatenate([[0.0, 1.0], lo, hi])
-    return np.unique(pts[(0.0 <= pts) & (pts <= 1.0)])
+    return float(_ru_objective_at(P, [_check_unit("x", x)])[0])
 
 
 def ru_dominant(P: StepFn) -> tuple[list[float], bool]:
     """Global maximizers of ru_objective over [0, 1] and a strictness flag.
 
-    The objective is piecewise quadratic and convex on each piece, so the
-    maximum is attained on the candidate grid.  Maximizers closer than
-    TOL_X are merged; ``strict`` is True iff a single point remains.
+    Each segment's integrand y - c increases, so the objective is convex
+    there and peaks at a segment end: every segment boundary is scored
+    in one kernel call.  Maximizers closer than TOL_X are merged;
+    ``strict`` is True iff a single point remains.
     """
-    cand = _objective_candidates(P)
-    vals = np.asarray([ru_objective(P, float(t)) for t in cand])
+    lo, hi, c = _inverse_segments(P)
+    cand = np.unique(np.append(lo, hi))
+    vals = _dominance_integral(lo, hi, c, cand)
     best = vals.max()
-    winners = np.sort(cand[vals >= best - _VALUE_TIE])
+    winners = cand[vals >= best - _VALUE_TIE]  # sorted, as cand is
     merged = [float(winners[0])]
     for w in winners[1:]:
         if w - merged[-1] > TOL_X:
@@ -350,22 +351,12 @@ def is_strongly_stable(P: StepFn, x: float, gamma: float, radius: float) -> bool
 def loss_L(P: StepFn, x_star: float, x: float) -> float:
     """Exact value of int_{x_star}^{x} (P^{-1}(y) - y) dy.
 
-    Uses the same sentinel clamp as ru_objective.  Satisfies the identity
-    loss_L(P, x*, x) = ru_objective(P, x*) - ru_objective(P, x).
+    This is ru_objective(P, x_star) - ru_objective(P, x), with the same
+    sentinel clamp.
     """
     x = _check_unit("x", x)
-    x_star = _check_unit("x_star", x_star)
-    sign = 1.0
-    a0, b0 = x_star, x
-    if a0 > b0:
-        a0, b0 = b0, a0
-        sign = -1.0
-    lo, hi, c = _inverse_segments(P)
-    a = np.minimum(np.maximum(lo, a0), b0)
-    b = np.minimum(np.maximum(hi, a0), b0)
-    m = b > a
-    val = float(np.sum(c[m] * (b[m] - a[m]) - 0.5 * (b[m] ** 2 - a[m] ** 2)))
-    return sign * val
+    k = _ru_objective_at(P, [_check_unit("x_star", x_star), x])
+    return float(k[0] - k[1])
 
 
 def step_approximate(

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from netcoord.contagion import (
     WaveConstructionError,
     WaveSolution,
     build_delta_wave,
+    check_ru_wave,
     front_f,
     front_f_array,
     lens_f0,
     solve_wave,
     wave_value,
 )
-from netcoord.stepfn import StepFn
+from netcoord.stepfn import StepFn, ru_dominant
 
 
 # ----------------------------------------------------------------- oracles
@@ -76,6 +78,38 @@ def panel_wave_inputs(monkeypatch):
 
 
 from conftest import random_admissible_wave_inputs
+
+
+def loop_check_ru_wave(a, q):
+    """check_ru_wave as a running sum over the segments (a_{l-1}, a_l],
+    read at each midpoint and each value in turn."""
+    worst, worst_at, total = math.inf, math.nan, 0.0
+    for l in range(1, a.size):
+        lo, hi, c = a[l - 1], a[l], q[l]
+        mid = 0.5 * (lo + hi)
+        part_mid = total + (c * (mid - lo) - 0.5 * (mid * mid - lo * lo))
+        total += c * (hi - lo) - 0.5 * (hi * hi - lo * lo)
+        for val, at in ((part_mid, mid), (total, hi)):
+            if at > a[0] and val < worst:
+                worst, worst_at = val, at
+    return worst > 0.0, worst, worst_at
+
+
+def loop_staircase(P, lift):
+    """_staircase_above's positions and levels, built one level at a time."""
+    gap, base = lift / 4.0, P.piece_values[0] + lift
+    down = [1.0]
+    while down[-1] - gap > base + 1e-15:
+        down.append(down[-1] - gap)
+    levels = np.asarray(down + [base])[::-1]
+    raw = [0.0]
+    for level in levels[:-1]:
+        idx = int(np.searchsorted(P.piece_values, level - lift, side="right"))
+        raw.append(float(P.piece_positions[idx]) if idx < P.piece_values.size else 1.0)
+    pos = np.maximum.accumulate(raw)
+    for j in range(levels.size - 2, 0, -1):
+        pos[j] = min(pos[j], pos[j + 1] - min(1e-6, gap * 1e-3))
+    return pos, levels
 
 
 # ------------------------------------------------------------------ lens_f0
@@ -378,6 +412,55 @@ def test_delta_wave_rejects_nan_eta():
         build_delta_wave(StepFn.constant(0.05), eta=math.nan)
 
 
+def test_check_ru_wave_matches_running_loop(rng):
+    # Admissible draws, unconstrained draws and repeated step values, with
+    # ties going to the first point in both.
+    for trial in range(3000):
+        inputs = random_admissible_wave_inputs(rng) if trial % 3 == 0 else None
+        if inputs is None:
+            L = int(rng.integers(1, 40))
+            a = np.sort(rng.uniform(0.0, 1.0, L + 1))
+            a = np.round(a, 1) if trial % 3 == 1 else a
+            q = np.sort(rng.uniform(0.0, 1.0, L + 1))
+            inputs = (a, q)
+        got, want = check_ru_wave(*inputs), loop_check_ru_wave(*inputs)
+        assert got[:2] == want[:2]
+        assert got[2] == want[2] or (math.isnan(got[2]) and math.isnan(want[2]))
+    assert check_ru_wave(np.array([0.3]), np.array([0.0]))[0]
+
+
+def test_staircase_matches_level_by_level_build(rng):
+    games = [StepFn.constant(0.05)]
+    while len(games) < 6:
+        k = int(rng.integers(1, 4))
+        pos = np.sort(rng.uniform(0.1, 0.9, size=k))
+        vals = np.sort(rng.uniform(0.02, 0.25, size=k + 1))
+        games.append(StepFn.from_grid([0.0] + pos.tolist(), vals.tolist()))
+    for P in games:
+        for k in range(1, 9):
+            lift = min(0.15, 1.0 - P.top) / 2.0**k
+            pos, levels = loop_staircase(P, lift)
+            try:
+                Q = contagion._staircase_above(P, lift)
+            except WaveConstructionError:
+                assert pos[1] <= 0.0  # no room left near 0 in either build
+                continue
+            assert np.array_equal(Q.piece_positions, pos)
+            assert np.array_equal(Q.piece_values, levels)
+
+
+def test_dominance_scans_scale_to_late_halvings():
+    # Halving k = 10 of P = 0.05 at eta = 0.1.  Scoring each candidate with
+    # its own objective call took 25.7 s for ru_dominant alone (2 CPUs).
+    Q = contagion._staircase_above(StepFn.constant(0.05), 0.1 / 2**10)
+    assert Q.piece_values.size == 38_910
+    t0 = time.perf_counter()
+    q_max, _ = ru_dominant(Q)
+    margin = contagion._ru_wave_margin(Q, q_max[-1])
+    assert time.perf_counter() - t0 < 1.0
+    assert margin > 0.0
+
+
 def test_delta_wave_failure_lists_every_halving(monkeypatch):
     # Failing at the staircase keeps the 20 halvings cheap: the staircase
     # at delta1 = 0.1 / 2^20 would have ~4e7 levels.
@@ -420,8 +503,6 @@ def test_delta_wave_random_admissible_games(rng):
         pos = np.sort(rng.uniform(0.1, 0.9, size=k))
         vals = np.sort(rng.uniform(0.02, 0.25, size=k + 1))
         P = StepFn.from_grid([0.0] + pos.tolist(), vals.tolist())
-        from netcoord.stepfn import ru_dominant
-
         maximizers, strict = ru_dominant(P)
         if not strict or P.top >= 1.0:
             continue

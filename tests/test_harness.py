@@ -95,6 +95,20 @@ def test_config_rejects_bad_cubes(cubes, match):
     small_cfg(cubes={"b": 3, "B": 6, "gamma": 0.2, "R": 0.0, "rho": 1.5})
 
 
+@pytest.mark.parametrize("key", ["game", "network"])
+def test_config_names_a_missing_required_key(key):
+    doc = small_cfg().to_dict()
+    del doc[key]
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_stability_radius_default():
+    assert small_cfg().effective_stability_radius == 0.025
+    assert small_cfg(eta=1e-7).effective_stability_radius == 1e-6
+    assert small_cfg(stability_radius=0.3).effective_stability_radius == 0.3
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_cfg()
     p = tmp_path / "cfg.json"
@@ -252,7 +266,7 @@ def test_probe_theorem1_rejects_lattice():
 def test_probe_theorem1_coarse_network_flagged():
     cfg = small_cfg(network={"complete": {"n": 10}}, replications=3)
     out = probe_theorem1(cfg)
-    assert out["coarse_network"]
+    assert out["coarse_network"] and out["fineness"] == 1.0 / 9.0
     assert set(out["success_frequency"]) == {0.1, 0.9}
 
 
@@ -284,6 +298,7 @@ def test_probe_theorem4_smoke():
     )
     out = probe_theorem4(cfg)
     assert out["audit_pass_rate"] == 1.0
+    assert (out["fineness"], out["imbalance"]) == (1.0 / 12.0, 1.0)  # 12 neighbours each
     assert out["distance_quantiles"]["q90"] <= 0.2
 
 
@@ -368,6 +383,13 @@ def test_cli_simulate_and_enumerate(tmp_path, capsys):
     assert cli_main(["enumerate", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "replication 0 upper:" in out
+
+
+def test_cli_enumerate_rejects_large_network(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 30}}}))
+    assert cli_main(["enumerate", str(cfg_path)]) == 2
+    assert "n <= 20" in capsys.readouterr().err
 
 
 def test_cli_lattice_analyze(tmp_path, capsys):

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from netcoord.stepfn import (
     INV_SENTINEL,
+    TOL_X,
     FixedPoint,
     StepFn,
+    _dominance_integral,
+    _inverse_segments,
     fixed_points,
     is_strongly_stable,
     loss_L,
@@ -223,6 +226,66 @@ def test_ru_dominant_strict_asymmetric_grid_search():
     maximizers, strict = ru_dominant(P)
     assert strict
     assert abs(xs[np.argmax(vals)] - maximizers[0]) <= 1e-5 + 1e-9
+
+
+# ----------------------------------------------------- dominance integral
+
+
+def clipped_sum_objective(P: StepFn, x_lo: float, x_hi: float) -> float:
+    """int_{x_lo}^{x_hi} (y - P^{-1}(y)) dy as one sum over the segments on
+    which P^{-1} is constant, each clipped to [x_lo, x_hi]: the per-point
+    formula the prefix-sum kernel replaced."""
+    lo = np.concatenate(([0.0], P.piece_values))
+    hi = np.concatenate((P.piece_values, [1.0]))
+    c = np.concatenate((P.piece_positions, [INV_SENTINEL]))
+    a, b = np.clip(lo, x_lo, x_hi), np.clip(hi, x_lo, x_hi)
+    m = b > a
+    return float(np.sum(0.5 * (b[m] ** 2 - a[m] ** 2) - c[m] * (b[m] - a[m])))
+
+
+def per_candidate_ru_dominant(P: StepFn) -> tuple[list[float], bool]:
+    """ru_dominant with every segment boundary scored by its own clipped sum."""
+    cand = np.unique(np.concatenate([[0.0, 1.0], P.piece_values]))
+    vals = np.array([clipped_sum_objective(P, 0.0, float(t)) for t in cand])
+    merged = []
+    for w in cand[vals >= vals.max() - 1e-12]:
+        if not merged or w - merged[-1] > TOL_X:
+            merged.append(float(w))
+    return merged, len(merged) == 1
+
+
+def _kernel_games(rng, n):
+    """Random step functions; every other one has its values rounded to one
+    decimal, which repeats values and sometimes reaches P(1) = 1."""
+    for trial in range(n):
+        P = random_stepfn(rng, max_pieces=int(rng.integers(1, 30)))
+        if trial % 2:
+            P = StepFn.from_grid(P.piece_positions.tolist(), np.round(P.piece_values, 1).tolist())
+        yield P
+
+
+def test_dominance_kernel_matches_clipped_sum(rng):
+    sentinel = 0
+    for P in _kernel_games(rng, 300):
+        sentinel += P.top < 1.0
+        # 0, 1, every breakpoint of P^{-1} and random points.
+        xs = np.concatenate([[0.0, 1.0], P.piece_values, rng.uniform(0.0, 1.0, 8)])
+        got = _dominance_integral(*_inverse_segments(P), xs)
+        want = np.array([clipped_sum_objective(P, 0.0, float(x)) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert all(ru_objective(P, float(x)) == k for x, k in zip(xs, got))
+        for x_star, x in rng.choice(xs, size=(6, 2)):
+            if x <= x_star:
+                want_loss = clipped_sum_objective(P, x, x_star)
+            else:
+                want_loss = -clipped_sum_objective(P, x_star, x)
+            assert abs(loss_L(P, float(x_star), float(x)) - want_loss) <= 1e-15
+    assert 100 < sentinel < 300
+
+
+def test_ru_dominant_matches_per_candidate_scoring(rng):
+    for P in _kernel_games(rng, 2000):
+        assert ru_dominant(P) == per_candidate_ru_dominant(P)
 
 
 # ------------------------------------------------------------ fixed_points
