@@ -17,8 +17,6 @@ from .stepfn import (
     step_approximate,
 )
 from .game import (
-    ThresholdDist,
-    ShockProfile,
     additive_game,
     uniform_shock_cdf,
     sample_shocks,

@@ -35,25 +35,25 @@ from .stepfn import fixed_points, ru_dominant, ru_objective
 
 
 def _cmd_ru_dominant(args) -> int:
-    dist = build_game({"file": args.game})
-    maximizers, strict = ru_dominant(dist.P)
+    P = build_game({"file": args.game})
+    maximizers, strict = ru_dominant(P)
     for x in maximizers:
-        print(f"{_fmt(x)} objective={_fmt(ru_objective(dist.P, x))}")
+        print(f"{_fmt(x)} objective={_fmt(ru_objective(P, x))}")
     print(f"strict={'true' if strict else 'false'}")
     return 0
 
 
 def _cmd_fixed_points(args) -> int:
-    dist = build_game({"file": args.game})
-    for f in fixed_points(dist.P):
+    P = build_game({"file": args.game})
+    for f in fixed_points(P):
         print(f"{_fmt(f.x)} {f.kind}")
     return 0
 
 
 def _cmd_wave(args) -> int:
-    dist = build_game({"file": args.game})
+    P = build_game({"file": args.game})
     try:
-        wave = build_delta_wave(dist.P, args.eta)
+        wave = build_delta_wave(P, args.eta)
     except (ValueError, WaveConstructionError) as e:
         print(f"wave construction failed: {e}", file=sys.stderr)
         return 1
@@ -87,16 +87,16 @@ def _cmd_lattice_analyze(args) -> int:
         print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
         return 2
     part, gamma, R = _cube_params(cfg)
-    dist = build_game(cfg.game)
+    P = build_game(cfg.game)
     g = build_network(cfg.network)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(cfg.replications):
-        shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
-        largest, _ = extremal_equilibria(g, shocks)
-        rep_report = cube_report(part, shocks, dist.P, largest, gamma)
+        t = sample_shocks(P, g.n, cfg.seed, stream=rep)
+        largest, _ = extremal_equilibria(g, t)
+        rep_report = cube_report(part, t, P, largest, gamma)
         (out_dir / f"cubes_{rep:04d}.csv").write_text(report_to_csv(rep_report))
-        found = good_set_search(part, shocks, dist.P, gamma, R)
+        found = good_set_search(part, t, P, gamma, R)
         if found is None:
             text = json.dumps({"found": False})
         else:
@@ -109,13 +109,13 @@ def _cmd_lattice_analyze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    dist = build_game(cfg.game)
+    P = build_game(cfg.game)
     g = build_network(cfg.network)
     for rep in range(cfg.replications):
-        shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
+        t = sample_shocks(P, g.n, cfg.seed, stream=rep)
         for tie in ("upper", "lower"):
             try:
-                eqs = enumerate_equilibria(g, shocks, tie)
+                eqs = enumerate_equilibria(g, t, tie)
             except ValueError as e:  # e.g. the n <= 20 guard
                 print(e, file=sys.stderr)
                 return 2

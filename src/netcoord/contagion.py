@@ -54,6 +54,11 @@ _MAX_ITER = 100_000
 # build_delta_wave tries delta1 = min(eta, 1 - P(1)) / 2^k, k = 1.._MAX_HALVINGS.
 _MAX_HALVINGS = 20
 
+# _staircase_above refuses a staircase of more levels than this before
+# allocating it, so build_delta_wave records that halving as failed: the
+# wave solver would hold dense (L+1) x (L+1) fronts.
+_MAX_LEVELS = 1024
+
 
 class WaveConstructionError(RuntimeError):
     """Raised when no verified wave is found within the delta search."""
@@ -345,11 +350,14 @@ def _staircase_above(P: StepFn, lift: float) -> StepFn:
     Levels that P + lift never reaches are squeezed in just left of
     x = 1 (or of the next jump), in strictly increasing position order;
     nudging a jump left only raises Q, preserving the domination.
+    More than _MAX_LEVELS levels raise WaveConstructionError.
     """
     gap = lift / 4.0
     base = P._vals[0] + lift
     if base > 1.0:
         raise WaveConstructionError("lift exceeds the headroom above P(0)")
+    if 1.0 - base > _MAX_LEVELS * gap:
+        raise WaveConstructionError(f"staircase needs more than {_MAX_LEVELS} levels")
     # d_k = d_{k-1} - gap from d_0 = 1, rounded step by step; the levels
     # stop before the first d_k at or below the base (the 3 spare steps
     # cover the rounding), and the base itself closes them.

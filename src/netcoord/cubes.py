@@ -16,6 +16,8 @@ the classification machinery:
   extraordinary;
 * ``domination_check`` tests a(c) <= sigma(d(c, W) - R) + rho per cube.
 
+A realization enters as its threshold array t (node index x*M + y),
+checked like the dynamics' input: one threshold per node, no NaN.
 Per-cube neighborhood fractions beta(c) average the lattice network's
 own ``neighborhood_fractions`` (its torus stencil, no CSR matrix).
 Node distances are the torus Euclidean metric scaled by 1/m; set
@@ -32,7 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 from .contagion import ContagionWave
-from .game import ShockProfile
+from .dynamics import _thresholds
 from .network import LatticeSpec, lattice, neighborhood_fractions
 from .stepfn import StepFn
 
@@ -133,11 +135,11 @@ def cube_means(part: CubePartition, values: np.ndarray) -> np.ndarray:
     return grid.reshape(s, b, s, b).mean(axis=(1, 3)).ravel()
 
 
-def cube_empirical_cdf(part: CubePartition, shocks: ShockProfile, cube: int, x: float) -> float:
+def cube_empirical_cdf(part: CubePartition, t: np.ndarray, cube: int, x: float) -> float:
     """Strict-inequality empirical cdf (1/|c|) #{i in c : t_i < x}."""
     if not (0 <= cube < part.n_small):
         raise ValueError(f"invalid cube id {cube}")
-    t = shocks.thresholds[part.nodes_of_small(cube)]
+    t = _thresholds(t, part.M**2)[part.nodes_of_small(cube)]
     return float(np.mean(t < x))
 
 
@@ -148,7 +150,7 @@ def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
     return grid.reshape(s, b, s, b).transpose(0, 2, 1, 3).reshape(s * s, b * b)
 
 
-def classify_bad(part: CubePartition, shocks: ShockProfile, P: StepFn, gamma: float) -> np.ndarray:
+def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) -> np.ndarray:
     """Per-small-cube gamma-bad flags, decided exactly.
 
     On (t_k, t_{k+1}] the strict cdf #{t < x}/|c| is constant and P is
@@ -163,16 +165,17 @@ def classify_bad(part: CubePartition, shocks: ShockProfile, P: StepFn, gamma: fl
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    t = np.maximum(np.sort(_blocks(part, shocks.thresholds), axis=1), 0.0)
+    t = _thresholds(t, part.M**2)
+    t = np.maximum(np.sort(_blocks(part, t), axis=1), 0.0)
     size = t.shape[1]
     inside = t < 1.0
     gap = np.arange(1, size + 1) / size - P.eval_array(np.where(inside, t, 0.0))
     return np.where(inside, gap, -np.inf).max(axis=1) > gamma
 
 
-def extraordinary_cubes(part: CubePartition, shocks: ShockProfile) -> np.ndarray:
+def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
     """Flags of cubes whose agents all have action 0 strictly dominant."""
-    return np.isinf(_blocks(part, shocks.thresholds)).all(axis=1)
+    return np.isinf(_blocks(part, _thresholds(t, part.M**2))).all(axis=1)
 
 
 # ---------------------------------------------------------- torus utilities
@@ -261,7 +264,7 @@ def r_interior(part: CubePartition, U: np.ndarray, R: float) -> np.ndarray:
 
 def good_set_search(
     part: CubePartition,
-    shocks: ShockProfile,
+    t: np.ndarray,
     P: StepFn,
     gamma: float,
     R: float,
@@ -276,8 +279,8 @@ def good_set_search(
     """
     if not R >= 0.0:
         raise ValueError(f"R must be nonnegative, got {R}")
-    bad = classify_bad(part, shocks, P, gamma)
-    extra = extraordinary_cubes(part, shocks)
+    bad = classify_bad(part, t, P, gamma)
+    extra = extraordinary_cubes(part, t)
     bad_grid = part.cube_grid(bad)
     # Large cube is clean iff no bad small cube inside.
     kk, Ks = part.k, part.large_side
@@ -335,7 +338,7 @@ def domination_check(
 
 def cube_best_response_gap(
     part: CubePartition,
-    shocks: ShockProfile,
+    t: np.ndarray,
     P: StepFn,
     a: np.ndarray,
     gamma: float,
@@ -347,7 +350,7 @@ def cube_best_response_gap(
     Bad cubes get NaN (the bound's scope is good cubes).  A negative
     residual on a good cube for generous D flags an inconsistency.
     """
-    bad = classify_bad(part, shocks, P, gamma)
+    bad = classify_bad(part, t, P, gamma)
     a_c = cube_means(part, a)
     beta_c = cube_means(part, neighborhood_fractions(lattice(part.spec), a))
     arg = np.clip(beta_c + D * rho, 0.0, 1.0)
@@ -369,7 +372,7 @@ class CubeReport:
 
 def cube_report(
     part: CubePartition,
-    shocks: ShockProfile,
+    t: np.ndarray,
     P: StepFn,
     a: np.ndarray,
     gamma: float,
@@ -378,8 +381,8 @@ def cube_report(
         part=part,
         a_c=cube_means(part, a),
         beta_c=cube_means(part, neighborhood_fractions(lattice(part.spec), a)),
-        bad=classify_bad(part, shocks, P, gamma),
-        extraordinary=extraordinary_cubes(part, shocks),
+        bad=classify_bad(part, t, P, gamma),
+        extraordinary=extraordinary_cubes(part, t),
     )
 
 

@@ -39,7 +39,9 @@ restricted to J; one helper, ``_increment``, evaluates both.
 
 A single dynamics run is strictly sequential (asynchronous revisions);
 distinct replications run concurrently with no shared mutable state,
-sharing the Network and the threshold distribution read-only.
+sharing the Network and the step function P read-only.  A realization
+enters every entry point as its threshold array t (one threshold per
+agent, see ``game``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ShockProfile, best_response_array
+from .game import _philox, best_response_array
 from .network import Network, fineness, is_pure, neighborhood_fractions
 from .stepfn import StepFn, _ru_objective_at
 
@@ -116,19 +118,22 @@ class BoundAudit:
         }
 
 
-def _thresholds(shocks: ShockProfile, g: Network) -> np.ndarray:
-    t = shocks.thresholds
-    if t.size != g.n:
-        raise ValueError(f"shock profile size {t.size} does not match n={g.n}")
+def _thresholds(t, n: int) -> np.ndarray:
+    """t as a float array of n thresholds; a NaN threshold is rejected."""
+    t = np.asarray(t, dtype=float)
+    if t.size != n:
+        raise ValueError(f"threshold array size {t.size} does not match n={n}")
+    if np.isnan(t).any():
+        raise ValueError("thresholds must not be NaN")
     return t
 
 
-def is_equilibrium(g: Network, shocks: ShockProfile, a: np.ndarray, tie: str) -> bool:
+def is_equilibrium(g: Network, t: np.ndarray, a: np.ndarray, tie: str) -> bool:
     """True iff every agent's action equals her best response under tie."""
     a = np.asarray(a, dtype=float)
     if not is_pure(a):
         raise ValueError("is_equilibrium expects a pure profile")
-    t = _thresholds(shocks, g)
+    t = _thresholds(t, g.n)
     beta = neighborhood_fractions(g, a)
     return bool(np.array_equal(best_response_array(t, beta, tie), a))
 
@@ -217,13 +222,13 @@ def _increment(g_J: np.ndarray, x_old, x_new, q_old, q_new, dp: np.ndarray) -> f
 
 def _async_dynamics(
     g: Network,
-    shocks: ShockProfile,
+    t: np.ndarray,
     a0: np.ndarray,
     step_limit: int | None,
     direction: str,
     P: StepFn | None,
 ) -> DynamicsTrace:
-    t = _thresholds(shocks, g)
+    t = _thresholds(t, g.n)
     a = np.asarray(a0, dtype=float).copy()
     if not is_pure(a):
         raise ValueError("dynamics need a pure starting profile")
@@ -275,7 +280,7 @@ def _async_dynamics(
 
 def upper_dynamics(
     g: Network,
-    shocks: ShockProfile,
+    t: np.ndarray,
     a0: np.ndarray,
     step_limit: int | None = None,
     P: StepFn | None = None,
@@ -286,18 +291,18 @@ def upper_dynamics(
     wants to move up, and is independent of the revision order.  Pass P
     to record the real capacity F alongside F0 in the trace.
     """
-    return _async_dynamics(g, shocks, a0, step_limit, "upper", P)
+    return _async_dynamics(g, t, a0, step_limit, "upper", P)
 
 
 def lower_dynamics(
     g: Network,
-    shocks: ShockProfile,
+    t: np.ndarray,
     a0: np.ndarray,
     step_limit: int | None = None,
     P: StepFn | None = None,
 ) -> DynamicsTrace:
     """Mirror image: flips agents playing 1 whose lower best response is 0."""
-    return _async_dynamics(g, shocks, a0, step_limit, "lower", P)
+    return _async_dynamics(g, t, a0, step_limit, "lower", P)
 
 
 def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> np.ndarray:
@@ -317,16 +322,16 @@ def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> n
     raise AssertionError(f"{tie} closure ({'up' if up else 'down'}) failed to converge in n+2 sweeps")
 
 
-def upper_closure(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
+def upper_closure(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
     """Synchronous least up-stable profile above a0 (same limit as async)."""
-    return _closure(g, _thresholds(shocks, g), a0, "upper", up=True)
+    return _closure(g, _thresholds(t, g.n), a0, "upper", up=True)
 
 
-def lower_closure(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
-    return _closure(g, _thresholds(shocks, g), a0, "lower", up=False)
+def lower_closure(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
+    return _closure(g, _thresholds(t, g.n), a0, "lower", up=False)
 
 
-def initial_profile(P: StepFn, x_star: float, shocks: ShockProfile, seed: int) -> np.ndarray:
+def initial_profile(P: StepFn, x_star: float, t: np.ndarray, seed: int) -> np.ndarray:
     """Profile of best responses to the constant neighborhood fraction x*.
 
     Agents strictly below threshold play 1, strictly above play 0, and
@@ -335,7 +340,7 @@ def initial_profile(P: StepFn, x_star: float, shocks: ShockProfile, seed: int) -
     """
     if not (0.0 <= x_star <= 1.0):
         raise ValueError("x_star must lie in [0, 1]")
-    t = shocks.thresholds
+    t = _thresholds(t, np.size(t))
     mass_below = 0.0 if x_star == 0.0 else P.eval_left(x_star)
     mass_at = P.eval(x_star) - mass_below
     if mass_below > x_star + 1e-12:
@@ -349,15 +354,12 @@ def initial_profile(P: StepFn, x_star: float, shocks: ShockProfile, seed: int) -
         p = 0.0
         if mass_at > 0.0:
             p = min(1.0, max(0.0, (x_star - mass_below) / mass_at))
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0xA11CE], dtype=np.uint64))
-        )
-        draws = rng.random(t.size)
+        draws = _philox(seed, 0xA11CE).random(t.size)
         a[at_atom] = (draws[at_atom] < p).astype(float)
     return a
 
 
-def extremal_equilibria(g: Network, shocks: ShockProfile) -> tuple[np.ndarray, np.ndarray]:
+def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest upper equilibrium and smallest lower equilibrium.
 
     Largest: monotone downward iteration from all-ones under the upper
@@ -365,19 +367,19 @@ def extremal_equilibria(g: Network, shocks: ShockProfile) -> tuple[np.ndarray, n
     Both limits are equilibria of their tie rule and bracket every Nash
     equilibrium of the realized game.
     """
-    t = _thresholds(shocks, g)
+    t = _thresholds(t, g.n)
     largest = _closure(g, t, np.ones(g.n), "upper", up=False)
     smallest = _closure(g, t, np.zeros(g.n), "lower", up=True)
-    if not is_equilibrium(g, shocks, largest, "upper"):
+    if not is_equilibrium(g, t, largest, "upper"):
         raise AssertionError("largest iterate is not an upper equilibrium")
-    if not is_equilibrium(g, shocks, smallest, "lower"):
+    if not is_equilibrium(g, t, smallest, "lower"):
         raise AssertionError("smallest iterate is not a lower equilibrium")
     if np.any(largest < smallest):
         raise AssertionError("extremal equilibria are not ordered")
     return largest, smallest
 
 
-def enumerate_equilibria(g: Network, shocks: ShockProfile, tie: str) -> np.ndarray:
+def enumerate_equilibria(g: Network, t: np.ndarray, tie: str) -> np.ndarray:
     """All pure equilibrium profiles under the tie rule, for n <= 20.
 
     Returns an array of shape (k, n) in lexicographic order.
@@ -385,7 +387,7 @@ def enumerate_equilibria(g: Network, shocks: ShockProfile, tie: str) -> np.ndarr
     n = g.n
     if n > 20:
         raise ValueError("enumerate_equilibria is guarded at n <= 20")
-    t = _thresholds(shocks, g)
+    t = _thresholds(t, n)
     W = g.weights.toarray()
     deg = g.degrees
     found = []
@@ -406,7 +408,7 @@ def enumerate_equilibria(g: Network, shocks: ShockProfile, tie: str) -> np.ndarr
 
 def audit_main_bound(
     g: Network,
-    shocks: ShockProfile,
+    t: np.ndarray,
     P: StepFn,
     x_star: float,
     trace: DynamicsTrace,
@@ -418,7 +420,7 @@ def audit_main_bound(
     """
     if trace.direction != "upper":
         raise ValueError("the bound audits upper dynamics traces")
-    _thresholds(shocks, g)
+    _thresholds(t, g.n)
     if trace.initial_profile.size != g.n:
         raise ValueError("trace does not match the network size")
     deg = g.degrees
@@ -454,13 +456,13 @@ def audit_main_bound(
     )
 
 
-def capacity_decrement_check(g: Network, shocks: ShockProfile, trace: DynamicsTrace) -> bool:
+def capacity_decrement_check(g: Network, t: np.ndarray, trace: DynamicsTrace) -> bool:
     """Per-flip capacity decrement for constant thresholds alpha > 1/2.
 
     True iff at every flip F0 drops by at least (2 alpha - 1) g_i, i.e.
     the exact inequality Delta F0 = g_i (1 - 2 beta_i) <= g_i (1 - 2 alpha).
     """
-    t = _thresholds(shocks, g)
+    t = _thresholds(t, g.n)
     finite = t[np.isfinite(t)]
     if finite.size == 0 or np.any(t != finite[0]):
         raise ValueError("capacity_decrement_check needs constant thresholds")

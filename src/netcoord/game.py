@@ -1,9 +1,10 @@
 """Canonical representation of a random-utility coordination game.
 
 Only the threshold distribution matters for equilibrium behavior, so a
-game is carried as a ``ThresholdDist`` wrapping the continuum best
-response step function P.  Per-agent best-response thresholds are drawn
-by inverse transform: t_i = P^{-1}(u_i) with u_i ~ U[0, 1).
+game is its continuum best response step function P (a ``StepFn``), and
+a realized population is its threshold array.  Per-agent best-response
+thresholds are drawn by inverse transform: t_i = P^{-1}(u_i) with
+u_i ~ U[0, 1).
 
 Threshold conventions:
 
@@ -19,9 +20,7 @@ Sampling uses the counter-based Philox generator keyed on
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,8 +29,6 @@ from .stepfn import INV_SENTINEL, StepFn, step_approximate
 
 __all__ = [
     "DOMINANT_1",
-    "ThresholdDist",
-    "ShockProfile",
     "additive_game",
     "uniform_shock_cdf",
     "sample_shocks",
@@ -42,62 +39,6 @@ __all__ = [
 
 # Threshold marker for "action 1 dominant": encoded as 0.0.
 DOMINANT_1 = 0.0
-
-
-@dataclass(frozen=True)
-class ThresholdDist:
-    """A game reduced to its continuum best response function."""
-
-    P: StepFn
-    provenance: dict = field(default_factory=lambda: {"kind": "direct"})
-
-    def to_json_dict(self) -> dict:
-        return {"P": self.P.to_json_dict(), "provenance": self.provenance}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ThresholdDist":
-        return cls(P=StepFn.from_json_dict(doc["P"]), provenance=doc.get("provenance", {"kind": "direct"}))
-
-
-@dataclass(frozen=True)
-class ShockProfile:
-    """Realized best-response thresholds for one population draw.
-
-    ``thresholds`` holds t_i (np.inf for action-0-dominant agents);
-    ``uniform_draws`` keeps the underlying uniforms for reproducibility.
-    """
-
-    thresholds: np.ndarray
-    uniform_draws: np.ndarray
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "thresholds", np.asarray(self.thresholds, dtype=float))
-        object.__setattr__(self, "uniform_draws", np.asarray(self.uniform_draws, dtype=float))
-        if self.thresholds.shape != self.uniform_draws.shape:
-            raise ValueError("thresholds and uniform_draws must have equal length")
-
-    @property
-    def n(self) -> int:
-        return int(self.thresholds.size)
-
-    def to_json(self) -> str:
-        rows = [
-            [i, float(u), ("inf" if math.isinf(t) else float(t))]
-            for i, (u, t) in enumerate(zip(self.uniform_draws, self.thresholds))
-        ]
-        return json.dumps({"seed": self.seed, "stream": self.stream, "agents": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShockProfile":
-        doc = json.loads(text)
-        u = np.array([row[1] for row in doc["agents"]], dtype=float)
-        t = np.array(
-            [math.inf if row[2] == "inf" else float(row[2]) for row in doc["agents"]],
-            dtype=float,
-        )
-        return cls(thresholds=t, uniform_draws=u, seed=doc["seed"], stream=doc.get("stream", 0))
 
 
 def uniform_shock_cdf(lo: float = -0.5, hi: float = 0.5) -> Callable[[float], float]:
@@ -117,7 +58,7 @@ def additive_game(
     lam: float,
     shock_cdf: Callable[[float], float],
     max_step: float,
-) -> ThresholdDist:
+) -> StepFn:
     """Additive-shock coordination game reduced to its threshold law.
 
     The threshold of an agent with shock e is beta(e) = alpha - lam * e,
@@ -135,16 +76,14 @@ def additive_game(
         # for the staircase grid, so the continuous formula is used.
         return 1.0 - shock_cdf((alpha - x) / lam)
 
-    P = step_approximate(P_exact, max_step, "midpoint")
-    prov = {"kind": "additive", "alpha": alpha, "lambda": lam, "max_step": max_step}
-    return ThresholdDist(P=P, provenance=prov)
+    return step_approximate(P_exact, max_step, "midpoint")
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def sample_shocks(dist: ThresholdDist, n: int, seed: int, stream: int = 0) -> ShockProfile:
+def sample_shocks(P: StepFn, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Draw n i.i.d. thresholds with law Prob(t <= x) = P(x).
 
     Deterministic given (seed, stream, n): same inputs give bit-identical
@@ -152,10 +91,7 @@ def sample_shocks(dist: ThresholdDist, n: int, seed: int, stream: int = 0) -> Sh
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _philox(int(seed), int(stream))
-    u = rng.random(n)
-    t = dist.P.inverse_array(u)
-    return ShockProfile(thresholds=t, uniform_draws=u, seed=int(seed), stream=int(stream))
+    return P.inverse_array(_philox(int(seed), int(stream)).random(n))
 
 
 def best_response(t: float, beta: float, tie: str) -> int:

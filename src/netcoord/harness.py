@@ -3,7 +3,7 @@
 An experiment is a single JSON document: the game (inline step function
 or additive parameters), the network generator, a replication count, a
 64-bit seed, a tolerance eta, and the probe list.  Replications are
-embarrassingly parallel: replication r draws its shocks from the Philox
+embarrassingly parallel: replication r draws its thresholds from the Philox
 stream (seed, r), so output is byte-identical no matter how many worker
 processes run (``SIM_WORKERS`` environment variable; the config file
 stays the whole truth about the experiment).
@@ -44,7 +44,7 @@ from .dynamics import (
     upper_closure,
     upper_dynamics,
 )
-from .game import ShockProfile, ThresholdDist, additive_game, sample_shocks, uniform_shock_cdf
+from .game import additive_game, sample_shocks, uniform_shock_cdf
 from .network import (
     LatticeSpec,
     Network,
@@ -173,14 +173,12 @@ class ReplicationResult:
     wall_time: float  # logged only; excluded from serialized outputs
 
 
-def _dist_from_doc(doc: dict) -> ThresholdDist:
-    """A wrapped {"P": ..., "provenance": ...} document or a bare step function."""
-    if "P" in doc:
-        return ThresholdDist.from_json_dict(doc)
-    return ThresholdDist(P=StepFn.from_json_dict(doc))
+def _dist_from_doc(doc: dict) -> StepFn:
+    """P from a wrapped {"P": ..., "provenance": ...} document or a bare step function."""
+    return StepFn.from_json_dict(doc["P"] if "P" in doc else doc)
 
 
-def build_game(spec: dict) -> ThresholdDist:
+def build_game(spec: dict) -> StepFn:
     """Game source: inline step function, additive parameters, or file."""
     if "step_json" in spec:
         return _dist_from_doc(spec["step_json"])
@@ -232,41 +230,40 @@ def _mix_seed(seed: int, rep: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + rep + 1) % (1 << 63)
 
 
-def _sandwich_from(g: Network, shocks: ShockProfile, a0: np.ndarray) -> np.ndarray:
+def _sandwich_from(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
     """Equilibrium reached by upward closure then downward closure."""
-    up = upper_closure(g, shocks, a0)
-    return lower_closure(g, shocks, up)
+    up = upper_closure(g, t, a0)
+    return lower_closure(g, t, up)
 
 
 def run_replication(
     g: Network,
-    dist: ThresholdDist,
+    P: StepFn,
     cfg: ExperimentConfig,
     rep: int,
 ) -> ReplicationResult:
     t0 = time.perf_counter()
-    P = dist.P
-    shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
+    t = sample_shocks(P, g.n, cfg.seed, stream=rep)
     record: dict = {"replication_id": rep, "seed": cfg.seed}
     averages: dict = {}
     unweighted: dict = {}
 
     if "extremal" in cfg.probes or "seeded-local" in cfg.probes or "enumerate" in cfg.probes:
-        largest, smallest = extremal_equilibria(g, shocks)
+        largest, smallest = extremal_equilibria(g, t)
         averages["largest"] = weighted_average(g, largest)
         averages["smallest"] = weighted_average(g, smallest)
         unweighted["largest"] = unweighted_average(largest)
         unweighted["smallest"] = unweighted_average(smallest)
 
     if "enumerate" in cfg.probes:
-        eqs = enumerate_equilibria(g, shocks, "upper")
+        eqs = enumerate_equilibria(g, t, "upper")
         averages["enumerated"] = sorted(weighted_average(g, e) for e in eqs)
 
     if "seeded-local" in cfg.probes:
         seeded = {}
         for x in stable_fixed_points(P, cfg.stability_gamma, cfg.effective_stability_radius):
-            a0 = (shocks.thresholds <= x).astype(float)
-            eq = _sandwich_from(g, shocks, a0)
+            a0 = (t <= x).astype(float)
+            eq = _sandwich_from(g, t, a0)
             seeded[_fmt(x)] = weighted_average(g, eq)
         averages["seeded"] = seeded
 
@@ -275,11 +272,11 @@ def run_replication(
         if not strict:
             raise ValueError("ru-path probe needs a strictly dominant maximizer")
         x_star = maximizers[0]
-        a0 = initial_profile(P, x_star, shocks, seed=_mix_seed(cfg.seed, rep))
-        trace = upper_dynamics(g, shocks, a0, P=P)
-        sandwich = lower_closure(g, shocks, trace.final_profile)
+        a0 = initial_profile(P, x_star, t, seed=_mix_seed(cfg.seed, rep))
+        trace = upper_dynamics(g, t, a0, P=P)
+        sandwich = lower_closure(g, t, trace.final_profile)
         av = weighted_average(g, sandwich)
-        audit = audit_main_bound(g, shocks, P, x_star, trace)
+        audit = audit_main_bound(g, t, P, x_star, trace)
         averages["sandwich"] = av
         unweighted["sandwich"] = unweighted_average(sandwich)
         record["x_star"] = x_star
@@ -295,9 +292,9 @@ def run_replication(
 def _run_chunk(args) -> tuple[list[tuple[int, dict]], dict]:
     """Replications ``reps`` of config ``cfg``, plus the network's statistics."""
     cfg, reps = args
-    dist = build_game(cfg.game)
+    P = build_game(cfg.game)
     g = build_network(cfg.network)
-    records = [(rep, run_replication(g, dist, cfg, rep).record) for rep in reps]
+    records = [(rep, run_replication(g, P, cfg, rep).record) for rep in reps]
     return records, {"fineness": fineness(g), "imbalance": imbalance(g)}
 
 
@@ -407,8 +404,8 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
     if not ({"complete", "copies"} & set(cfg.network)):
         raise ValueError("probe_theorem1 needs a complete or copies network")
     cfg = replace(cfg, probes=("extremal", "seeded-local"), output=None)
-    dist = build_game(cfg.game)
-    points = stable_fixed_points(dist.P, cfg.stability_gamma, cfg.effective_stability_radius)
+    P = build_game(cfg.game)
+    points = stable_fixed_points(P, cfg.stability_gamma, cfg.effective_stability_radius)
     out = run_experiment(cfg)
     successes = {x: 0 for x in points}
     for rec in out["records"]:
@@ -436,8 +433,8 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
 def probe_theorem2(cfg: ExperimentConfig) -> dict:
     """Escape frequencies of extremal averages from [x_min-eta, x_max+eta]."""
     cfg = replace(cfg, probes=("extremal",), output=None)
-    dist = build_game(cfg.game)
-    fps = fixed_points(dist.P)
+    P = build_game(cfg.game)
+    fps = fixed_points(P)
     x_min, x_max = fps[0].x, fps[-1].x
     out = run_experiment(cfg)
     high = sum(1 for r in out["records"] if r["averages"]["largest"] > x_max + cfg.eta)
@@ -457,8 +454,8 @@ def probe_theorem4(cfg: ExperimentConfig) -> dict:
 
     Aborts unless the game has a strictly dominant maximizer.  Also
     reports unweighted averages together with the imbalance guard."""
-    dist = build_game(cfg.game)
-    maximizers, strict = ru_dominant(dist.P)
+    P = build_game(cfg.game)
+    maximizers, strict = ru_dominant(P)
     if not strict:
         raise ValueError("probe_theorem4 requires strict dominance of the maximizer")
     out = run_experiment(replace(cfg, probes=("ru-path",), output=None))
@@ -486,21 +483,20 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     """Lattice-vs-complete dispersion comparison plus wave diagnostics.
 
     Desk-scale stand-in: reports the paired largest/smallest equilibrium
-    averages on the lattice and on a comparable complete graph, the
-    delta-wave construction outcome, and good-set/domination results
-    when cube parameters are configured.
+    averages on the lattice and on the complete graph with the same M^2
+    nodes, the delta-wave construction outcome, and good-set/domination
+    results when cube parameters are configured.
     """
     if "lattice" not in cfg.network:
         raise ValueError("probe_theorem3 needs a lattice network")
     M = int(cfg.network["lattice"]["M"])
-    m = int(cfg.network["lattice"]["m"])
-    dist = build_game(cfg.game)
-    maximizers, strict = ru_dominant(dist.P)
+    P = build_game(cfg.game)
+    maximizers, strict = ru_dominant(P)
     x_star = maximizers[0] if strict else None
 
     lat_cfg = replace(cfg, probes=("extremal",), output=None)
     lat_out = run_experiment(lat_cfg)
-    comp_out = run_experiment(replace(lat_cfg, network={"complete": {"n": min(2000, M * M)}}))
+    comp_out = run_experiment(replace(lat_cfg, network={"complete": {"n": M * M}}))
     lat_large = [r["averages"]["largest"] for r in lat_out["records"]]
     comp_large = [r["averages"]["largest"] for r in comp_out["records"]]
     lat_small = [r["averages"]["smallest"] for r in lat_out["records"]]
@@ -508,9 +504,9 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
 
     wave = None
     wave_error = None
-    if strict and dist.P.top < 1.0:
+    if strict and P.top < 1.0:
         try:
-            wave = build_delta_wave(dist.P, cfg.eta)
+            wave = build_delta_wave(P, cfg.eta)
         except (ValueError, WaveConstructionError) as e:
             wave_error = str(e)
     else:
@@ -521,17 +517,17 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     good_runs = 0
     if cfg.cubes:
         part, gamma, R = _cube_params(cfg)
-        rho = float(cfg.cubes.get("rho", part.b / m))
+        rho = float(cfg.cubes.get("rho", part.b / part.m))
         g = build_network(cfg.network)
         for rep in range(cfg.replications):
-            shocks = sample_shocks(dist, g.n, cfg.seed, stream=rep)
-            found = good_set_search(part, shocks, dist.P, gamma, R)
+            t = sample_shocks(P, g.n, cfg.seed, stream=rep)
+            found = good_set_search(part, t, P, gamma, R)
             good_runs += 1
             if found is None:
                 continue
             good_found += 1
             if wave is not None:
-                largest, _ = extremal_equilibria(g, shocks)
+                largest, _ = extremal_equilibria(g, t)
                 ok, _ = domination_check(part, largest, wave, found.W, R, rho)
                 dominated += ok
     return {

@@ -20,7 +20,7 @@ from netcoord.dynamics import (
     extremal_equilibria,
     upper_dynamics,
 )
-from netcoord.game import ShockProfile, ThresholdDist, sample_shocks
+from netcoord.game import sample_shocks
 from netcoord.harness import (
     ExperimentConfig,
     build_game,
@@ -63,7 +63,7 @@ def test_criterion_1_oracle_equivalence(rng):
             continue
         g = Network.from_weights(sp.csr_matrix(W))
         P = random_stepfn(rng)
-        shocks = sample_shocks(ThresholdDist(P=P), n, seed=int(rng.integers(1 << 31)))
+        shocks = sample_shocks(P, n, seed=int(rng.integers(1 << 31)))
         largest, smallest = extremal_equilibria(g, shocks)
         upper_all = enumerate_equilibria(g, shocks, "upper")
         lower_all = enumerate_equilibria(g, shocks, "lower")
@@ -109,12 +109,12 @@ def test_criterion_2_theorem1_desk_check():
 def test_criterion_3_copies_mixing():
     n, k = 400, 50
     g = disjoint_copies(complete_graph(n), k)
-    dist = build_game({"step_json": TWO_POINT})
+    P = build_game({"step_json": TWO_POINT})
     targets = np.round(np.arange(0.1, 0.95, 0.1), 2)
     ok_reps = 0
     reps = 50
     for rep in range(reps):
-        shocks = sample_shocks(dist, g.n, seed=202, stream=rep)
+        shocks = sample_shocks(P, g.n, seed=202, stream=rep)
         largest, smallest = extremal_equilibria(g, shocks)
         per_hi = largest.reshape(k, n).mean(axis=1)
         per_lo = smallest.reshape(k, n).mean(axis=1)
@@ -163,10 +163,10 @@ def test_criterion_4_theorem2_desk_check():
 def test_criterion_5_theorem4_desk_check():
     t0 = time.monotonic()
     game = {"additive": {"alpha": 0.6, "lambda": 0.3, "max_step": 0.005}}
-    dist = build_game(game)
-    maximizers, strict = ru_dominant(dist.P)
+    P = build_game(game)
+    maximizers, strict = ru_dominant(P)
     assert strict
-    x_star_oracle = objective_grid_argmax(dist.P)
+    x_star_oracle = objective_grid_argmax(P)
     assert abs(maximizers[0] - x_star_oracle) <= 2e-6  # one grid cell
     cfg = ExperimentConfig(
         game=game,
@@ -295,10 +295,10 @@ def test_criterion_8_ru_dominance_limit():
     max_step = 0.002
     xs_star = []
     for lam in (0.5, 0.1, 0.02):
-        dist = build_game({"additive": {"alpha": 0.6, "lambda": lam, "max_step": max_step}})
-        maxs, strict = ru_dominant(dist.P)
+        P = build_game({"additive": {"alpha": 0.6, "lambda": lam, "max_step": max_step}})
+        maxs, strict = ru_dominant(P)
         assert strict
-        oracle = objective_grid_argmax(dist.P, n=200_000)
+        oracle = objective_grid_argmax(P, n=200_000)
         assert abs(maxs[0] - oracle) <= 1e-5 + 1e-9  # one grid cell
         xs_star.append(maxs[0])
     nonincreasing = all(a >= b - max_step for a, b in zip(xs_star, xs_star[1:]))
@@ -325,9 +325,7 @@ def test_criterion_9_capacity_mechanics(rng):
     part_eq = worst <= 1e-12
     g = lattice(LatticeSpec(M=40, m=2))
     alpha = 0.7
-    shocks = ShockProfile(
-        thresholds=np.full(g.n, alpha), uniform_draws=np.zeros(g.n), seed=0
-    )
+    shocks = np.full(g.n, alpha)
     passes = 0
     for k in range(50):
         a0 = (np.random.default_rng(k).random(g.n) < 0.75).astype(float)

@@ -429,7 +429,9 @@ def test_check_ru_wave_matches_running_loop(rng):
     assert check_ru_wave(np.array([0.3]), np.array([0.0]))[0]
 
 
-def test_staircase_matches_level_by_level_build(rng):
+def test_staircase_matches_level_by_level_build(rng, monkeypatch):
+    # Up to ~6,500 levels: the build is checked past the wave's level bound.
+    monkeypatch.setattr(contagion, "_MAX_LEVELS", 10**6)
     games = [StepFn.constant(0.05)]
     while len(games) < 6:
         k = int(rng.integers(1, 4))
@@ -449,9 +451,12 @@ def test_staircase_matches_level_by_level_build(rng):
             assert np.array_equal(Q.piece_values, levels)
 
 
-def test_dominance_scans_scale_to_late_halvings():
+def test_dominance_scans_scale_to_late_halvings(monkeypatch):
     # Halving k = 10 of P = 0.05 at eta = 0.1.  Scoring each candidate with
     # its own objective call took 25.7 s for ru_dominant alone (2 CPUs).
+    # The wave builder's level bound refuses this staircase; the scans are
+    # timed on it all the same.
+    monkeypatch.setattr(contagion, "_MAX_LEVELS", 10**6)
     Q = contagion._staircase_above(StepFn.constant(0.05), 0.1 / 2**10)
     assert Q.piece_values.size == 38_910
     t0 = time.perf_counter()
@@ -474,6 +479,24 @@ def test_delta_wave_failure_lists_every_halving(monkeypatch):
     assert msg.count("no staircase") == contagion._MAX_HALVINGS
     for k in range(1, contagion._MAX_HALVINGS + 1):
         assert f"delta1={0.1 / 2.0**k:.6g}: no staircase" in msg
+
+
+def test_delta_wave_level_bound_fails_every_halving_fast():
+    # P = 0.05 at eta = 1e-3 needs ~7,600 staircase levels at k = 1, so
+    # every halving is over the bound and none is built.
+    t0 = time.perf_counter()
+    with pytest.raises(WaveConstructionError) as err:
+        build_delta_wave(StepFn.constant(0.05), eta=1e-3)
+    assert time.perf_counter() - t0 < 1.0
+    msg = str(err.value)
+    bound = f"staircase needs more than {contagion._MAX_LEVELS} levels"
+    assert msg.count(bound) == contagion._MAX_HALVINGS
+    for k in range(1, contagion._MAX_HALVINGS + 1):
+        assert f"delta1={1e-3 / 2.0**k:.6g}: {bound}" in msg
+    # A subnormal eta drives the level count past any float (and delta1
+    # to 0); it is one more halving over the bound, not an OverflowError.
+    with pytest.raises(WaveConstructionError):
+        build_delta_wave(StepFn.constant(0.05), eta=1e-320)
 
 
 def test_delta_wave_requires_strict_dominance():

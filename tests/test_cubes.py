@@ -20,14 +20,13 @@ from netcoord.cubes import (
     report_to_csv,
 )
 from netcoord.dynamics import extremal_equilibria
-from netcoord.game import ShockProfile, ThresholdDist, sample_shocks
+from netcoord.game import sample_shocks
 from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
 from netcoord.stepfn import StepFn
 
 
-def shocks_of(t) -> ShockProfile:
-    t = np.asarray(t, dtype=float)
-    return ShockProfile(thresholds=t, uniform_draws=np.zeros_like(t), seed=0)
+def shocks_of(t) -> np.ndarray:
+    return np.asarray(t, dtype=float)
 
 
 def uniform_shocks(part, value):
@@ -141,14 +140,13 @@ def test_classify_bad_matches_dense_grid(rng):
 
     for trial in range(3):
         P = random_stepfn(rng)
-        dist = ThresholdDist(P=P)
-        s = sample_shocks(dist, part.M**2, seed=trial)
+        s = sample_shocks(P, part.M**2, seed=trial)
         gamma = float(rng.uniform(0.05, 0.4))
         flags = classify_bad(part, s, P, gamma)
         xs = np.linspace(0.0, 1.0, 4001)
         Pv = P.eval_array(xs)
         for c in range(part.n_small):
-            t = s.thresholds[part.nodes_of_small(c)]
+            t = s[part.nodes_of_small(c)]
             emp = (t[None, :] < xs[:, None]).mean(axis=1)
             brute = np.max(emp - Pv) > gamma
             # The dense grid can only miss sup points, never invent them.
@@ -168,7 +166,7 @@ def test_classify_bad_dkw_frequency():
     pos = np.arange(n) / n
     vals = (np.arange(n) + 0.5) / n
     P = StepFn.from_grid(pos.tolist(), vals.tolist())
-    s = sample_shocks(ThresholdDist(P=P), M * M, seed=303)
+    s = sample_shocks(P, M * M, seed=303)
     freq = classify_bad(part, s, P, gamma).mean()
     bound = math.exp(-2 * b * b * gamma * gamma)
     n_cubes = n_cubes_side**2
@@ -214,6 +212,25 @@ def test_extraordinary_all_inf():
     assert extraordinary_cubes(part, uniform_shocks(part, math.inf)).all()
 
 
+def test_nan_threshold_rejected_by_cube_entry_points():
+    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    P = StepFn.constant(0.5)
+    t = np.full(144, 0.3)
+    t[17] = math.nan
+    calls = [
+        lambda: classify_bad(part, t, P, 0.1),
+        lambda: extraordinary_cubes(part, t),
+        lambda: cube_empirical_cdf(part, t, 0, 0.5),
+        lambda: good_set_search(part, t, P, 0.1, 1.0),
+        lambda: cube_report(part, t, P, np.zeros(144), 0.1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="NaN"):
+            call()
+    with pytest.raises(ValueError, match="does not match"):
+        classify_bad(part, t[:-1], P, 0.1)
+
+
 def test_extraordinary_excludes_interior_agent():
     part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
     t = np.full(144, math.inf)
@@ -226,7 +243,7 @@ def test_extraordinary_excludes_interior_agent():
 def test_extraordinary_binomial_rate():
     part = partition(LatticeSpec(M=200, m=2), b=2, B=200)
     P = StepFn.constant(0.5)  # Prob(inf) = 1 - P(1) = 0.5
-    s = sample_shocks(ThresholdDist(P=P), 200 * 200, seed=7)
+    s = sample_shocks(P, 200 * 200, seed=7)
     share = extraordinary_cubes(part, s).mean()
     p = 0.5**4
     sigma = math.sqrt(p * (1 - p) / part.n_small)
@@ -484,7 +501,7 @@ def test_cube_report_csv():
 def test_report_csv_matches_csv_writer(rng):
     part = partition(LatticeSpec(M=60, m=3), b=3, B=30)
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
-    shocks = sample_shocks(ThresholdDist(P=P), part.M**2, seed=5)
+    shocks = sample_shocks(P, part.M**2, seed=5)
     a = (rng.random(part.M**2) < 0.5).astype(float)
     rep = cube_report(part, shocks, P, a, gamma=0.2)
     out = io.StringIO()
@@ -502,7 +519,7 @@ def test_lattice_analysis_leaves_csr_unbuilt():
     part = partition(spec, b=3, B=30)
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     g = lattice(spec)
-    shocks = sample_shocks(ThresholdDist(P=P), g.n, seed=7)
+    shocks = sample_shocks(P, g.n, seed=7)
     largest, _ = extremal_equilibria(g, shocks)
     cube_report(part, shocks, P, largest, gamma=0.2)
     cube_best_response_gap(part, shocks, P, largest, gamma=0.2, rho=0.1)

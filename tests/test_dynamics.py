@@ -19,7 +19,7 @@ from netcoord.dynamics import (
     upper_closure,
     upper_dynamics,
 )
-from netcoord.game import ShockProfile, ThresholdDist, sample_shocks
+from netcoord.game import sample_shocks
 from netcoord.network import (
     LatticeSpec,
     Network,
@@ -31,9 +31,8 @@ from netcoord.stepfn import StepFn, ru_dominant
 from conftest import random_stepfn
 
 
-def shocks_of(t) -> ShockProfile:
-    t = np.asarray(t, dtype=float)
-    return ShockProfile(thresholds=t, uniform_draws=np.zeros_like(t), seed=0)
+def shocks_of(t) -> np.ndarray:
+    return np.asarray(t, dtype=float)
 
 
 def two_node() -> Network:
@@ -50,7 +49,7 @@ def random_instance(rng, n_max=10):
             break
     g = Network.from_weights(sp.csr_matrix(W))
     P = random_stepfn(rng)
-    shocks = sample_shocks(ThresholdDist(P=P), n, seed=int(rng.integers(1 << 31)))
+    shocks = sample_shocks(P, n, seed=int(rng.integers(1 << 31)))
     return g, P, shocks
 
 
@@ -69,6 +68,26 @@ def test_is_equilibrium_rejects_mixed():
     g = two_node()
     with pytest.raises(ValueError):
         is_equilibrium(g, shocks_of([0.5, 0.5]), np.array([0.5, 0.5]), "upper")
+
+
+def test_nan_threshold_rejected_at_every_entry_point():
+    # Unchecked, a NaN threshold would play 0 under both tie rules.
+    g, t, P = two_node(), shocks_of([0.5, math.nan]), StepFn.constant(0.5)
+    trace = upper_dynamics(g, shocks_of([0.5, 0.5]), np.zeros(2))
+    calls = [
+        lambda: is_equilibrium(g, t, np.zeros(2), "upper"),
+        lambda: upper_dynamics(g, t, np.zeros(2)),
+        lambda: lower_dynamics(g, t, np.ones(2)),
+        lambda: upper_closure(g, t, np.zeros(2)),
+        lambda: initial_profile(P, 0.5, t, seed=0),
+        lambda: extremal_equilibria(g, t),
+        lambda: enumerate_equilibria(g, t, "upper"),
+        lambda: audit_main_bound(g, t, P, 0.5, trace),
+        lambda: capacity_decrement_check(g, t, trace),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="NaN"):
+            call()
 
 
 # ----------------------------------------------------------- upper dynamics
@@ -99,7 +118,7 @@ def test_upper_dynamics_order_independence(rng):
         # order on g: new label k is node perm[k].
         perm = rng.permutation(g.n)
         g_perm = Network.from_weights(g.weights[perm][:, perm])
-        by_perm = upper_dynamics(g_perm, shocks_of(shocks.thresholds[perm]), a0[perm])
+        by_perm = upper_dynamics(g_perm, shocks_of(shocks[perm]), a0[perm])
         by_random = np.empty(g.n)
         by_random[perm] = by_perm.final_profile
         sync = upper_closure(g, shocks, a0)
@@ -136,7 +155,7 @@ def test_upper_dynamics_step_limit_reported():
 def test_upper_from_zeros_positive_thresholds_never_flips(rng):
     for _ in range(20):
         g, P, shocks = random_instance(rng)
-        t = np.maximum(shocks.thresholds, 1e-6)
+        t = np.maximum(shocks, 1e-6)
         tr = upper_dynamics(g, shocks_of(t), np.zeros(g.n))
         assert tr.n_steps == 0
 
@@ -212,9 +231,8 @@ def test_initial_profile_atom_probability():
 def test_initial_profile_mean_matches_x_star(rng):
     # E a_i^0 = x* exactly; empirical mean concentrates there.
     P = StepFn(base=0.3, steps=((0.5, 0.7),))
-    dist = ThresholdDist(P=P)
     n = 40_000
-    shocks = sample_shocks(dist, n, seed=77)
+    shocks = sample_shocks(P, n, seed=77)
     a = initial_profile(P, 0.5, shocks, seed=78)
     assert abs(a.mean() - 0.5) <= 3.0 / math.sqrt(n)
 
@@ -224,8 +242,7 @@ def test_initial_profile_no_atom_deterministic(rng):
     pos = np.arange(n) / n
     vals = (np.arange(n) + 0.5) / n
     P = StepFn.from_grid(pos.tolist(), vals.tolist())
-    dist = ThresholdDist(P=P)
-    shocks = sample_shocks(dist, 10_000, seed=5)
+    shocks = sample_shocks(P, 10_000, seed=5)
     x_star = 0.37  # not a breakpoint: no atom
     a1 = initial_profile(P, x_star, shocks, seed=1)
     a2 = initial_profile(P, x_star, shocks, seed=2)
@@ -358,7 +375,7 @@ def thousand_flips():
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     x_star = ru_dominant(P)[0][0]
     g = lattice(LatticeSpec(M=120, m=2))
-    shocks = sample_shocks(ThresholdDist(P=P), g.n, seed=0, stream=0)
+    shocks = sample_shocks(P, g.n, seed=0, stream=0)
     a0 = initial_profile(P, x_star, shocks, seed=0)
     up = upper_dynamics(g, shocks, a0, P=P)
     down = lower_dynamics(g, shocks, up.final_profile, P=P)
@@ -488,8 +505,7 @@ def test_audit_random_lattice_runs(rng):
         x_star = maximizers[-1]
         if P.eval_left(x_star) > x_star:
             continue
-        dist = ThresholdDist(P=P)
-        shocks = sample_shocks(dist, g.n, seed=1000 + k)
+        shocks = sample_shocks(P, g.n, seed=1000 + k)
         a0 = initial_profile(P, x_star, shocks, seed=k)
         tr = upper_dynamics(g, shocks, a0, P=P)
         audit = audit_main_bound(g, shocks, P, x_star, tr)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from netcoord.game import (
-    ShockProfile,
-    ThresholdDist,
     additive_game,
     best_response,
     best_response_array,
@@ -24,34 +22,34 @@ TWO_STEP = StepFn(base=0.2, steps=((0.5, 0.8),))
 
 def test_additive_small_lambda_inverse_concentrates_at_alpha():
     alpha = 0.63
-    dist = additive_game(alpha, 0.01, uniform_shock_cdf(), max_step=0.02)
+    P = additive_game(alpha, 0.01, uniform_shock_cdf(), max_step=0.02)
     for y in np.linspace(0.05, 0.95, 19):
-        assert abs(dist.P.inverse(float(y)) - alpha) <= 0.01 + 1e-12
+        assert abs(P.inverse(float(y)) - alpha) <= 0.01 + 1e-12
 
 
 def test_additive_uniform_unit_lambda_is_diagonal():
     # alpha = 1/2, lam = 1, uniform on [-1/2, 1/2]: P(x) = x.
-    dist = additive_game(0.5, 1.0, uniform_shock_cdf(), max_step=0.01)
+    P = additive_game(0.5, 1.0, uniform_shock_cdf(), max_step=0.01)
     xs = np.linspace(0.0, 1.0, 401)
-    got = dist.P.eval_array(xs)
+    got = P.eval_array(xs)
     assert np.max(np.abs(got - xs)) <= 0.01
     # Monte Carlo empirical CDF agreement.
-    shocks = sample_shocks(dist, 100_000, seed=11)
-    finite = shocks.thresholds[np.isfinite(shocks.thresholds)]
+    shocks = sample_shocks(P, 100_000, seed=11)
+    finite = shocks[np.isfinite(shocks)]
     for x in (0.25, 0.5, 0.75):
-        emp = np.mean(shocks.thresholds <= x)
+        emp = np.mean(shocks <= x)
         assert abs(emp - x) <= 0.01
 
 
 def test_additive_small_lambda_ru_dominant_near_risk_dominant():
     # alpha = 0.6 > 1/2 makes 0 risk dominant; small lambda forces x* -> 0.
-    dist = additive_game(0.6, 0.02, uniform_shock_cdf(), max_step=0.005)
-    maximizers, strict = ru_dominant(dist.P)
+    P = additive_game(0.6, 0.02, uniform_shock_cdf(), max_step=0.005)
+    maximizers, strict = ru_dominant(P)
     assert strict
     assert 0.0 <= maximizers[0] <= 0.05
     # Grid-search oracle agreement.
     xs = np.linspace(0.0, 1.0, 20_001)
-    vals = np.array([ru_objective(dist.P, float(x)) for x in xs])
+    vals = np.array([ru_objective(P, float(x)) for x in xs])
     assert abs(xs[np.argmax(vals)] - maximizers[0]) <= 1e-3
 
 
@@ -71,17 +69,17 @@ def test_additive_smaller_lambda_crosses_nearer_alpha():
         interior = np.nonzero((h[:-1] <= 0) & (h[1:] > 0))[0]
         return xs[interior[0]] if len(interior) else math.nan
 
-    c1, c2 = crossing(d1.P), crossing(d2.P)
+    c1, c2 = crossing(d1), crossing(d2)
     assert abs(c1 - alpha) < abs(c2 - alpha)
 
 
 def test_additive_provenance_matches_formula_on_grid():
     alpha, lam = 0.55, 0.3
     cdf = uniform_shock_cdf()
-    dist = additive_game(alpha, lam, cdf, max_step=0.004)
+    P = additive_game(alpha, lam, cdf, max_step=0.004)
     xs = np.linspace(0.0, 1.0, 1000)
     want = np.array([1.0 - cdf((alpha - float(x)) / lam) for x in xs])
-    got = dist.P.eval_array(xs)
+    got = P.eval_array(xs)
     assert np.max(np.abs(got - want)) <= 0.004
 
 
@@ -89,33 +87,37 @@ def test_additive_provenance_matches_formula_on_grid():
 
 
 def test_sample_all_dominant_one():
-    dist = ThresholdDist(P=StepFn.constant(1.0))
-    shocks = sample_shocks(dist, 100, seed=3)
-    assert np.all(shocks.thresholds == 0.0)
+    shocks = sample_shocks(StepFn.constant(1.0), 100, seed=3)
+    assert np.all(shocks == 0.0)
 
 
 def test_sample_all_dominant_zero():
-    dist = ThresholdDist(P=StepFn.constant(0.0))
-    shocks = sample_shocks(dist, 100, seed=3)
-    assert np.all(np.isinf(shocks.thresholds))
+    shocks = sample_shocks(StepFn.constant(0.0), 100, seed=3)
+    assert np.all(np.isinf(shocks))
 
 
 def test_sample_atom_frequencies():
-    dist = ThresholdDist(P=TWO_STEP)
-    shocks = sample_shocks(dist, 100_000, seed=5)
-    t = shocks.thresholds
+    shocks = sample_shocks(TWO_STEP, 100_000, seed=5)
+    t = shocks
     assert abs(np.mean(t == 0.0) - 0.2) <= 0.005
     assert abs(np.mean(t == 0.5) - 0.6) <= 0.005
     assert abs(np.mean(np.isinf(t)) - 0.2) <= 0.005
 
 
 def test_sample_deterministic_given_seed():
-    dist = ThresholdDist(P=TWO_STEP)
-    a = sample_shocks(dist, 1000, seed=42, stream=7)
-    b = sample_shocks(dist, 1000, seed=42, stream=7)
-    assert np.array_equal(a.thresholds, b.thresholds)
-    c = sample_shocks(dist, 1000, seed=42, stream=8)
-    assert not np.array_equal(a.thresholds, c.thresholds)
+    a = sample_shocks(TWO_STEP, 1000, seed=42, stream=7)
+    b = sample_shocks(TWO_STEP, 1000, seed=42, stream=7)
+    assert np.array_equal(a, b)
+    c = sample_shocks(TWO_STEP, 1000, seed=42, stream=8)
+    assert not np.array_equal(a, c)
+
+
+def test_sample_shocks_inverts_the_philox_uniforms():
+    t = sample_shocks(TWO_STEP, 1000, seed=42, stream=7)
+    key = np.array([42, 7], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random(1000)
+    assert isinstance(t, np.ndarray)
+    assert np.array_equal(t, TWO_STEP.inverse_array(u))
 
 
 def test_sample_dkw_bound(rng):
@@ -125,9 +127,8 @@ def test_sample_dkw_bound(rng):
     hits = 0
     for seed in range(100):
         P = random_stepfn(rng)
-        dist = ThresholdDist(P=P)
-        shocks = sample_shocks(dist, n, seed=seed)
-        t = shocks.thresholds
+        shocks = sample_shocks(P, n, seed=seed)
+        t = shocks
         xs = np.unique(np.concatenate([P.piece_positions, P.piece_values, [0.0, 1.0]]))
         emp = np.array([np.mean(t <= x) for x in xs])
         ks = np.max(np.abs(emp - P.eval_array(xs)))
@@ -196,16 +197,3 @@ def test_payoff_sign_matches_best_response(rng):
         br = best_response(t, float(x), "upper")
         pay = canonical_payoff(float(x), float(eps), P, 1)
         assert (br == 1) == (pay >= 0.0)
-
-
-# ------------------------------------------------------------ serialization
-
-
-def test_shock_profile_json_round_trip():
-    dist = ThresholdDist(P=TWO_STEP)
-    shocks = sample_shocks(dist, 50, seed=9)
-    text = shocks.to_json()
-    back = ShockProfile.from_json(text)
-    assert np.array_equal(back.thresholds, shocks.thresholds)
-    assert np.array_equal(back.uniform_draws, shocks.uniform_draws)
-    assert "inf" in text

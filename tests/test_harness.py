@@ -121,21 +121,29 @@ def test_config_round_trip(tmp_path):
 
 
 def test_build_game_inline_and_file(tmp_path):
-    dist = build_game({"step_json": TWO_POINT_GAME})
-    assert dist.P.eval(0.7) == 0.9
+    P = build_game({"step_json": TWO_POINT_GAME})
+    assert P.eval(0.7) == 0.9
     f = tmp_path / "game.json"
     f.write_text(json.dumps(TWO_POINT_GAME))
-    dist2 = build_game({"file": str(f)})
-    assert dist2.P.eval(0.2) == 0.1
+    P2 = build_game({"file": str(f)})
+    assert P2.eval(0.2) == 0.1
+
+
+def test_build_game_reads_wrapped_and_bare_files_alike(tmp_path):
+    bare, wrapped = tmp_path / "bare.json", tmp_path / "wrapped.json"
+    bare.write_text(json.dumps(TWO_POINT_GAME))
+    wrapped.write_text(json.dumps({"P": TWO_POINT_GAME, "provenance": {"kind": "direct"}}))
+    P = build_game({"file": str(bare)})
+    assert isinstance(P, StepFn)
+    assert build_game({"file": str(wrapped)}).to_json_dict() == P.to_json_dict()
 
 
 def test_build_game_additive():
-    dist = build_game({"additive": {"alpha": 0.6, "lambda": 0.3, "max_step": 0.01}})
-    assert dist.provenance["kind"] == "additive"
+    P = build_game({"additive": {"alpha": 0.6, "lambda": 0.3, "max_step": 0.01}})
     # Midpoint staircase of P(x) = clamp((x - 0.45) / 0.3): within half a step.
     xs = np.linspace(0.0, 1.0, 501)
     exact = np.clip((xs - 0.45) / 0.3, 0.0, 1.0)
-    assert np.max(np.abs(dist.P.eval_array(xs) - exact)) <= 0.005 + 1e-12
+    assert np.max(np.abs(P.eval_array(xs) - exact)) <= 0.005 + 1e-12
 
 
 def test_build_network_variants(tmp_path):
@@ -199,8 +207,8 @@ def test_replication_replayable():
     out = run_experiment(cfg)
     rec = out["records"][2]
     g = build_network(cfg.network)
-    dist = build_game(cfg.game)
-    replay = run_replication(g, dist, cfg, rec["replication_id"]).record
+    P = build_game(cfg.game)
+    replay = run_replication(g, P, cfg, rec["replication_id"]).record
     assert replay["averages"]["largest"] == rec["averages"]["largest"]
 
 
@@ -364,6 +372,13 @@ def test_cli_wave_failure_path(tmp_path, capsys):
     rc = cli_main(["wave", game, "--eta", "0.1"])
     assert rc == 1
     assert "failed" in capsys.readouterr().err
+
+
+def test_cli_wave_reports_the_level_bound(tmp_path, capsys):
+    game = write_game(tmp_path, {"base": 0.05, "steps": []})
+    assert cli_main(["wave", game, "--eta", "0.001"]) == 1
+    err = capsys.readouterr().err
+    assert "wave construction failed" in err and "staircase needs more than" in err
 
 
 def test_cli_simulate_and_enumerate(tmp_path, capsys):
