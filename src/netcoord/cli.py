@@ -13,7 +13,10 @@ Subcommands:
 
 Game files hold either a bare step function {"base": v, "steps": [...]}
 or a wrapped {"P": ..., "provenance": ...} document.  All numbers print
-with 12 significant digits.
+with 12 significant digits.  A game or config file that cannot be read
+or parsed ends the command with one ``netcoord <cmd>: cannot read`` line
+on stderr and exit code 2; ``-v`` logs each ``lattice-analyze``
+replication's stage times to stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,9 +37,23 @@ from .harness import ExperimentConfig, _cube_params, _fmt, build_game, build_net
 from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
+log = logging.getLogger("netcoord")
+
+
+class _Unreadable(Exception):
+    """An input file that could not be read or parsed; ``main`` reports it."""
+
+
+def _load(path, fn, arg):
+    """fn(arg), with a read or parse failure reported against path."""
+    try:
+        return fn(arg)
+    except (OSError, ValueError) as e:
+        raise _Unreadable(f"cannot read {path}: {e}") from e
+
 
 def _cmd_ru_dominant(args) -> int:
-    P = build_game({"file": args.game})
+    P = _load(args.game, build_game, {"file": args.game})
     maximizers, strict = ru_dominant(P)
     for x in maximizers:
         print(f"{_fmt(x)} objective={_fmt(ru_objective(P, x))}")
@@ -44,14 +62,14 @@ def _cmd_ru_dominant(args) -> int:
 
 
 def _cmd_fixed_points(args) -> int:
-    P = build_game({"file": args.game})
+    P = _load(args.game, build_game, {"file": args.game})
     for f in fixed_points(P):
         print(f"{_fmt(f.x)} {f.kind}")
     return 0
 
 
 def _cmd_wave(args) -> int:
-    P = build_game({"file": args.game})
+    P = _load(args.game, build_game, {"file": args.game})
     try:
         wave = build_delta_wave(P, args.eta)
     except (ValueError, WaveConstructionError) as e:
@@ -68,7 +86,7 @@ def _cmd_wave(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
+    cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     if cfg.output is None:
         cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
     out = run_experiment(cfg)
@@ -79,7 +97,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_lattice_analyze(args) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
+    cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     if "lattice" not in cfg.network:
         print("lattice-analyze needs a lattice network", file=sys.stderr)
         return 2
@@ -87,29 +105,38 @@ def _cmd_lattice_analyze(args) -> int:
         print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
         return 2
     part, gamma, R = _cube_params(cfg)
-    P = build_game(cfg.game)
+    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = build_network(cfg.network)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(cfg.replications):
+        t0 = time.perf_counter()
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
+        t1 = time.perf_counter()
         largest, _ = extremal_equilibria(g, t)
+        t2 = time.perf_counter()
         rep_report = cube_report(part, t, P, largest, gamma)
         (out_dir / f"cubes_{rep:04d}.csv").write_text(report_to_csv(rep_report))
-        found = good_set_search(part, t, P, gamma, R)
+        t3 = time.perf_counter()
+        found = good_set_search(part, rep_report.bad, rep_report.extraordinary, gamma, R)
         if found is None:
             text = json.dumps({"found": False})
         else:
             text = found.to_json()
         (out_dir / f"goodset_{rep:04d}.json").write_text(text)
+        log.info(
+            "replication %d: shocks %.4fs, extremal %.4fs, report+csv %.4fs, good set %.4fs; %d bad cubes, good_set=%s",
+            rep, t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3,
+            int(rep_report.bad.sum()), "yes" if found else "no",
+        )
         print(f"replication {rep}: good_set={'yes' if found else 'no'}")
     print(f"wrote reports to {out_dir}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
-    P = build_game(cfg.game)
+    cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
+    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = build_network(cfg.network)
     for rep in range(cfg.replications):
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
@@ -160,7 +187,11 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s [%(levelname)s] %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unreadable as e:
+        print(f"netcoord {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

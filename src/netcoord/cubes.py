@@ -10,7 +10,9 @@ the classification machinery:
   one of the cube's own thresholds or of x = 0);
 * a cube is extraordinary when every agent in it has action 0 strictly
   dominant (threshold +inf);
-* ``good_set_search`` looks for a connected set W of small cubes that
+* ``good_set_search`` takes those two flag arrays (it does not
+  classify; a caller classifies once and passes the flags, e.g. a
+  ``CubeReport``'s) and looks for a connected set W of small cubes that
   covers a (1-gamma) fraction of the lattice, keeps node distance >= R
   from every bad cube, and contains a seed whose R-ball is entirely
   extraordinary;
@@ -243,14 +245,8 @@ class GoodSet:
     conditions: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "found": True,
-                "W_size": int(self.W.sum()),
-                "seed_cube": int(self.seed_cube),
-                "conditions": self.conditions,
-            }
-        )
+        doc = {"found": True, "W_size": int(self.W.sum()), "seed_cube": int(self.seed_cube)}
+        return json.dumps({**doc, "conditions": self.conditions})
 
 
 def r_interior(part: CubePartition, U: np.ndarray, R: float) -> np.ndarray:
@@ -264,23 +260,27 @@ def r_interior(part: CubePartition, U: np.ndarray, R: float) -> np.ndarray:
 
 def good_set_search(
     part: CubePartition,
-    t: np.ndarray,
-    P: StepFn,
+    bad: np.ndarray,
+    extra: np.ndarray,
     gamma: float,
     R: float,
 ) -> GoodSet | None:
     """Search for a (gamma, R)-good set of small cubes.
 
-    Marks large cubes clean (no gamma-bad small cube), takes the largest
-    connected component U of clean large cubes, forms the R-interior
-    W(U, R) of small cubes at node distance > R from everything outside
-    U, and verifies the four conditions directly.  Absence is a value,
-    not an error.
+    ``bad`` and ``extra`` are the per-small-cube flags of
+    ``classify_bad`` (at this gamma) and ``extraordinary_cubes``; the
+    search does not classify.  Marks large cubes clean (no bad small
+    cube), takes the largest connected component U of clean large cubes,
+    forms the R-interior W(U, R) of small cubes at node distance > R
+    from everything outside U, and verifies the four conditions
+    directly.  Absence is a value, not an error.
     """
     if not R >= 0.0:
         raise ValueError(f"R must be nonnegative, got {R}")
-    bad = classify_bad(part, t, P, gamma)
-    extra = extraordinary_cubes(part, t)
+    bad, extra = np.asarray(bad), np.asarray(extra)
+    for name, flags in (("bad", bad), ("extra", extra)):
+        if flags.dtype != bool or flags.shape != (part.n_small,):
+            raise ValueError(f"{name} must be {part.n_small} boolean flags, one per small cube")
     bad_grid = part.cube_grid(bad)
     # Large cube is clean iff no bad small cube inside.
     kk, Ks = part.k, part.large_side
@@ -386,11 +386,22 @@ def cube_report(
     )
 
 
+def _format_12g(values: np.ndarray) -> list[str]:
+    """``f"{v:.12g}"`` per entry, formatting each distinct float64 bit pattern once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.12g}" for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def report_to_csv(report: CubeReport) -> str:
-    """CSV with CRLF line ends, one row per small cube in cube-id order."""
+    """CSV with CRLF line ends, one row per small cube in cube-id order.
+
+    a_c and beta_c take few distinct values (at most b^2 + 1 for a_c),
+    so each distinct value is formatted once.
+    """
     cx, cy = np.divmod(np.arange(report.part.n_small), report.part.small_side)
-    cols = (cx, cy, report.a_c, report.beta_c, report.bad.astype(int), report.extraordinary.astype(int))
-    rows = zip(*(c.tolist() for c in cols))
+    cols = (cx.tolist(), cy.tolist(), _format_12g(report.a_c), _format_12g(report.beta_c),
+            report.bad.astype(int).tolist(), report.extraordinary.astype(int).tolist())
     return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "".join(
-        f"{x},{y},{a:.12g},{b:.12g},{bad},{extra}\r\n" for x, y, a, b, bad, extra in rows
+        f"{x},{y},{a},{b},{bad},{extra}\r\n" for x, y, a, b, bad, extra in zip(*cols)
     )

@@ -49,7 +49,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -108,14 +108,7 @@ class BoundAudit:
     satisfied: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "capacity0": self.capacity0,
-            "cross_term_A": self.cross_term_A,
-            "beta_deviation": self.beta_deviation,
-            "fineness_term": self.fineness_term,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 def _thresholds(t, n: int) -> np.ndarray:
@@ -305,30 +298,36 @@ def lower_dynamics(
     return _async_dynamics(g, t, a0, step_limit, "lower", P)
 
 
-def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> np.ndarray:
+def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> tuple[np.ndarray, np.ndarray]:
     """Monotone synchronous sweeps from a0 under the tie rule.
 
     Each sweep moves every agent whose best response lies above (up) or
     below (not up) its action.  The limit is the same as for the async
     dynamics, since the revision order does not matter for a monotone map.
+    Returns the limit a and beta = Wa/g from the final, unchanging sweep.
+    A sweep holds one beta and steps in the best-response array's own
+    buffer, so keeping beta costs no memory over a sweep without it.
     """
     step = np.maximum if up else np.minimum
     a = np.asarray(a0, dtype=float).copy()
     for _ in range(g.n + 2):
-        new = step(a, best_response_array(t, neighborhood_fractions(g, a), tie))
+        beta = neighborhood_fractions(g, a)
+        new = best_response_array(t, beta, tie)
+        step(a, new, out=new)
         if np.array_equal(new, a):
-            return a
+            return a, beta
         a = new
+        del beta
     raise AssertionError(f"{tie} closure ({'up' if up else 'down'}) failed to converge in n+2 sweeps")
 
 
 def upper_closure(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
     """Synchronous least up-stable profile above a0 (same limit as async)."""
-    return _closure(g, _thresholds(t, g.n), a0, "upper", up=True)
+    return _closure(g, _thresholds(t, g.n), a0, "upper", up=True)[0]
 
 
 def lower_closure(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    return _closure(g, _thresholds(t, g.n), a0, "lower", up=False)
+    return _closure(g, _thresholds(t, g.n), a0, "lower", up=False)[0]
 
 
 def initial_profile(P: StepFn, x_star: float, t: np.ndarray, seed: int) -> np.ndarray:
@@ -365,14 +364,16 @@ def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Largest: monotone downward iteration from all-ones under the upper
     tie rule; smallest: upward from all-zeros under the lower rule.
     Both limits are equilibria of their tie rule and bracket every Nash
-    equilibrium of the realized game.
+    equilibrium of the realized game.  Each is checked against the beta
+    its closure's final sweep computed on it.
     """
     t = _thresholds(t, g.n)
-    largest = _closure(g, t, np.ones(g.n), "upper", up=False)
-    smallest = _closure(g, t, np.zeros(g.n), "lower", up=True)
-    if not is_equilibrium(g, t, largest, "upper"):
+    largest, beta = _closure(g, t, np.ones(g.n), "upper", up=False)
+    if not np.array_equal(best_response_array(t, beta, "upper"), largest):
         raise AssertionError("largest iterate is not an upper equilibrium")
-    if not is_equilibrium(g, t, smallest, "lower"):
+    del beta  # before the second closure allocates its own
+    smallest, beta = _closure(g, t, np.zeros(g.n), "lower", up=True)
+    if not np.array_equal(best_response_array(t, beta, "lower"), smallest):
         raise AssertionError("smallest iterate is not a lower equilibrium")
     if np.any(largest < smallest):
         raise AssertionError("extremal equilibria are not ordered")

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import CubePartition, domination_check, good_set_search, partition
+from .cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search, partition
 from .dynamics import (
     audit_main_bound,
     enumerate_equilibria,
@@ -334,16 +334,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     agg = StringIO()
     writer = csv.writer(agg)
     writer.writerow(
-        [
-            "replication_id",
-            "av_largest",
-            "av_smallest",
-            "av_largest_unweighted",
-            "av_smallest_unweighted",
-            "av_sandwich",
-            "x_star_distance",
-            "audit_satisfied",
-        ]
+        ["replication_id", "av_largest", "av_smallest", "av_largest_unweighted"]
+        + ["av_smallest_unweighted", "av_sandwich", "x_star_distance", "audit_satisfied"]
     )
     plot = StringIO()
     plot_writer = csv.writer(plot)
@@ -352,18 +344,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         av = rec.get("averages", {})
         un = rec.get("unweighted", {})
         audit = rec.get("bound_audit")
-        writer.writerow(
-            [
-                rep,
-                _fmt(av["largest"]) if "largest" in av else "",
-                _fmt(av["smallest"]) if "smallest" in av else "",
-                _fmt(un["largest"]) if "largest" in un else "",
-                _fmt(un["smallest"]) if "smallest" in un else "",
-                _fmt(av["sandwich"]) if "sandwich" in av else "",
-                _fmt(rec["x_star_distance"]) if "x_star_distance" in rec else "",
-                int(audit["satisfied"]) if audit else "",
-            ]
-        )
+        cells = (av.get("largest"), av.get("smallest"), un.get("largest"), un.get("smallest"))
+        cells += (av.get("sandwich"), rec.get("x_star_distance"))
+        writer.writerow([rep, *("" if v is None else _fmt(v) for v in cells), int(audit["satisfied"]) if audit else ""])
         for series in ("largest", "smallest", "sandwich"):
             if series in av:
                 plot_writer.writerow([rep, series, _fmt(av[series])])
@@ -521,7 +504,7 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
         g = build_network(cfg.network)
         for rep in range(cfg.replications):
             t = sample_shocks(P, g.n, cfg.seed, stream=rep)
-            found = good_set_search(part, t, P, gamma, R)
+            found = good_set_search(part, classify_bad(part, t, P, gamma), extraordinary_cubes(part, t), gamma, R)
             good_runs += 1
             if found is None:
                 continue

@@ -89,9 +89,15 @@ class Network:
         """CSR weights; a structured network builds them on first access."""
         if isinstance(self.structure, LatticeSpec):
             return _torus_csr(self.structure)
-        s = self.structure
-        block = sp.csr_matrix(np.ones((s, s)) - np.eye(s))
-        return block if s == self.n else sp.block_diag([block] * (self.n // s), format="csr")
+        # Row i of K_s lists the block's other nodes in ascending order:
+        # column j of the row, shifted past the diagonal when j >= i mod s.
+        s, n = self.structure, self.n
+        index = np.int32 if n * (s - 1) < 2**31 else np.int64
+        j = np.arange(s - 1, dtype=index)
+        block = j + (j >= np.arange(s, dtype=index)[:, None])
+        indices = (block[None] + np.arange(0, n, s, dtype=index)[:, None, None]).ravel()
+        indptr = np.arange(0, n * (s - 1) + 1, s - 1, dtype=index)
+        return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
 
     @property
     def n(self) -> int:
@@ -108,10 +114,6 @@ class LatticeSpec:
     def __post_init__(self):
         if self.m < 1 or self.M < self.m:
             raise ValueError("need M >= m >= 1")
-
-    @property
-    def torus_side(self) -> float:
-        return self.M / self.m
 
 
 def complete_graph(n: int) -> Network:

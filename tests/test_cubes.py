@@ -7,6 +7,7 @@ import pytest
 
 from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (
+    CubeReport,
     classify_bad,
     cube_best_response_gap,
     cube_empirical_cdf,
@@ -31,6 +32,11 @@ def shocks_of(t) -> np.ndarray:
 
 def uniform_shocks(part, value):
     return shocks_of(np.full(part.M * part.M, value))
+
+
+def search(part, t, P, gamma, R):
+    """Classify the cubes, then search for a good set on those flags."""
+    return good_set_search(part, classify_bad(part, t, P, gamma), extraordinary_cubes(part, t), gamma, R)
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +227,6 @@ def test_nan_threshold_rejected_by_cube_entry_points():
         lambda: classify_bad(part, t, P, 0.1),
         lambda: extraordinary_cubes(part, t),
         lambda: cube_empirical_cdf(part, t, 0, 0.5),
-        lambda: good_set_search(part, t, P, 0.1, 1.0),
         lambda: cube_report(part, t, P, np.zeros(144), 0.1),
     ]
     for call in calls:
@@ -229,6 +234,20 @@ def test_nan_threshold_rejected_by_cube_entry_points():
             call()
     with pytest.raises(ValueError, match="does not match"):
         classify_bad(part, t[:-1], P, 0.1)
+    # good_set_search takes flags, not thresholds: it checks their size.
+    flags = np.zeros(part.n_small, dtype=bool)
+    with pytest.raises(ValueError, match="16 boolean flags"):
+        good_set_search(part, flags[:-1], flags, 0.1, 1.0)
+
+
+def test_good_set_search_checks_its_flags():
+    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    ok = np.zeros(part.n_small, dtype=bool)
+    for bad, extra in [(ok, np.zeros(part.n_small + 1, dtype=bool)), (ok.astype(float), ok),
+                       (ok, ok.astype(int)), (ok.reshape(4, 4), ok)]:
+        with pytest.raises(ValueError, match="16 boolean flags"):
+            good_set_search(part, bad, extra, 0.1, 1.0)
+    assert good_set_search(part, ok, ~ok, 0.1, 1.0) is not None
 
 
 def test_extraordinary_excludes_interior_agent():
@@ -257,7 +276,7 @@ def test_good_set_all_extraordinary():
     part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
     s = uniform_shocks(part, math.inf)
     P = StepFn.constant(0.3)
-    found = good_set_search(part, s, P, gamma=0.2, R=1.0)
+    found = search(part, s, P, gamma=0.2, R=1.0)
     assert found is not None
     assert found.W.all()
     assert all(found.conditions.values())
@@ -271,7 +290,7 @@ def test_good_set_planted_bad_cube():
     s = shocks_of(t)
     P = StepFn.constant(0.5)
     R = 1.5
-    found = good_set_search(part, s, P, gamma=0.25, R=R)
+    found = search(part, s, P, gamma=0.25, R=R)
     assert found is not None
     assert not found.W[center]
     # Exhaustive distance audit of condition (c).
@@ -294,7 +313,7 @@ def test_good_set_absent_without_seed():
     part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
     s = uniform_shocks(part, 0.9)  # nobody extraordinary
     P = StepFn.constant(0.95)
-    assert good_set_search(part, s, P, gamma=0.2, R=1.0) is None
+    assert search(part, s, P, gamma=0.2, R=1.0) is None
 
 
 def test_good_set_rejects_negative_radius():
@@ -305,9 +324,9 @@ def test_good_set_rejects_negative_radius():
     t[part.nodes_of_small(10)] = math.inf
     s = shocks_of(t)
     P = StepFn.constant(0.95)
-    assert good_set_search(part, s, P, gamma=0.2, R=0.0).seed_cube == 10
+    assert search(part, s, P, gamma=0.2, R=0.0).seed_cube == 10
     with pytest.raises(ValueError, match="R must"):
-        good_set_search(part, s, P, gamma=0.2, R=-1.0)
+        search(part, s, P, gamma=0.2, R=-1.0)
 
 
 # ------------------------------------------------------------ r-interior lemmas
@@ -512,6 +531,25 @@ def test_report_csv_matches_csv_writer(rng):
         row = [cx, cy, f"{rep.a_c[c]:.12g}", f"{rep.beta_c[c]:.12g}", int(rep.bad[c]), int(rep.extraordinary[c])]
         writer.writerow(row)
     assert report_to_csv(rep) == out.getvalue()
+
+
+def test_report_csv_matches_row_by_row_oracle(rng):
+    def oracle(rep):
+        lines = ["cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n"]
+        for c in range(rep.part.n_small):
+            x, y = divmod(c, rep.part.small_side)
+            a, b = rep.a_c[c], rep.beta_c[c]
+            lines.append(f"{x},{y},{a:.12g},{b:.12g},{int(rep.bad[c])},{int(rep.extraordinary[c])}\r\n")
+        return "".join(lines)
+
+    for M, b in [(12, 12), (12, 3), (60, 3)]:
+        part = partition(LatticeSpec(M=M, m=2), b=b, B=M)
+        k = part.n_small
+        pool = np.concatenate([[0.0, -0.0, 1.0, 1 / 3, 2 / 3, 1e-20, 123456.789012345678], rng.random(8)])
+        a_c, beta_c = pool[rng.integers(pool.size, size=k)], rng.random(k)
+        beta_c[: k // 2] = beta_c[0]  # repeated values
+        rep = CubeReport(part, a_c, beta_c, rng.random(k) < 0.5, rng.random(k) < 0.5)
+        assert report_to_csv(rep) == oracle(rep)
 
 
 def test_lattice_analysis_leaves_csr_unbuilt():

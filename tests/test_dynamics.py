@@ -19,7 +19,8 @@ from netcoord.dynamics import (
     upper_closure,
     upper_dynamics,
 )
-from netcoord.game import sample_shocks
+import netcoord.dynamics
+from netcoord.game import best_response_array, sample_shocks
 from netcoord.network import (
     LatticeSpec,
     Network,
@@ -293,6 +294,26 @@ def test_extremal_matches_enumeration(rng):
 
 
 # --------------------------------------------------------------- enumeration
+
+
+def test_extremal_computes_one_beta_per_sweep(monkeypatch):
+    # The equilibrium checks reuse each closure's last beta: no extra pass.
+    g = lattice(LatticeSpec(M=20, m=2))
+    t = sample_shocks(StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9))), g.n, seed=3)
+
+    def sweeps(a, tie, step):
+        count = 1
+        while not np.array_equal(new := step(a, best_response_array(t, neighborhood_fractions(g, a), tie)), a):
+            a, count = new, count + 1
+        return count
+
+    want = sweeps(np.ones(g.n), "upper", np.minimum) + sweeps(np.zeros(g.n), "lower", np.maximum)
+    calls = []
+    monkeypatch.setattr(
+        netcoord.dynamics, "neighborhood_fractions", lambda g, a: calls.append(1) or neighborhood_fractions(g, a)
+    )
+    extremal_equilibria(g, t)
+    assert want > 2 and len(calls) == want
 
 
 def test_enumerate_two_node_indifferent():

@@ -1,9 +1,11 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import netcoord.cubes
 from netcoord.cli import main as cli_main
 from netcoord.harness import (
     ExperimentConfig,
@@ -422,3 +424,37 @@ def test_cli_lattice_analyze(tmp_path, capsys):
     assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
     assert (tmp_path / "lat" / "cubes_0000.csv").exists()
     assert (tmp_path / "lat" / "goodset_0000.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["wave", "ru-dominant", "simulate"])
+@pytest.mark.parametrize("broken", ["missing", "truncated"])
+def test_cli_reports_an_unreadable_input_file(tmp_path, capsys, cmd, broken):
+    path = tmp_path / "in.json"
+    if broken == "truncated":
+        path.write_text('{"base": 0.05, "ste')
+    argv = [cmd, str(path)] + (["--eta", "0.1"] if cmd == "wave" else [])
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"netcoord {cmd}: cannot read {path}: ")
+
+
+def test_cli_lattice_analyze_classifies_once_per_replication(tmp_path, monkeypatch, caplog):
+    cfg = {
+        "game": {"step_json": {"base": 0.05, "steps": [[0.4, 0.3]]}},
+        "network": {"lattice": {"M": 24, "m": 2}},
+        "replications": 3,
+        "seed": 5,
+        "cubes": {"b": 3, "B": 12, "gamma": 0.2, "R": 1.0},
+        "output": str(tmp_path / "lat"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    calls = []
+    classify = netcoord.cubes.classify_bad
+    monkeypatch.setattr(netcoord.cubes, "classify_bad", lambda *a: calls.append(1) or classify(*a))
+    caplog.set_level(logging.INFO, logger="netcoord")
+    assert cli_main(["-v", "lattice-analyze", str(cfg_path)]) == 0
+    assert len(calls) == 3
+    stages = [r.getMessage() for r in caplog.records if "extremal" in r.getMessage()]
+    assert len(stages) == 3
+    assert all("shocks" in m and "good set" in m and "bad cubes" in m and "good_set=" in m for m in stages)

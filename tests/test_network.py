@@ -84,6 +84,18 @@ def test_disjoint_copies_preserve_stats(rng):
         assert abs(fineness(gk) - fineness(g)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [2, 3, 7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_complete_csr_matches_dense_construction(s, k):
+    W = disjoint_copies(complete_graph(s), k).weights
+    block = sp.csr_matrix(np.ones((s, s)) - np.eye(s))
+    want = block if k == 1 else sp.block_diag([block] * k, format="csr")
+    assert W.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(W, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 def test_lattice_degree_m2():
     g = lattice(LatticeSpec(M=10, m=2))
     # Offsets with k^2 + l^2 <= 4, excluding the origin.
