@@ -87,6 +87,7 @@ def _cmd_wave(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
+    _load(cfg.game.get("file", args.config), build_game, cfg.game)
     if cfg.output is None:
         cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
     out = run_experiment(cfg)

@@ -350,12 +350,9 @@ def cube_best_response_gap(
     Bad cubes get NaN (the bound's scope is good cubes).  A negative
     residual on a good cube for generous D flags an inconsistency.
     """
-    bad = classify_bad(part, t, P, gamma)
-    a_c = cube_means(part, a)
-    beta_c = cube_means(part, neighborhood_fractions(lattice(part.spec), a))
-    arg = np.clip(beta_c + D * rho, 0.0, 1.0)
-    res = gamma + P.eval_array(arg) - a_c
-    res[bad] = np.nan
+    rep = cube_report(part, t, P, a, gamma)
+    res = gamma + P.eval_array(np.clip(rep.beta_c + D * rho, 0.0, 1.0)) - rep.a_c
+    res[rep.bad] = np.nan
     return res
 
 

@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .game import _philox, best_response_array
+from .game import _best_response_mask, _philox, best_response_array
 from .network import Network, fineness, is_pure, neighborhood_fractions
 from .stepfn import StepFn, _ru_objective_at
 
@@ -127,7 +127,7 @@ def is_equilibrium(g: Network, t: np.ndarray, a: np.ndarray, tie: str) -> bool:
     if not is_pure(a):
         raise ValueError("is_equilibrium expects a pure profile")
     t = _thresholds(t, g.n)
-    beta = neighborhood_fractions(g, a)
+    beta = neighborhood_fractions(g, a == 1.0)
     return bool(np.array_equal(best_response_array(t, beta, tie), a))
 
 
@@ -262,13 +262,8 @@ def _async_dynamics(
             heapq.heappush(heap, int(j))
         in_heap[newly] = True
         step_idx += 1
-    return DynamicsTrace(
-        steps=steps,
-        initial_profile=np.asarray(a0, dtype=float).copy(),
-        final_profile=a,
-        stop_reason=stop_reason,
-        direction=direction,
-    )
+    return DynamicsTrace(steps=steps, initial_profile=np.asarray(a0, dtype=float).copy(), final_profile=a,
+                         stop_reason=stop_reason, direction=direction)
 
 
 def upper_dynamics(
@@ -299,23 +294,27 @@ def lower_dynamics(
 
 
 def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone synchronous sweeps from a0 under the tie rule.
+    """Monotone synchronous sweeps from the pure profile a0 under the tie rule.
 
     Each sweep moves every agent whose best response lies above (up) or
     below (not up) its action.  The limit is the same as for the async
     dynamics, since the revision order does not matter for a monotone map.
-    Returns the limit a and beta = Wa/g from the final, unchanging sweep.
-    A sweep holds one beta and steps in the best-response array's own
-    buffer, so keeping beta costs no memory over a sweep without it.
+    The sweeps run on a bool profile, so the network sums exact integer
+    counts; beta is bit-identical to the float profile's.  Returns the
+    limit a as a float64 array and beta = Wa/g from the final, unchanging
+    sweep.  A sweep holds one beta and steps in the best-response mask's
+    own buffer, so keeping beta costs no memory over a sweep without it.
     """
-    step = np.maximum if up else np.minimum
-    a = np.asarray(a0, dtype=float).copy()
+    if not is_pure(a0):
+        raise ValueError("closures need a pure starting profile")
+    step = np.logical_or if up else np.logical_and
+    a = np.asarray(a0) == 1.0
     for _ in range(g.n + 2):
         beta = neighborhood_fractions(g, a)
-        new = best_response_array(t, beta, tie)
+        new = _best_response_mask(t, beta, tie)
         step(a, new, out=new)
         if np.array_equal(new, a):
-            return a, beta
+            return a.astype(float), beta
         a = new
         del beta
     raise AssertionError(f"{tie} closure ({'up' if up else 'down'}) failed to converge in n+2 sweeps")
@@ -368,13 +367,14 @@ def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     its closure's final sweep computed on it.
     """
     t = _thresholds(t, g.n)
-    largest, beta = _closure(g, t, np.ones(g.n), "upper", up=False)
-    if not np.array_equal(best_response_array(t, beta, "upper"), largest):
-        raise AssertionError("largest iterate is not an upper equilibrium")
-    del beta  # before the second closure allocates its own
-    smallest, beta = _closure(g, t, np.zeros(g.n), "lower", up=True)
-    if not np.array_equal(best_response_array(t, beta, "lower"), smallest):
-        raise AssertionError("smallest iterate is not a lower equilibrium")
+    limits = []
+    for name, a0, tie, up in (("largest", np.ones(g.n), "upper", False), ("smallest", np.zeros(g.n), "lower", True)):
+        a, beta = _closure(g, t, a0, tie, up)
+        if not np.array_equal(_best_response_mask(t, beta, tie), a):
+            raise AssertionError(f"{name} iterate is not an equilibrium under the {tie} rule")
+        limits.append(a)
+        del a, beta  # before the second closure allocates its own
+    largest, smallest = limits
     if np.any(largest < smallest):
         raise AssertionError("extremal equilibria are not ordered")
     return largest, smallest
@@ -447,14 +447,8 @@ def audit_main_bound(
     beta_dev = 2.0 * float(np.dot(deg, np.abs(beta0 - x_star)))
     fine_term = 2.0 * fineness(g) * g.total_degree
     rhs = capacity0 + A + beta_dev + fine_term
-    return BoundAudit(
-        lhs=lhs,
-        capacity0=capacity0,
-        cross_term_A=A,
-        beta_deviation=beta_dev,
-        fineness_term=fine_term,
-        satisfied=bool(lhs <= rhs + 1e-9),
-    )
+    return BoundAudit(lhs=lhs, capacity0=capacity0, cross_term_A=A, beta_deviation=beta_dev,
+                      fineness_term=fine_term, satisfied=bool(lhs <= rhs + 1e-9))
 
 
 def capacity_decrement_check(g: Network, t: np.ndarray, trace: DynamicsTrace) -> bool:

@@ -112,17 +112,20 @@ def best_response(t: float, beta: float, tie: str) -> int:
     raise ValueError("tie must be 'upper' or 'lower'")
 
 
-def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
-    """Vectorized best responses as a float 0/1 array."""
+def _best_response_mask(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
+    """Vectorized best responses as a bool array (True plays 1)."""
     t = np.asarray(t, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if tie == "upper":
-        out = t <= beta
-    elif tie == "lower":
-        out = (t < beta) | (t == DOMINANT_1)
-    else:
-        raise ValueError("tie must be 'upper' or 'lower'")
-    return out.astype(float)
+        return t <= beta
+    if tie == "lower":
+        return (t < beta) | (t == DOMINANT_1)
+    raise ValueError("tie must be 'upper' or 'lower'")
+
+
+def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
+    """Vectorized best responses as a float 0/1 array."""
+    return _best_response_mask(t, beta, tie).astype(float)
 
 
 def canonical_payoff(x: float, eps: float, P: StepFn, action: int) -> float:

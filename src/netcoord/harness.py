@@ -150,6 +150,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
@@ -230,12 +232,6 @@ def _mix_seed(seed: int, rep: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + rep + 1) % (1 << 63)
 
 
-def _sandwich_from(g: Network, t: np.ndarray, a0: np.ndarray) -> np.ndarray:
-    """Equilibrium reached by upward closure then downward closure."""
-    up = upper_closure(g, t, a0)
-    return lower_closure(g, t, up)
-
-
 def run_replication(
     g: Network,
     P: StepFn,
@@ -262,8 +258,8 @@ def run_replication(
     if "seeded-local" in cfg.probes:
         seeded = {}
         for x in stable_fixed_points(P, cfg.stability_gamma, cfg.effective_stability_radius):
-            a0 = (t <= x).astype(float)
-            eq = _sandwich_from(g, t, a0)
+            # The sandwich: upward closure, then downward closure.
+            eq = lower_closure(g, t, upper_closure(g, t, (t <= x).astype(float)))
             seeded[_fmt(x)] = weighted_average(g, eq)
         averages["seeded"] = seeded
 

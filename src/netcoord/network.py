@@ -6,7 +6,9 @@ lattices and copies of complete graphs hold their structure: neighbor
 sums come from a window-sum stencil or from block sums, which on pure
 profiles add the integers the CSR matvec adds, so the fractions are
 bit-identical; their CSR matrix is built on first access to ``weights``.
-Profiles are plain float arrays with entries in [0, 1].
+Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
+the operators take their accumulator from the profile, so a bool one is
+summed in integers (stencil, blocks) and gives its 0/1 copy's fractions.
 
 Statistics follow the usual conventions for these games:
 
@@ -161,17 +163,27 @@ def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))), shape=(M * M, M * M))
 
 
+def _count_dtype(spec: LatticeSpec) -> type:
+    """Smallest signed int type holding M + 2m (a padded column's prefix sum) and (2m+1)^2 (a ball count)."""
+    bound = max(spec.M + 2 * spec.m, (2 * spec.m + 1) ** 2)
+    return next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+
+
 def _torus_sums(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
     """Sum of a over each node's radius-1 ball, center excluded.
 
     Column dy of the ball is the window |dx| <= isqrt(m^2 - dy^2); each
     window is a difference of column prefix sums of the wrap-padded grid.
+    The accumulator follows the profile: float64, or ``_count_dtype`` for
+    a bool profile.  Float64 sums of 0/1 terms are exact integers too, so
+    both give the same sums; the integer pass moves 2- or 4-byte cells.
     """
     M, m = spec.M, spec.m
     grid = a.reshape(M, M)
-    pre = np.zeros((M + 2 * m + 1, M + 2 * m))
-    np.cumsum(np.pad(grid, m, mode="wrap"), axis=0, out=pre[1:])
-    sums = -grid
+    acc = _count_dtype(spec) if a.dtype == bool else float
+    pre = np.zeros((M + 2 * m + 1, M + 2 * m), dtype=acc)
+    np.cumsum(np.pad(grid, m, mode="wrap"), axis=0, dtype=acc, out=pre[1:])
+    sums = np.negative(grid, dtype=acc)
     for dy in range(-m, m + 1):
         w = math.isqrt(m * m - dy * dy)
         cols = pre[:, m + dy : m + dy + M]
@@ -191,8 +203,8 @@ def imbalance(g: Network) -> float:
     return float(g.degrees.max() / g.degrees.min())
 
 
-def _check_profile(g: Network, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _check_profile(g: Network, a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.shape != (g.n,):
         raise ValueError(f"profile length {a.shape} does not match n={g.n}")
     return a
@@ -204,8 +216,9 @@ def is_pure(a: np.ndarray) -> bool:
 
 
 def neighborhood_fractions(g: Network, a: np.ndarray) -> np.ndarray:
-    """beta_i = (1/g_i) sum_j g_ij a_j."""
-    a = _check_profile(g, a)
+    """beta_i = (1/g_i) sum_j g_ij a_j (a bool profile is summed as it is)."""
+    a = np.asarray(a)
+    a = _check_profile(g, a, bool if a.dtype == bool else float)
     s = g.structure
     if isinstance(s, LatticeSpec):
         sums = _torus_sums(s, a)

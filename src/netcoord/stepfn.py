@@ -409,10 +409,5 @@ def step_approximate(
     else:
         cell_vals = [0.5 * (float(ys[i]) + float(ys[j])) for i, j in zip(sel[:-1], sel[1:])]
     # Collapse equal consecutive values.
-    pos_out = [starts[0]]
-    val_out = [cell_vals[0]]
-    for p, v in zip(starts[1:], cell_vals[1:]):
-        if v != val_out[-1]:
-            pos_out.append(p)
-            val_out.append(v)
-    return StepFn.from_grid(pos_out, val_out)
+    keep = np.r_[True, np.diff(cell_vals) != 0.0]
+    return StepFn.from_grid(np.asarray(starts)[keep].tolist(), np.asarray(cell_vals)[keep].tolist())

@@ -14,6 +14,7 @@ from netcoord.dynamics import (
     extremal_equilibria,
     initial_profile,
     is_equilibrium,
+    lower_closure,
     lower_dynamics,
     trace_to_jsonl,
     upper_closure,
@@ -291,6 +292,36 @@ def test_extremal_matches_enumeration(rng):
         assert upper_all.size and lower_all.size
         assert np.array_equal(largest, upper_all.max(axis=0))
         assert np.array_equal(smallest, lower_all.min(axis=0))
+
+
+def test_closures_on_bool_profiles_return_float_limits(rng):
+    # The sweeps run on bool profiles; the limits come back as float64 and
+    # equal the async limits, on a lattice whose fractions k/12 sit on the
+    # game's breakpoints and on weighted CSR graphs.
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    g = lattice(LatticeSpec(M=20, m=2))
+    cases = [(g, sample_shocks(P, g.n, seed=s)) for s in range(3)]
+    cases += [(g, t) for g, _, t in (random_instance(rng) for _ in range(20))]
+    for g, t in cases:
+        a0 = (rng.random(g.n) < 0.4).astype(float)
+        for closure, dynamics in ((upper_closure, upper_dynamics), (lower_closure, lower_dynamics)):
+            limit = closure(g, t, a0)
+            assert limit.dtype == np.float64
+            assert np.array_equal(limit, dynamics(g, t, a0).final_profile)
+        # Sweeps on the float profile are the oracle for the extremal pair.
+        want = []
+        for a, tie, step in ((np.ones(g.n), "upper", np.minimum), (np.zeros(g.n), "lower", np.maximum)):
+            while not np.array_equal(new := step(a, best_response_array(t, neighborhood_fractions(g, a), tie)), a):
+                a = new
+            want.append(a)
+        for got, a in zip(extremal_equilibria(g, t), want):
+            assert got.dtype == np.float64 and np.array_equal(got, a)
+
+
+def test_closures_reject_a_mixed_start():
+    g = complete_graph(3)
+    with pytest.raises(ValueError, match="pure"):
+        upper_closure(g, shocks_of([0.5, 0.5, 0.5]), np.array([0.0, 0.5, 1.0]))
 
 
 # --------------------------------------------------------------- enumeration

@@ -105,6 +105,17 @@ def test_config_names_a_missing_required_key(key):
         ExperimentConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("doc, kind", [(5, "int"), ("abc", "str"), ([1, 2], "list")])
+def test_config_must_be_a_json_object(tmp_path, capsys, doc, kind):
+    with pytest.raises(ValueError, match=f"config must be a JSON object, got {kind}"):
+        ExperimentConfig.from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"netcoord simulate: cannot read {path}: config must be a JSON object, got {kind}"]
+
+
 def test_config_stability_radius_default():
     assert small_cfg().effective_stability_radius == 0.025
     assert small_cfg(eta=1e-7).effective_stability_radius == 1e-6
@@ -436,6 +447,16 @@ def test_cli_reports_an_unreadable_input_file(tmp_path, capsys, cmd, broken):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"netcoord {cmd}: cannot read {path}: ")
+
+
+def test_cli_simulate_reports_a_missing_game_file(tmp_path, capsys):
+    game = tmp_path / "nope.json"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"game": {"file": str(game)}, "network": {"complete": {"n": 6}}}))
+    assert cli_main(["simulate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"netcoord simulate: cannot read {game}: ")
+    assert not (tmp_path / "cfg_out").exists()
 
 
 def test_cli_lattice_analyze_classifies_once_per_replication(tmp_path, monkeypatch, caplog):

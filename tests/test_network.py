@@ -12,6 +12,8 @@ from netcoord.network import (
     imbalance,
     lattice,
     lattice_ball_offsets,
+    _count_dtype,
+    _torus_sums,
     load_edgelist,
     neighborhood_fractions,
     profile_metric,
@@ -143,18 +145,36 @@ STRUCTURED["complete(2000)"] = lambda: complete_graph(2000)
 STRUCTURED["copies(200x10)"] = lambda: disjoint_copies(complete_graph(200), 10)
 
 
-@pytest.mark.parametrize("name", STRUCTURED)
+@pytest.mark.parametrize("name", [*STRUCTURED, "weighted-csr(300)"])
 def test_structured_fractions_match_csr(rng, name):
     # Bit for bit on pure profiles (the sums are exact integers), 1e-12 otherwise.
-    g = STRUCTURED[name]()
+    # A bool profile gives the float profile's fractions bit for bit.
+    g = STRUCTURED[name]() if name in STRUCTURED else random_network(rng, 300)
     csr = Network.from_weights(g.weights, validate=False)
     assert np.array_equal(g.degrees, csr.degrees)
     assert (g.total_degree, g.sum_sq_degree) == (csr.total_degree, csr.sum_sq_degree)
     for a in _profiles(rng, g.n):
-        assert np.array_equal(neighborhood_fractions(g, a), neighborhood_fractions(csr, a))
+        beta = neighborhood_fractions(g, a)
+        assert np.array_equal(beta, neighborhood_fractions(csr, a))
+        exact = neighborhood_fractions(g, a == 1.0)
+        assert exact.dtype == np.float64 and np.array_equal(exact, beta)
     for _ in range(3):
         a = rng.random(g.n)
         assert np.max(np.abs(neighborhood_fractions(g, a) - neighborhood_fractions(csr, a))) <= 1e-12
+
+
+def test_stencil_accumulator_follows_the_profile():
+    # int16 holds M + 2m and the ball count (2m + 1)^2 up to 32767; no grid is allocated.
+    assert _count_dtype(LatticeSpec(M=32765, m=1)) is np.int16
+    assert _count_dtype(LatticeSpec(M=32766, m=1)) is np.int32
+    assert _count_dtype(LatticeSpec(M=300, m=90)) is np.int16
+    assert _count_dtype(LatticeSpec(M=300, m=91)) is np.int32
+    assert _count_dtype(LatticeSpec(M=2**31 - 3, m=1)) is np.int32
+    assert _count_dtype(LatticeSpec(M=2**31 - 2, m=1)) is np.int64
+    spec = LatticeSpec(M=12, m=2)
+    a = np.arange(144) % 3 == 0
+    assert _torus_sums(spec, a).dtype == np.int16
+    assert _torus_sums(spec, a.astype(float)).dtype == np.float64
 
 
 def test_structured_statistics_equal_csr_values():
