@@ -13,15 +13,12 @@ from .stepfn import (
     ru_dominant,
     fixed_points,
     is_strongly_stable,
-    loss_L,
     step_approximate,
 )
 from .game import (
     additive_game,
     uniform_shock_cdf,
     sample_shocks,
-    best_response,
-    canonical_payoff,
 )
 from .network import (
     Network,
@@ -34,8 +31,6 @@ from .network import (
     neighborhood_fractions,
     weighted_average,
     unweighted_average,
-    profile_metric,
-    eta_inclusion,
     save_edgelist,
     load_edgelist,
 )
@@ -56,7 +51,6 @@ from .dynamics import (
 from .contagion import (
     lens_f0,
     front_f,
-    wave_value,
     WaveSolution,
     solve_wave,
     ContagionWave,
@@ -65,18 +59,15 @@ from .contagion import (
 from .cubes import (
     CubePartition,
     partition,
-    cube_empirical_cdf,
     classify_bad,
     extraordinary_cubes,
     good_set_search,
     domination_check,
-    cube_best_response_gap,
 )
 from .harness import (
     ExperimentConfig,
     run_experiment,
     probe_theorem1,
-    probe_theorem2,
     probe_theorem3,
     probe_theorem4,
 )

@@ -7,7 +7,8 @@ neighborhood on the plane lies behind a front:
   r1, r2, centers d apart) divided by pi;
 * ``front_f(x)``: the limit profile of a straight front, the unit-disc
   segment of height 1 + x over pi.  It is "balanced": f(-1) = 0 and
-  f(x) + f(-x) = 1.
+  f(x) + f(-x) = 1.  ``front_f_array`` is its vectorized form, the one
+  the wave evaluator F(x|v) uses.
 
 ``solve_wave`` computes step thresholds 0 = v_0 < v_1 < ... < v_L for
 the steps and inverse positions of a step game via the monotone
@@ -36,7 +37,6 @@ __all__ = [
     "lens_f0",
     "front_f",
     "front_f_array",
-    "wave_value",
     "WaveSolution",
     "solve_wave",
     "check_ru_wave",
@@ -113,35 +113,6 @@ def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool =
     y, da = v[None, :] - xs[:, None], np.diff(steps)
     F = steps[0] + (1.0 - front_f_array(y)) @ da
     return (F, (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ da) if slope else F
-
-
-def _check_wave_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.size == 0 or v[0] != 0.0:
-        raise ValueError("wave thresholds must start at v_0 = 0")
-    gaps = np.diff(v)
-    if np.any(gaps < -1e-15):
-        raise ValueError("wave thresholds must be monotone")
-    if np.any(gaps > 1.0 + 1e-9):
-        raise ValueError("wave threshold gaps must not exceed 1")
-    return v
-
-
-def wave_value(x: float, v: np.ndarray, steps: np.ndarray) -> float:
-    """Average action experienced at location x under the step strategy.
-
-    F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k), with steps
-    a_0 .. a_{L+1} and thresholds v_0 .. v_L.  A scalar reference for
-    the vectorized evaluator the solver and the verifier share.
-    """
-    v = _check_wave_vector(v)
-    a = np.asarray(steps, dtype=float)
-    if a.size != v.size + 1:
-        raise ValueError("need one more step value than thresholds")
-    total = float(a[0])
-    for k in range(v.size):
-        total += (1.0 - front_f(float(v[k] - x))) * float(a[k + 1] - a[k])
-    return total
 
 
 @dataclass(frozen=True)
@@ -290,14 +261,6 @@ class ContagionWave:
     @property
     def L(self) -> int:
         return self.wave.L
-
-    def sigma(self, x: float) -> float:
-        v = self.wave.thresholds
-        a = self.wave.steps
-        if x < 0.0:
-            return float(a[0])
-        idx = int(np.searchsorted(v, x, side="right"))
-        return float(a[idx])
 
     def sigma_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -46,12 +46,10 @@ __all__ = [
     "GoodSet",
     "partition",
     "r_interior",
-    "cube_empirical_cdf",
     "classify_bad",
     "extraordinary_cubes",
     "good_set_search",
     "domination_check",
-    "cube_best_response_gap",
     "cube_means",
     "cube_report",
     "report_to_csv",
@@ -90,10 +88,6 @@ class CubePartition:
     @property
     def k(self) -> int:
         return self.B // self.b
-
-    @property
-    def K(self) -> int:
-        return self.M // self.B
 
     @property
     def n_small(self) -> int:
@@ -135,14 +129,6 @@ def cube_means(part: CubePartition, values: np.ndarray) -> np.ndarray:
     grid = part.node_grid(np.asarray(values, dtype=float))
     s, b = part.small_side, part.b
     return grid.reshape(s, b, s, b).mean(axis=(1, 3)).ravel()
-
-
-def cube_empirical_cdf(part: CubePartition, t: np.ndarray, cube: int, x: float) -> float:
-    """Strict-inequality empirical cdf (1/|c|) #{i in c : t_i < x}."""
-    if not (0 <= cube < part.n_small):
-        raise ValueError(f"invalid cube id {cube}")
-    t = _thresholds(t, part.M**2)[part.nodes_of_small(cube)]
-    return float(np.mean(t < x))
 
 
 def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
@@ -334,26 +320,6 @@ def domination_check(
     if bad.any():
         return False, int(np.nonzero(bad)[0][0])
     return True, None
-
-
-def cube_best_response_gap(
-    part: CubePartition,
-    t: np.ndarray,
-    P: StepFn,
-    a: np.ndarray,
-    gamma: float,
-    rho: float,
-    D: float = 4.0,
-) -> np.ndarray:
-    """Residual gamma + P(beta^a(c) + D rho) - a(c) per gamma-good cube.
-
-    Bad cubes get NaN (the bound's scope is good cubes).  A negative
-    residual on a good cube for generous D flags an inconsistency.
-    """
-    rep = cube_report(part, t, P, a, gamma)
-    res = gamma + P.eval_array(np.clip(rep.beta_c + D * rho, 0.0, 1.0)) - rep.a_c
-    res[rep.bad] = np.nan
-    return res
 
 
 @dataclass(frozen=True)

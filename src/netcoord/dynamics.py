@@ -47,7 +47,6 @@ agent, see ``game``).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -73,7 +72,6 @@ __all__ = [
     "capacity",
     "audit_main_bound",
     "capacity_decrement_check",
-    "trace_to_jsonl",
 ]
 
 @dataclass(frozen=True)
@@ -473,17 +471,3 @@ def capacity_decrement_check(g: Network, t: np.ndarray, trace: DynamicsTrace) ->
             return False
     return True
 
-
-def trace_to_jsonl(trace: DynamicsTrace) -> str:
-    """One JSON record per step: {t, agent, beta_before, F0, F}."""
-    lines = []
-    for s in trace.steps:
-        rec = {
-            "t": s.t,
-            "agent": s.agent,
-            "beta_before": s.beta_before,
-            "F0": s.capacity_simple,
-            "F": None if math.isnan(s.capacity) else s.capacity,
-        }
-        lines.append(json.dumps(rec))
-    return "\n".join(lines)

@@ -20,21 +20,18 @@ Sampling uses the counter-based Philox generator keyed on
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .stepfn import INV_SENTINEL, StepFn, step_approximate
+from .stepfn import StepFn, step_approximate
 
 __all__ = [
     "DOMINANT_1",
     "additive_game",
     "uniform_shock_cdf",
     "sample_shocks",
-    "best_response",
     "best_response_array",
-    "canonical_payoff",
 ]
 
 # Threshold marker for "action 1 dominant": encoded as 0.0.
@@ -94,24 +91,6 @@ def sample_shocks(P: StepFn, n: int, seed: int, stream: int = 0) -> np.ndarray:
     return P.inverse_array(_philox(int(seed), int(stream)).random(n))
 
 
-def best_response(t: float, beta: float, tie: str) -> int:
-    """Best response of an agent with threshold t facing fraction beta.
-
-    Upper rule: 1 iff t <= beta.  Lower rule: 1 iff t < beta, except the
-    two dominance markers: t = +inf always plays 0, t = 0 (DOMINANT_1)
-    always plays 1.
-    """
-    if not (0.0 <= beta <= 1.0):
-        raise ValueError("beta must lie in [0, 1]")
-    if math.isinf(t):
-        return 0
-    if tie == "upper":
-        return 1 if t <= beta else 0
-    if tie == "lower":
-        return 1 if (t < beta or t == DOMINANT_1) else 0
-    raise ValueError("tie must be 'upper' or 'lower'")
-
-
 def _best_response_mask(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
     """Vectorized best responses as a bool array (True plays 1)."""
     t = np.asarray(t, dtype=float)
@@ -124,18 +103,10 @@ def _best_response_mask(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray
 
 
 def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
-    """Vectorized best responses as a float 0/1 array."""
+    """Vectorized best responses as a float 0/1 array.
+
+    Upper rule: 1 iff t <= beta.  Lower rule: 1 iff t < beta or t = 0
+    (DOMINANT_1).  t = +inf plays 0 under both rules.
+    """
     return _best_response_mask(t, beta, tie).astype(float)
 
-
-def canonical_payoff(x: float, eps: float, P: StepFn, action: int) -> float:
-    """Payoff in the canonical game: x - P^{-1}(eps) for action 1, 0 else.
-
-    The inverse is clamped at the sentinel used by the integral algebra so
-    arithmetic stays finite for eps above P(1).
-    """
-    if action == 0:
-        return 0.0
-    if action != 1:
-        raise ValueError("action must be 0 or 1")
-    return x - min(P.inverse(eps), INV_SENTINEL)

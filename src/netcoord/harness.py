@@ -68,7 +68,6 @@ __all__ = [
     "run_replication",
     "run_experiment",
     "probe_theorem1",
-    "probe_theorem2",
     "probe_theorem3",
     "probe_theorem4",
 ]
@@ -77,6 +76,8 @@ log = logging.getLogger("netcoord")
 
 _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
 _CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
+_GAME_KINDS = ("step_json", "additive", "file")
+_NETWORK_KINDS = ("complete", "copies", "lattice", "file")
 # ExperimentConfig.from_dict coerces these fields and takes the others as given.
 _COERCE = {"replications": int, "seed": int, "eta": float, "probes": tuple, "stability_gamma": float}
 
@@ -120,6 +121,9 @@ class ExperimentConfig:
     cubes: dict | None = None
 
     def __post_init__(self):
+        for name, spec, kinds in (("game", self.game, _GAME_KINDS), ("network", self.network, _NETWORK_KINDS)):
+            if not (isinstance(spec, dict) and set(spec) & set(kinds)):
+                raise ValueError(f"{name} must be an object naming one of: {', '.join(kinds)}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (0.0 < self.eta <= 0.5):
@@ -134,14 +138,22 @@ class ExperimentConfig:
         if self.stability_radius is not None and not self.stability_radius > 0.0:
             raise ValueError("stability_radius must be positive")
         if self.cubes is not None:
+            if not isinstance(self.cubes, dict):
+                raise ValueError("cubes must be an object")
             unknown = sorted(set(self.cubes) - set(_CUBE_KEYS))
             if unknown:
                 raise ValueError(f"unknown cubes keys: {unknown}")
+            for key in ("b", "B"):
+                side = self.cubes.get(key)
+                if isinstance(side, bool) or not isinstance(side, int) or side < 1:
+                    raise ValueError(f"cubes.{key} must be a positive integer, got {side!r}")
             R = float(self.cubes.get("R", 2.0))
             if not (math.isfinite(R) and R >= 0.0):
                 raise ValueError(f"cubes.R must be finite and nonnegative, got {R}")
             if not float(self.cubes.get("gamma", self.eta)) > 0.0:
                 raise ValueError("cubes.gamma must be positive")
+            if "lattice" in self.network:
+                _cube_params(self)  # the partition checks b | B | M
 
     @property
     def effective_stability_radius(self) -> float:
@@ -199,7 +211,7 @@ def build_game(spec: dict) -> StepFn:
         )
     if "file" in spec:
         return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
-    raise ValueError("game spec needs one of: step_json, additive, file")
+    raise ValueError(f"game spec needs one of: {', '.join(_GAME_KINDS)}")
 
 
 def build_network(spec: dict) -> Network:
@@ -213,7 +225,7 @@ def build_network(spec: dict) -> Network:
         return lattice(LatticeSpec(M=int(l["M"]), m=int(l["m"])))
     if "file" in spec:
         return load_edgelist(spec["file"])
-    raise ValueError("network spec needs one of: complete, copies, lattice, file")
+    raise ValueError(f"network spec needs one of: {', '.join(_NETWORK_KINDS)}")
 
 
 def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> list[float]:
@@ -269,7 +281,7 @@ def run_replication(
             raise ValueError("ru-path probe needs a strictly dominant maximizer")
         x_star = maximizers[0]
         a0 = initial_profile(P, x_star, t, seed=_mix_seed(cfg.seed, rep))
-        trace = upper_dynamics(g, t, a0, P=P)
+        trace = upper_dynamics(g, t, a0)
         sandwich = lower_closure(g, t, trace.final_profile)
         av = weighted_average(g, sandwich)
         audit = audit_main_bound(g, t, P, x_star, trace)
@@ -405,25 +417,6 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
         "ci95": ci,
         "fineness": out["fineness"],
         "coarse_network": out["fineness"] > 0.01,
-        "records": out["records"],
-    }
-
-
-def probe_theorem2(cfg: ExperimentConfig) -> dict:
-    """Escape frequencies of extremal averages from [x_min-eta, x_max+eta]."""
-    cfg = replace(cfg, probes=("extremal",), output=None)
-    P = build_game(cfg.game)
-    fps = fixed_points(P)
-    x_min, x_max = fps[0].x, fps[-1].x
-    out = run_experiment(cfg)
-    high = sum(1 for r in out["records"] if r["averages"]["largest"] > x_max + cfg.eta)
-    low = sum(1 for r in out["records"] if r["averages"]["smallest"] < x_min - cfg.eta)
-    R = cfg.replications
-    return {
-        "x_min": x_min,
-        "x_max": x_max,
-        "escape_high_frequency": high / R,
-        "escape_low_frequency": low / R,
         "records": out["records"],
     }
 

@@ -39,8 +39,6 @@ __all__ = [
     "neighborhood_fractions",
     "weighted_average",
     "unweighted_average",
-    "profile_metric",
-    "eta_inclusion",
     "is_pure",
     "save_edgelist",
     "load_edgelist",
@@ -60,14 +58,13 @@ class Network:
 
     degrees: np.ndarray
     total_degree: float
-    sum_sq_degree: float
     structure: LatticeSpec | int | None = None
 
     @classmethod
     def _from_degrees(cls, deg: np.ndarray, structure=None) -> "Network":
         if np.any(deg <= 0):
             raise ValueError("every node needs positive degree g_i > 0")
-        return cls(deg, float(deg.sum()), float(np.dot(deg, deg)), structure)
+        return cls(deg, float(deg.sum()), structure)
 
     @classmethod
     def from_weights(cls, W, validate: bool = True) -> "Network":
@@ -241,23 +238,6 @@ def unweighted_average(a: np.ndarray) -> float:
     if a.size == 0:
         raise ValueError("empty profile")
     return float(a.mean())
-
-
-def profile_metric(g: Network, u: np.ndarray, v: np.ndarray) -> float:
-    """Weighted Euclidean metric sqrt(sum g_i^2 (u_i - v_i)^2 / sum g_i^2)."""
-    u = _check_profile(g, u)
-    v = _check_profile(g, v)
-    d = u - v
-    return math.sqrt(float(np.dot(g.degrees**2, d * d)) / g.sum_sq_degree)
-
-
-def eta_inclusion(A, B) -> float:
-    """Smallest eta with A eta-included in B: max_{x in A} min_{y in B} |x-y|."""
-    A = np.asarray(list(A), dtype=float)
-    B = np.asarray(list(B), dtype=float)
-    if A.size == 0 or B.size == 0:
-        raise ValueError("eta_inclusion needs nonempty sets")
-    return float(np.max(np.min(np.abs(A[:, None] - B[None, :]), axis=1)))
 
 
 def save_edgelist(g: Network, path) -> None:

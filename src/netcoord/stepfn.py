@@ -14,13 +14,13 @@ dominance integral
 
     ru_objective(P, x) = int_0^x (y - P^{-1}(y)) dy,
 
-its global maximizers (``ru_dominant``), the loss integral relative to a
-reference point (``loss_L``), fixed points of P, a local stability test,
-and staircase approximation of arbitrary monotone functions.  One
-kernel, ``_dominance_integral``, evaluates the integral at any number of
-points with one prefix sum over the segments on which the inverse is
-constant; every integral in the package (the three functions above, the
-contagion wave's RU checks and the bound audit) goes through it.
+its global maximizers (``ru_dominant``), fixed points of P, a local
+stability test, and staircase approximation of arbitrary monotone
+functions.  One kernel, ``_dominance_integral``, evaluates the integral
+at any number of points with one prefix sum over the segments on which
+the inverse is constant; every integral in the package
+(``ru_objective``, ``ru_dominant``, the contagion wave's RU checks and
+the bound audit) goes through it.
 
 Where P^{-1}(y) = +inf (y above P(1)) the integrand is clamped at the
 sentinel ``INV_SENTINEL = 2.0``: the clamped integrand is <= -1 there,
@@ -45,7 +45,6 @@ __all__ = [
     "ru_dominant",
     "fixed_points",
     "is_strongly_stable",
-    "loss_L",
     "step_approximate",
 ]
 
@@ -346,17 +345,6 @@ def is_strongly_stable(P: StepFn, x: float, gamma: float, radius: float) -> bool
             if y_inf <= hi_lim and v > px + gamma * (y_inf - x) + 1e-15:
                 return False
     return True
-
-
-def loss_L(P: StepFn, x_star: float, x: float) -> float:
-    """Exact value of int_{x_star}^{x} (P^{-1}(y) - y) dy.
-
-    This is ru_objective(P, x_star) - ru_objective(P, x), with the same
-    sentinel clamp.
-    """
-    x = _check_unit("x", x)
-    k = _ru_objective_at(P, [_check_unit("x_star", x_star), x])
-    return float(k[0] - k[1])
 
 
 def step_approximate(

@@ -15,7 +15,6 @@ from netcoord.contagion import (
     front_f_array,
     lens_f0,
     solve_wave,
-    wave_value,
 )
 from netcoord.stepfn import StepFn, ru_dominant
 
@@ -32,6 +31,20 @@ def lens_mc(d, r1, r2, n=1_000_000, seed=0):
     inside2 = ((pts[:, 0] - d) ** 2 + pts[:, 1] ** 2) <= r2 * r2
     # disc area = pi r1^2; intersection/pi = fraction * r1^2.
     return inside2.mean() * r1 * r1
+
+
+def wave_value(x, v, steps):
+    """Scalar F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k)."""
+    total = float(steps[0])
+    for k in range(v.size):
+        total += (1.0 - front_f(float(v[k] - x))) * float(steps[k + 1] - steps[k])
+    return total
+
+
+def experienced(x, v, steps):
+    """F(x|v) from ContagionWave.experienced_fraction for thresholds v and steps a_0 .. a_{L+1}."""
+    wave = WaveSolution(steps, v, np.zeros(v.size - 1), sweeps=0)
+    return ContagionWave(wave, delta=0.0, a_star=float(steps[0])).experienced_fraction(x)
 
 
 def bisection_solve_wave(a, q):
@@ -184,44 +197,35 @@ def test_front_f_is_large_r2_lens_limit():
         assert abs(front_f(x) - finite) <= 5e-3
 
 
-# --------------------------------------------------------------- wave_value
+# ------------------------------------------------------ experienced fraction
 
 
 def test_wave_value_far_left_is_base():
     v = np.array([0.0, 0.8, 1.5])
     a = np.array([0.2, 0.5, 0.8, 1.0])
-    assert wave_value(-1.5, v, a) == pytest.approx(0.2, abs=1e-12)
+    assert experienced(-1.5, v, a) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_wave_value_far_right_is_one():
     v = np.array([0.0, 0.8, 1.5])
     a = np.array([0.2, 0.5, 0.8, 1.0])
-    assert wave_value(v[-1] + 1.0, v, a) == pytest.approx(1.0, abs=1e-12)
+    assert experienced(v[-1] + 1.0, v, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wave_value_single_step_midpoint():
     v = np.array([0.0])
     a = np.array([0.0, 0.6])
-    assert wave_value(0.0, v, a) == pytest.approx(0.3, abs=1e-12)
+    assert experienced(0.0, v, a) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_wave_value_monotone_in_x_and_v():
     v = np.array([0.0, 0.9, 1.7])
     a = np.array([0.1, 0.4, 0.7, 1.0])
     xs = np.linspace(-1.5, 3.5, 200)
-    vals = [wave_value(float(x), v, a) for x in xs]
+    vals = experienced(xs, v, a)
     assert np.all(np.diff(vals) >= -1e-12)
     v_hi = v + np.array([0.0, 0.05, 0.1])
-    for x in xs[::20]:
-        assert wave_value(float(x), v_hi, a) <= wave_value(float(x), v, a) + 1e-12
-
-
-def test_wave_value_rejects_bad_thresholds():
-    a = np.array([0.1, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        wave_value(0.0, np.array([0.1, 0.5]), a)  # v_0 != 0
-    with pytest.raises(ValueError):
-        wave_value(0.0, np.array([0.0, 1.6]), a)  # gap > 1
+    assert np.all(experienced(xs[::20], v_hi, a) <= vals[::20] + 1e-12)
 
 
 # --------------------------------------------------------------- solve_wave
@@ -509,11 +513,11 @@ def test_delta_wave_sigma_branches():
     P = StepFn.constant(0.05)
     wave = build_delta_wave(P, eta=0.1)
     v = wave.wave.thresholds
-    assert wave.sigma(-1e-9) == wave.a_star
-    assert wave.sigma(float(v[-1])) == 1.0
-    assert wave.sigma(float(v[-1]) + 5.0) == 1.0
     mid = 0.5 * (v[0] + v[1])
-    assert wave.a_star < wave.sigma(float(mid)) < 1.0
+    low, top, far, inside = wave.sigma_array([-1e-9, v[-1], v[-1] + 5.0, mid])
+    assert low == wave.a_star
+    assert top == far == 1.0
+    assert wave.a_star < inside < 1.0
 
 
 def test_delta_wave_random_admissible_games(rng):

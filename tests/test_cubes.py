@@ -9,8 +9,6 @@ from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (
     CubeReport,
     classify_bad,
-    cube_best_response_gap,
-    cube_empirical_cdf,
     cube_means,
     cube_report,
     domination_check,
@@ -52,7 +50,7 @@ def test_partition_counts():
     assert part.n_small == 16
     assert part.n_large == 4
     assert part.nodes_of_small(0).size == 9
-    assert part.k == 2 and part.K == 2
+    assert part.k == 2 and part.large_side == 2
 
 
 def test_partition_single_cube():
@@ -89,37 +87,6 @@ def test_node_cube_arithmetic():
     for c in range(part.n_small):
         for node in part.nodes_of_small(c):
             assert part.small_cube_of_node(int(node)) == c
-
-
-# ----------------------------------------------------------- empirical cdf
-
-
-def test_cdf_all_inf():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
-    s = uniform_shocks(part, math.inf)
-    for x in (0.0, 0.5, 1.0):
-        assert cube_empirical_cdf(part, s, 0, x) == 0.0
-
-
-def test_cdf_all_zero_strict():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
-    s = uniform_shocks(part, 0.0)
-    assert cube_empirical_cdf(part, s, 3, 0.0) == 0.0
-    assert cube_empirical_cdf(part, s, 3, 0.001) == 1.0
-
-
-def test_cdf_recount_oracle(rng):
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
-    t = rng.uniform(0, 1, 144)
-    t[rng.random(144) < 0.2] = math.inf
-    s = shocks_of(t)
-    for c in (0, 5, 15):
-        nodes = part.nodes_of_small(c)
-        for x in rng.uniform(0, 1, 5):
-            want = sum(1 for i in nodes if t[i] < x) / 9
-            assert cube_empirical_cdf(part, s, c, float(x)) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        cube_empirical_cdf(part, s, 99, 0.5)
 
 
 # ------------------------------------------------------------- classify_bad
@@ -226,7 +193,6 @@ def test_nan_threshold_rejected_by_cube_entry_points():
     calls = [
         lambda: classify_bad(part, t, P, 0.1),
         lambda: extraordinary_cubes(part, t),
-        lambda: cube_empirical_cdf(part, t, 0, 0.5),
         lambda: cube_report(part, t, P, np.zeros(144), 0.1),
     ]
     for call in calls:
@@ -465,28 +431,6 @@ def test_domination_planted_violation(low_wave):
     assert not ok and bad == 1
 
 
-# ------------------------------------------------------ best-response gap
-
-
-def test_gap_all_zeros_equilibrium():
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
-    s = uniform_shocks(part, math.inf)
-    P = StepFn.constant(0.3)
-    res = cube_best_response_gap(part, s, P, np.zeros(24 * 24), gamma=0.1, rho=0.1)
-    assert np.all(res[~np.isnan(res)] >= 0.0)
-    assert not np.isnan(res).any()
-
-
-def test_gap_bad_cube_excluded():
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
-    t = np.full(24 * 24, math.inf)
-    t[part.nodes_of_small(3)] = 0.0
-    s = shocks_of(t)
-    P = StepFn.constant(0.5)
-    res = cube_best_response_gap(part, s, P, np.zeros(24 * 24), gamma=0.2, rho=0.1)
-    assert np.isnan(res[3])
-
-
 def test_beliefs_in_a_cube_bound(rng):
     # Deviation of node-level from cube-level neighborhood fractions is
     # bounded for small b/m.
@@ -560,5 +504,4 @@ def test_lattice_analysis_leaves_csr_unbuilt():
     shocks = sample_shocks(P, g.n, seed=7)
     largest, _ = extremal_equilibria(g, shocks)
     cube_report(part, shocks, P, largest, gamma=0.2)
-    cube_best_response_gap(part, shocks, P, largest, gamma=0.2, rho=0.1)
     assert "weights" not in g.__dict__

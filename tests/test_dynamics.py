@@ -16,7 +16,6 @@ from netcoord.dynamics import (
     is_equilibrium,
     lower_closure,
     lower_dynamics,
-    trace_to_jsonl,
     upper_closure,
     upper_dynamics,
 )
@@ -539,9 +538,10 @@ def test_audit_two_node_hand_replay():
     assert audit.beta_deviation == pytest.approx(2.0, abs=1e-12)
     # fineness term: 2 * d(g) * sum g_i = 2 * 1 * 2 = 4.
     assert audit.fineness_term == pytest.approx(4.0, abs=1e-12)
-    from netcoord.stepfn import loss_L
+    from netcoord.stepfn import ru_objective
 
-    lhs_hand = 2.0 * sum(g.degrees[i] * loss_L(P, x_star, float(p_n[i])) for i in range(2))
+    loss = [ru_objective(P, x_star) - ru_objective(P, float(p)) for p in p_n]
+    lhs_hand = 2.0 * sum(g.degrees[i] * loss[i] for i in range(2))
     assert audit.lhs == pytest.approx(lhs_hand, abs=1e-12)
     assert audit.satisfied
 
@@ -609,19 +609,3 @@ def test_decrement_rejects_nonconstant():
     tr = upper_dynamics(g, s, np.zeros(2))
     with pytest.raises(ValueError):
         capacity_decrement_check(g, s, tr)
-
-
-# -------------------------------------------------------------- trace export
-
-
-def test_trace_jsonl_round_trip_fields():
-    import json as _json
-
-    g = two_node()
-    P = StepFn(base=0.3, steps=((0.5, 0.7),))
-    tr = upper_dynamics(g, shocks_of([0.4, 0.6]), np.array([1.0, 0.0]), P=P)
-    lines = trace_to_jsonl(tr).splitlines()
-    assert len(lines) == 1
-    rec = _json.loads(lines[0])
-    assert set(rec) == {"t", "agent", "beta_before", "F0", "F"}
-    assert rec["agent"] == 1

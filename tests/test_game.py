@@ -5,9 +5,7 @@ import pytest
 
 from netcoord.game import (
     additive_game,
-    best_response,
     best_response_array,
-    canonical_payoff,
     sample_shocks,
     uniform_shock_cdf,
 )
@@ -136,22 +134,22 @@ def test_sample_dkw_bound(rng):
     assert hits >= 90
 
 
-# ------------------------------------------------------------ best_response
+# ------------------------------------------------------ best_response_array
 
 
 def test_tie_rules_at_indifference():
-    assert best_response(0.5, 0.5, "upper") == 1
-    assert best_response(0.5, 0.5, "lower") == 0
+    assert best_response_array(0.5, 0.5, "upper") == 1
+    assert best_response_array(0.5, 0.5, "lower") == 0
 
 
 def test_inf_threshold_always_zero():
-    assert best_response(math.inf, 1.0, "upper") == 0
-    assert best_response(math.inf, 1.0, "lower") == 0
+    assert best_response_array(math.inf, 1.0, "upper") == 0
+    assert best_response_array(math.inf, 1.0, "lower") == 0
 
 
 def test_dominant_one_marker():
-    assert best_response(0.0, 0.0, "upper") == 1
-    assert best_response(0.0, 0.0, "lower") == 1
+    assert best_response_array(0.0, 0.0, "upper") == 1
+    assert best_response_array(0.0, 0.0, "lower") == 1
 
 
 def test_best_response_monotone_in_beta_antitone_in_t(rng):
@@ -159,10 +157,28 @@ def test_best_response_monotone_in_beta_antitone_in_t(rng):
         for _ in range(200):
             t = float(rng.uniform(0, 1))
             b1, b2 = sorted(rng.uniform(0, 1, size=2))
-            assert best_response(t, b1, tie) <= best_response(t, b2, tie)
+            assert best_response_array(t, b1, tie) <= best_response_array(t, b2, tie)
             t1, t2 = sorted(rng.uniform(0, 1, size=2))
             beta = float(rng.uniform(0, 1))
-            assert best_response(t1, beta, tie) >= best_response(t2, beta, tie)
+            assert best_response_array(t1, beta, tie) >= best_response_array(t2, beta, tie)
+
+
+def test_diagonal_staircase_indifference_near_fixed_point():
+    # The agent at u = 1/2 has threshold P^{-1}(1/2), so it is indifferent at beta within 1/n of 1/2.
+    n = 100
+    pos = np.arange(n) / n
+    vals = (np.arange(n) + 0.5) / n
+    P = StepFn.from_grid(pos.tolist(), vals.tolist())
+    assert abs(0.5 - P.inverse(0.5)) <= 1.0 / n
+
+
+def scalar_best_response(t: float, beta: float, tie: str) -> int:
+    """Oracle: upper plays 1 iff t <= beta, lower iff t < beta or t = 0; t = inf plays 0."""
+    if math.isinf(t):
+        return 0
+    if tie == "upper":
+        return int(t <= beta)
+    return int(t < beta or t == 0.0)
 
 
 def test_best_response_array_matches_scalar(rng):
@@ -170,30 +186,6 @@ def test_best_response_array_matches_scalar(rng):
     beta = rng.uniform(0, 1, t.size)
     for tie in ("upper", "lower"):
         got = best_response_array(t, beta, tie)
-        want = np.array([best_response(float(a), float(b), tie) for a, b in zip(t, beta)])
+        want = np.array([scalar_best_response(float(a), float(b), tie) for a, b in zip(t, beta)])
         assert np.array_equal(got, want)
 
-
-# --------------------------------------------------------- canonical_payoff
-
-
-def test_action_zero_payoff_is_zero():
-    assert canonical_payoff(0.3, 0.9, TWO_STEP, 0) == 0.0
-
-
-def test_diagonal_staircase_indifference_near_fixed_point():
-    n = 100
-    pos = np.arange(n) / n
-    vals = (np.arange(n) + 0.5) / n
-    P = StepFn.from_grid(pos.tolist(), vals.tolist())
-    assert abs(canonical_payoff(0.5, 0.5, P, 1)) <= 1.0 / n
-
-
-def test_payoff_sign_matches_best_response(rng):
-    for _ in range(1000):
-        P = TWO_STEP
-        x, eps = rng.uniform(0, 1, size=2)
-        t = P.inverse(float(eps))
-        br = best_response(t, float(x), "upper")
-        pay = canonical_payoff(float(x), float(eps), P, 1)
-        assert (br == 1) == (pay >= 0.0)

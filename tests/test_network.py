@@ -7,7 +7,6 @@ from netcoord.network import (
     Network,
     complete_graph,
     disjoint_copies,
-    eta_inclusion,
     fineness,
     imbalance,
     lattice,
@@ -16,7 +15,6 @@ from netcoord.network import (
     _torus_sums,
     load_edgelist,
     neighborhood_fractions,
-    profile_metric,
     save_edgelist,
     unweighted_average,
     weighted_average,
@@ -152,7 +150,7 @@ def test_structured_fractions_match_csr(rng, name):
     g = STRUCTURED[name]() if name in STRUCTURED else random_network(rng, 300)
     csr = Network.from_weights(g.weights, validate=False)
     assert np.array_equal(g.degrees, csr.degrees)
-    assert (g.total_degree, g.sum_sq_degree) == (csr.total_degree, csr.sum_sq_degree)
+    assert g.total_degree == csr.total_degree
     for a in _profiles(rng, g.n):
         beta = neighborhood_fractions(g, a)
         assert np.array_equal(beta, neighborhood_fractions(csr, a))
@@ -267,66 +265,6 @@ def test_lipschitz_averages_through_staircase(rng):
         lhs = abs(weighted_average(g, P.eval_array(a)) - weighted_average(g, P.eval_array(b)))
         rhs = abs(weighted_average(g, a) - weighted_average(g, b))
         assert lhs <= rhs + slack
-
-
-# ------------------------------------------------------------ profile metric
-
-
-def test_metric_identity(rng):
-    g = random_network(rng, 7)
-    u = rng.uniform(0, 1, 7)
-    assert profile_metric(g, u, u) == 0.0
-
-
-def test_metric_full_separation_balanced():
-    g = complete_graph(9)
-    assert abs(profile_metric(g, np.ones(9), np.zeros(9)) - 1.0) <= 1e-12
-
-
-def test_metric_axioms(rng):
-    for _ in range(100):
-        n = int(rng.integers(3, 9))
-        g = random_network(rng, n)
-        u, v, w = rng.uniform(0, 1, (3, n))
-        duv = profile_metric(g, u, v)
-        dvu = profile_metric(g, v, u)
-        assert abs(duv - dvu) <= 1e-15
-        assert duv >= 0.0
-        assert duv <= profile_metric(g, u, w) + profile_metric(g, w, v) + 1e-12
-
-
-def test_average_vs_metric_inequality(rng):
-    # |Av(u) - Av(v)| <= sqrt(w(g)) * d(u, v).
-    for _ in range(100):
-        n = int(rng.integers(3, 9))
-        g = random_network(rng, n)
-        u, v = rng.uniform(0, 1, (2, n))
-        lhs = abs(weighted_average(g, u) - weighted_average(g, v))
-        rhs = np.sqrt(imbalance(g)) * profile_metric(g, u, v)
-        assert lhs <= rhs + 1e-12
-
-
-# -------------------------------------------------------------- eta inclusion
-
-
-def test_eta_inclusion_subset():
-    assert eta_inclusion([0.2, 0.4], [0.1, 0.2, 0.4]) == 0.0
-
-
-def test_eta_inclusion_extremes():
-    assert eta_inclusion([0.0, 1.0], [0.5]) == 0.5
-
-
-def test_eta_inclusion_brute_force():
-    A, B = [0.1, 0.9], [0.2, 0.85]
-    want = max(min(abs(x - y) for y in B) for x in A)
-    assert eta_inclusion(A, B) == pytest.approx(want)
-    assert eta_inclusion(A, B) == pytest.approx(0.1)
-
-
-def test_eta_inclusion_empty_error():
-    with pytest.raises(ValueError):
-        eta_inclusion([], [0.5])
 
 
 # ------------------------------------------------------------------- file IO

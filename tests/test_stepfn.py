@@ -15,7 +15,6 @@ from netcoord.stepfn import (
     _inverse_segments,
     fixed_points,
     is_strongly_stable,
-    loss_L,
     ru_dominant,
     ru_objective,
     step_approximate,
@@ -279,7 +278,7 @@ def test_dominance_kernel_matches_clipped_sum(rng):
                 want_loss = clipped_sum_objective(P, x, x_star)
             else:
                 want_loss = -clipped_sum_objective(P, x_star, x)
-            assert abs(loss_L(P, float(x_star), float(x)) - want_loss) <= 1e-15
+            assert abs(ru_objective(P, float(x_star)) - ru_objective(P, float(x)) - want_loss) <= 1e-15
     assert 100 < sentinel < 300
 
 
@@ -377,32 +376,16 @@ def test_one_sided_conditions_by_direct_evaluation():
                 assert got == bool(ok)
 
 
-# ----------------------------------------------------------------- loss_L
-
-
-def test_loss_zero_at_reference(rng):
-    for _ in range(10):
-        P = random_stepfn(rng)
-        x = float(rng.uniform(0, 1))
-        assert loss_L(P, x, x) == 0.0
+# ------------------------------------------------------------ ru_objective
 
 
 def test_loss_constant_inverse_closed_form():
+    # Constant inverse alpha: the loss from 0, -ru_objective, is alpha x - x^2 / 2.
     alpha = 0.6
     P = StepFn(base=0.0, steps=((alpha, 1.0),))
     for x in np.linspace(0.0, 1.0, 21):
         want = alpha * x - 0.5 * x * x
-        assert abs(loss_L(P, 0.0, float(x)) - want) <= 1e-12
-
-
-def test_loss_identity_with_objective(rng):
-    for _ in range(20):
-        P = random_stepfn(rng)
-        x_star = float(rng.uniform(0, 1))
-        for x in rng.uniform(0, 1, size=5):
-            lhs = loss_L(P, x_star, float(x))
-            rhs = ru_objective(P, x_star) - ru_objective(P, float(x))
-            assert abs(lhs - rhs) <= 1e-12
+        assert abs(-ru_objective(P, float(x)) - want) <= 1e-12
 
 
 # -------------------------------------------------------- step_approximate
