@@ -14,9 +14,10 @@ Subcommands:
 Game files hold either a bare step function {"base": v, "steps": [...]}
 or a wrapped {"P": ..., "provenance": ...} document.  All numbers print
 with 12 significant digits.  A game or config file that cannot be read
-or parsed ends the command with one ``netcoord <cmd>: cannot read`` line
-on stderr and exit code 2; ``-v`` logs each ``lattice-analyze``
-replication's stage times to stderr.
+or parsed, or whose game or network cannot be built, ends the command
+with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
+so does a bad ``SIM_WORKERS`` for ``simulate``, with its own line.
+``-v`` logs each ``lattice-analyze`` replication's stage times to stderr.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import cube_report, good_set_search, report_to_csv
 from .dynamics import enumerate_equilibria, extremal_equilibria
 from .game import sample_shocks
-from .harness import ExperimentConfig, _cube_params, _fmt, build_game, build_network, run_experiment
+from .harness import ExperimentConfig, _cube_params, _fmt, _worker_count, build_game, build_network, run_experiment
 from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
 log = logging.getLogger("netcoord")
 
 
-class _Unreadable(Exception):
-    """An input file that could not be read or parsed; ``main`` reports it."""
+class _BadInput(Exception):
+    """An input file or setting the command cannot use; ``main`` reports it."""
 
 
 def _load(path, fn, arg):
@@ -49,7 +50,7 @@ def _load(path, fn, arg):
     try:
         return fn(arg)
     except (OSError, ValueError) as e:
-        raise _Unreadable(f"cannot read {path}: {e}") from e
+        raise _BadInput(f"cannot read {path}: {e}") from e
 
 
 def _cmd_ru_dominant(args) -> int:
@@ -88,6 +89,11 @@ def _cmd_wave(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     _load(cfg.game.get("file", args.config), build_game, cfg.game)
+    _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
+    try:
+        _worker_count()
+    except ValueError as e:
+        raise _BadInput(str(e)) from e
     if cfg.output is None:
         cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
     out = run_experiment(cfg)
@@ -99,6 +105,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_lattice_analyze(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
+    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
+    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
     if "lattice" not in cfg.network:
         print("lattice-analyze needs a lattice network", file=sys.stderr)
         return 2
@@ -106,8 +114,6 @@ def _cmd_lattice_analyze(args) -> int:
         print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
         return 2
     part, gamma, R = _cube_params(cfg)
-    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    g = build_network(cfg.network)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(cfg.replications):
@@ -138,7 +144,7 @@ def _cmd_lattice_analyze(args) -> int:
 def _cmd_enumerate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    g = build_network(cfg.network)
+    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
     for rep in range(cfg.replications):
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
         for tie in ("upper", "lower"):
@@ -190,7 +196,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except _Unreadable as e:
+    except _BadInput as e:
         print(f"netcoord {args.command}: {e}", file=sys.stderr)
         return 2
 

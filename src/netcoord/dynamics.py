@@ -5,9 +5,9 @@ Two layers of dynamics are provided:
 * ``upper_dynamics`` / ``lower_dynamics``: asynchronous one-flip-per-step
   processes that revise the minimum-index agent whose best response
   disagrees with her action (upward under the upper tie rule, downward
-  under the lower one).  They record a full ``DynamicsTrace`` with
-  per-step capacities and are the objects audited against the capacity
-  inequality.
+  under the lower one).  Their ``DynamicsTrace`` is the flip order: the
+  agents in the order they flipped and each one's beta just before its
+  flip, which is all that the capacity checks below replay.
 * ``upper_closure`` / ``lower_closure``: synchronous, vectorized monotone
   iterations with the same limits (order independence), used where only
   the final profile matters.
@@ -29,13 +29,13 @@ inequality
 with A the cross term accumulated along the trace.
 
 The dynamics and the audit replay a path through one flip state,
-``_FlipState``: a flip of agent i moves beta, p = P(beta) and q = Wp
-only on J = N(i).  With dp = p' - p on J and q' = q + W dp,
+``_FlipState``: a flip of agent i moves beta (and, in the audit, p =
+P(beta) and q = Wp) only on J = N(i).  With dp = p' - p on J and
+q' = q + W dp, the audit's cross term grows by
 
-    Delta F = dp . [(g_J p - q) + (g_J p' - q')]     (exact change of F),
     Delta A = dp . [(g_J beta - q) + (g_J beta' - q')],
 
-restricted to J; one helper, ``_increment``, evaluates both.
+restricted to J.
 
 A single dynamics run is strictly sequential (asynchronous revisions);
 distinct replications run concurrently with no shared mutable state,
@@ -47,7 +47,6 @@ agent, see ``game``).
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,7 +56,6 @@ from .network import Network, fineness, is_pure, neighborhood_fractions
 from .stepfn import StepFn, _ru_objective_at
 
 __all__ = [
-    "TraceStep",
     "DynamicsTrace",
     "BoundAudit",
     "is_equilibrium",
@@ -74,18 +72,12 @@ __all__ = [
     "capacity_decrement_check",
 ]
 
-@dataclass(frozen=True)
-class TraceStep:
-    t: int
-    agent: int
-    beta_before: float
-    capacity_simple: float
-    capacity: float
-
-
 @dataclass
 class DynamicsTrace:
-    steps: list[TraceStep]
+    """Flip order of an async run: agents[k] flipped at step k, when its beta was beta_before[k]."""
+
+    agents: np.ndarray  # int64
+    beta_before: np.ndarray
     initial_profile: np.ndarray
     final_profile: np.ndarray
     stop_reason: str  # "fixed_point" | "step_limit"
@@ -93,7 +85,7 @@ class DynamicsTrace:
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return self.agents.size
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,8 @@ class _FlipState:
     """Profile a with beta = Wa/g and, given P, p = P(beta) and q = Wp.
 
     ``flip`` is the one place where a single revision updates these
-    arrays; the async dynamics and the bound audit both replay their
-    paths through it.
+    arrays; the async dynamics (without P) and the bound audit (with P)
+    both replay their paths through it.
     """
 
     def __init__(self, g: Network, a: np.ndarray, P: StepFn | None):
@@ -202,23 +194,7 @@ class _FlipState:
         return J, beta_old, dp, q_old
 
 
-def _increment(g_J: np.ndarray, x_old, x_new, q_old, q_new, dp: np.ndarray) -> float:
-    """dp . [(g x_old - q_old) + (g x_new - q_new)] over J.
-
-    With x = p and q' = q + W dp this is the exact change of F(p); with
-    x = beta it is the audit's cross-term increment.
-    """
-    return float(np.dot(dp, (g_J * x_old - q_old) + (g_J * x_new - q_new)))
-
-
-def _async_dynamics(
-    g: Network,
-    t: np.ndarray,
-    a0: np.ndarray,
-    step_limit: int | None,
-    direction: str,
-    P: StepFn | None,
-) -> DynamicsTrace:
+def _async_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None, direction: str) -> DynamicsTrace:
     t = _thresholds(t, g.n)
     a = np.asarray(a0, dtype=float).copy()
     if not is_pure(a):
@@ -227,10 +203,7 @@ def _async_dynamics(
         step_limit = 4 * g.n
     up = direction == "upper"
     target = 1.0 if up else 0.0
-    deg = g.degrees
-    state = _FlipState(g, a, P)
-    F0 = capacity_simple(g, a)
-    F = math.nan if P is None else state.capacity()
+    state = _FlipState(g, a, None)
 
     def movers(J):
         return (a[J] != target) & (best_response_array(t[J], state.beta[J], direction) == target)
@@ -239,56 +212,34 @@ def _async_dynamics(
     heap = list(np.flatnonzero(in_heap))
     heapq.heapify(heap)
 
-    steps: list[TraceStep] = []
-    stop_reason = "fixed_point"
-    step_idx = 0
-    while heap:
-        if step_idx >= step_limit:
-            stop_reason = "step_limit"
-            break
+    agents, beta_before = [], []
+    while heap and len(agents) < step_limit:
         i = int(heapq.heappop(heap))
-        beta_before = float(state.beta[i])
-        J, _, dp, q_old = state.flip(i, up)
-        F0 += (1.0 if up else -1.0) * deg[i] * (1.0 - 2.0 * beta_before)
-        if dp is not None:
-            p_new = state.p[J]
-            F += _increment(deg[J], p_new - dp, p_new, q_old, state.q[J], dp)
-        steps.append(TraceStep(step_idx, i, beta_before, F0, F))
+        agents.append(i)
+        beta_before.append(state.beta[i])
+        J = state.flip(i, up)[0]
         # Newly flippable neighbors; flippability is monotone along the path.
         newly = J[movers(J) & ~in_heap[J]]
         for j in newly:
             heapq.heappush(heap, int(j))
         in_heap[newly] = True
-        step_idx += 1
-    return DynamicsTrace(steps=steps, initial_profile=np.asarray(a0, dtype=float).copy(), final_profile=a,
-                         stop_reason=stop_reason, direction=direction)
+    return DynamicsTrace(np.array(agents, dtype=np.int64), np.array(beta_before, dtype=float),
+                         initial_profile=np.asarray(a0, dtype=float).copy(), final_profile=a,
+                         stop_reason="step_limit" if heap else "fixed_point", direction=direction)
 
 
-def upper_dynamics(
-    g: Network,
-    t: np.ndarray,
-    a0: np.ndarray,
-    step_limit: int | None = None,
-    P: StepFn | None = None,
-) -> DynamicsTrace:
+def upper_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None = None) -> DynamicsTrace:
     """Flip the minimum-index agent with action 0 and upper best response 1.
 
     Terminates in at most n flips; the final profile has no agent who
-    wants to move up, and is independent of the revision order.  Pass P
-    to record the real capacity F alongside F0 in the trace.
+    wants to move up, and is independent of the revision order.
     """
-    return _async_dynamics(g, t, a0, step_limit, "upper", P)
+    return _async_dynamics(g, t, a0, step_limit, "upper")
 
 
-def lower_dynamics(
-    g: Network,
-    t: np.ndarray,
-    a0: np.ndarray,
-    step_limit: int | None = None,
-    P: StepFn | None = None,
-) -> DynamicsTrace:
+def lower_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None = None) -> DynamicsTrace:
     """Mirror image: flips agents playing 1 whose lower best response is 0."""
-    return _async_dynamics(g, t, a0, step_limit, "lower", P)
+    return _async_dynamics(g, t, a0, step_limit, "lower")
 
 
 def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -427,15 +378,15 @@ def audit_main_bound(
     beta0 = state.beta.copy()
     capacity0 = state.capacity()
     A = 0.0
-    for step in trace.steps:
-        i = step.agent
+    for i in trace.agents.tolist():
         if not (0 <= i < g.n) or state.a[i] != 0.0:
             raise ValueError("trace replay mismatch: invalid flip")
         J, beta_old, dp, q_old = state.flip(i, up=True)
         # sum_j g_ij (a_j - p_j) = g_i beta_i - (W p)_i at both s = t and
         # s = t+1; the increment is zero when no p_j moves.
         if dp is not None:
-            A += _increment(deg[J], beta_old, state.beta[J], q_old, state.q[J], dp)
+            g_J = deg[J]
+            A += float(np.dot(dp, (g_J * beta_old - q_old) + (g_J * state.beta[J] - state.q[J])))
     p = state.p
     # lhs: expected actions take values in P's range; L(x*, v) = objective
     # at x* minus objective at v, over the unique values in one call.
@@ -464,10 +415,6 @@ def capacity_decrement_check(g: Network, t: np.ndarray, trace: DynamicsTrace) ->
         raise ValueError("the decrement argument needs alpha > 1/2")
     if trace.direction != "upper":
         raise ValueError("capacity_decrement_check expects an upper trace")
-    deg = g.degrees
-    for step in trace.steps:
-        d_f0 = deg[step.agent] * (1.0 - 2.0 * step.beta_before)
-        if d_f0 > deg[step.agent] * (1.0 - 2.0 * alpha) + 1e-9:
-            return False
-    return True
+    d = g.degrees[trace.agents]
+    return bool(np.all(d * (1.0 - 2.0 * trace.beta_before) <= d * (1.0 - 2.0 * alpha) + 1e-9))
 

@@ -78,8 +78,8 @@ _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
 _CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
 _GAME_KINDS = ("step_json", "additive", "file")
 _NETWORK_KINDS = ("complete", "copies", "lattice", "file")
-# ExperimentConfig.from_dict coerces these fields and takes the others as given.
-_COERCE = {"replications": int, "seed": int, "eta": float, "probes": tuple, "stability_gamma": float}
+# ExperimentConfig.from_dict reads these fields as numbers of this type and takes the others as given.
+_NUMBERS = {"replications": int, "seed": int, "eta": float, "stability_gamma": float, "stability_radius": float}
 
 
 def _sig12(x):
@@ -107,6 +107,22 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _number(name: str, v, kind=float):
+    """v as kind; a bool, a non-number, or a non-integral value for an int, is a ValueError."""
+    wrong_type = isinstance(v, bool) or not isinstance(v, (int, float))
+    if wrong_type or (kind is int and isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {v!r}")
+    return kind(v)
+
+
+def _param(spec: dict, section: str, key: str, kind=float, default=None):
+    """spec[section][key] as a number of kind; default (if any) when the key is missing."""
+    params = spec[section]
+    if not isinstance(params, dict) or (default is None and key not in params):
+        raise ValueError(f"{section} must be an object with the key {key!r}, got {params!r}")
+    return _number(f"{section}.{key}", params.get(key, default), kind)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     game: dict
@@ -124,6 +140,8 @@ class ExperimentConfig:
         for name, spec, kinds in (("game", self.game, _GAME_KINDS), ("network", self.network, _NETWORK_KINDS)):
             if not (isinstance(spec, dict) and set(spec) & set(kinds)):
                 raise ValueError(f"{name} must be an object naming one of: {', '.join(kinds)}")
+            if not isinstance(spec.get("file", ""), str):
+                raise ValueError(f"{name}.file must be a path, got {spec['file']!r}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (0.0 < self.eta <= 0.5):
@@ -170,7 +188,17 @@ class ExperimentConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
         if missing:
             raise ValueError(f"config needs the keys: {missing}")
-        return cls(**{k: _COERCE.get(k, lambda v: v)(v) for k, v in doc.items()})
+        kw = dict(doc)
+        for k in _NUMBERS.keys() & kw.keys():
+            if not (k == "stability_radius" and kw[k] is None):
+                kw[k] = _number(k, kw[k], _NUMBERS[k])
+        if "probes" in kw:
+            if not (isinstance(kw["probes"], (list, tuple)) and all(isinstance(p, str) for p in kw["probes"])):
+                raise ValueError(f"probes must be a list of names, got {kw['probes']!r}")
+            kw["probes"] = tuple(kw["probes"])
+        if not (kw.get("output") is None or isinstance(kw["output"], str)):
+            raise ValueError(f"output must be a path, got {kw['output']!r}")
+        return cls(**kw)
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -189,7 +217,7 @@ class ReplicationResult:
 
 def _dist_from_doc(doc: dict) -> StepFn:
     """P from a wrapped {"P": ..., "provenance": ...} document or a bare step function."""
-    return StepFn.from_json_dict(doc["P"] if "P" in doc else doc)
+    return StepFn.from_json_dict(doc["P"] if isinstance(doc, dict) and "P" in doc else doc)
 
 
 def build_game(spec: dict) -> StepFn:
@@ -197,32 +225,32 @@ def build_game(spec: dict) -> StepFn:
     if "step_json" in spec:
         return _dist_from_doc(spec["step_json"])
     if "additive" in spec:
+        alpha, lam = _param(spec, "additive", "alpha"), _param(spec, "additive", "lambda")
         a = spec["additive"]
-        shock = a.get("shock", "uniform")
-        if shock == "uniform":
-            cdf = uniform_shock_cdf(*a.get("support", (-0.5, 0.5)))
-        else:
+        shock, support = a.get("shock", "uniform"), a.get("support", (-0.5, 0.5))
+        if shock != "uniform":
             raise ValueError(f"unknown shock family {shock!r}")
-        return additive_game(
-            alpha=float(a["alpha"]),
-            lam=float(a["lambda"]),
-            shock_cdf=cdf,
-            max_step=float(a.get("max_step", 0.005)),
-        )
+        if not (isinstance(support, (list, tuple)) and len(support) == 2):
+            raise ValueError(f"additive.support must be a pair [lo, hi], got {support!r}")
+        cdf = uniform_shock_cdf(*(_number("additive.support", v) for v in support))
+        max_step = _param(spec, "additive", "max_step", default=0.005)
+        return additive_game(alpha=alpha, lam=lam, shock_cdf=cdf, max_step=max_step)
     if "file" in spec:
         return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
     raise ValueError(f"game spec needs one of: {', '.join(_GAME_KINDS)}")
 
 
+def _lattice_spec(spec: dict) -> LatticeSpec:
+    return LatticeSpec(M=_param(spec, "lattice", "M", int), m=_param(spec, "lattice", "m", int))
+
+
 def build_network(spec: dict) -> Network:
     if "complete" in spec:
-        return complete_graph(int(spec["complete"]["n"]))
+        return complete_graph(_param(spec, "complete", "n", int))
     if "copies" in spec:
-        c = spec["copies"]
-        return disjoint_copies(complete_graph(int(c["n"])), int(c["k"]))
+        return disjoint_copies(complete_graph(_param(spec, "copies", "n", int)), _param(spec, "copies", "k", int))
     if "lattice" in spec:
-        l = spec["lattice"]
-        return lattice(LatticeSpec(M=int(l["M"]), m=int(l["m"])))
+        return lattice(_lattice_spec(spec))
     if "file" in spec:
         return load_edgelist(spec["file"])
     raise ValueError(f"network spec needs one of: {', '.join(_NETWORK_KINDS)}")
@@ -235,8 +263,8 @@ def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> 
 
 def _cube_params(cfg: ExperimentConfig) -> tuple[CubePartition, float, float]:
     """Cube partition of the lattice, gamma (default eta) and R (default 2.0)."""
-    c, lat = cfg.cubes, cfg.network["lattice"]
-    part = partition(LatticeSpec(M=int(lat["M"]), m=int(lat["m"])), b=int(c["b"]), B=int(c["B"]))
+    c = cfg.cubes
+    part = partition(_lattice_spec(cfg.network), b=int(c["b"]), B=int(c["B"]))
     return part, float(c.get("gamma", cfg.eta)), float(c.get("R", 2.0))
 
 
@@ -461,7 +489,7 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     """
     if "lattice" not in cfg.network:
         raise ValueError("probe_theorem3 needs a lattice network")
-    M = int(cfg.network["lattice"]["M"])
+    M = _lattice_spec(cfg.network).M
     P = build_game(cfg.game)
     maximizers, strict = ru_dominant(P)
     x_star = maximizers[0] if strict else None

@@ -72,6 +72,8 @@ class Network:
         if validate:
             if W.shape[0] != W.shape[1]:
                 raise ValueError("weight matrix must be square")
+            if not np.isfinite(W.data).all():
+                raise ValueError("weights must be finite")
             if W.diagonal().any():
                 raise ValueError("self-loops are not allowed (g_ii = 0)")
             asym = abs(W - W.T)
@@ -256,8 +258,8 @@ def save_edgelist(g: Network, path) -> None:
 
 def load_edgelist(path) -> Network:
     lines = Path(path).read_text().strip().splitlines()
-    head = lines[0].split()
-    if head[0] != "n":
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "n":
         raise ValueError("edge list must start with a 'n <count>' header")
     n = int(head[1])
     rows, cols, data = [], [], []
@@ -266,6 +268,8 @@ def load_edgelist(path) -> Network:
             continue
         i, j, w = line.split()
         i, j, w = int(i), int(j), float(w)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge list node id out of range [0, {n}): {line!r}")
         rows += [i, j]
         cols += [j, i]
         data += [w, w]

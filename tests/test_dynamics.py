@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from netcoord.dynamics import (
+    DynamicsTrace,
     _FlipState,
     audit_main_bound,
     capacity,
@@ -106,7 +107,7 @@ def test_upper_dynamics_single_flip():
     g = two_node()
     tr = upper_dynamics(g, shocks_of([0.4, 0.6]), np.array([1.0, 0.0]))
     assert tr.n_steps == 1
-    assert tr.steps[0].agent == 1
+    assert tr.agents.tolist() == [1]
     assert np.array_equal(tr.final_profile, [1.0, 1.0])
 
 
@@ -137,8 +138,8 @@ def test_upper_dynamics_monotone_beta(rng):
 
     a = a0.copy()
     beta_prev = neighborhood_fractions(g, a)
-    for step in tr.steps:
-        a[step.agent] = 1.0
+    for i in tr.agents:
+        a[i] = 1.0
         beta_now = neighborhood_fractions(g, a)
         assert np.all(beta_now >= beta_prev - 1e-12)
         assert np.max(np.abs(beta_now - beta_prev)) <= fineness(g) + 1e-12
@@ -403,71 +404,60 @@ def test_capacity_equals_simple_on_pure(rng):
         assert abs(capacity(g, a) - capacity_simple(g, a)) <= 1e-12
 
 
-def test_trace_capacities_match_recomputation(rng):
-    for _ in range(20):
-        g, P, shocks = random_instance(rng, n_max=8)
-        a0 = (rng.random(g.n) < 0.3).astype(float)
-        tr = upper_dynamics(g, shocks, a0, P=P)
-        a = a0.copy()
-        for step in tr.steps:
-            a[step.agent] = 1.0
-            assert abs(step.capacity_simple - capacity_simple(g, a)) <= 1e-9
-            beta = neighborhood_fractions(g, a)
-            assert abs(step.capacity - capacity(g, P.eval_array(beta))) <= 1e-9
-
-
 @pytest.fixture(scope="module")
 def thousand_flips():
     """Three-point game on the (120,2)-lattice: 903 upper flips from the
     x*-profile, then the lower dynamics back down.  Each trace is replayed
-    with from-scratch beta, p = P(beta) and q = Wp per step, giving F0,
-    F = sum g p^2 - p.q and the brute-force cross term
+    with from-scratch beta, p = P(beta) and q = Wp per step, giving each
+    flipper's beta before its flip and the brute-force cross term
     A = sum_t dp . [(g beta - q)_t + (g beta - q)_{t+1}]."""
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     x_star = ru_dominant(P)[0][0]
     g = lattice(LatticeSpec(M=120, m=2))
     shocks = sample_shocks(P, g.n, seed=0, stream=0)
     a0 = initial_profile(P, x_star, shocks, seed=0)
-    up = upper_dynamics(g, shocks, a0, P=P)
-    down = lower_dynamics(g, shocks, up.final_profile, P=P)
+    up = upper_dynamics(g, shocks, a0)
+    down = lower_dynamics(g, shocks, up.final_profile)
 
     def replay(trace, value):
         a = trace.initial_profile.copy()
-        F0s, Fs, A = [], [], 0.0
+        before, A = [], 0.0
         for k in range(trace.n_steps + 1):
             if k:
-                a[trace.steps[k - 1].agent] = value
+                a[trace.agents[k - 1]] = value
             beta = neighborhood_fractions(g, a)
             p = P.eval_array(beta)
             q = g.weights @ p
-            F0s.append(capacity_simple(g, a))
-            Fs.append(float(np.dot(g.degrees, p * p) - np.dot(p, q)))
             if k:
                 A += float(np.dot(p - p_t, (g.degrees * beta_t - q_t) + (g.degrees * beta - q)))
-            else:
-                assert abs(Fs[0] - capacity(g, p)) <= 1e-9
+            if k < trace.n_steps:
+                before.append(beta[trace.agents[k]])
             beta_t, p_t, q_t = beta, p, q
-        return trace, F0s, Fs, A
+        return trace, np.array(before), A
 
     return g, P, x_star, shocks, replay(up, 1.0), replay(down, 0.0)
 
 
 def test_capacities_and_audit_over_a_thousand_flips(thousand_flips):
-    g, P, x_star, shocks, (up, _, up_F, up_A), (down, _, _, _) = thousand_flips
+    # F0 moves by +-g_i (1 - 2 beta_i) per flip, the identity the
+    # decrement check reads off the trace; the audit's F(p^0) and A
+    # match from-scratch values.
+    g, P, x_star, shocks, (up, _, up_A), (down, _, _) = thousand_flips
     assert up.n_steps == 903 and down.n_steps > 0
-    for trace, F0s, _, _ in thousand_flips[4:]:
-        for step, F0 in zip(trace.steps, F0s[1:]):
-            assert abs(step.capacity_simple - F0) <= 1e-9
-    assert abs(up.steps[-1].capacity - up_F[-1]) <= 1e-9
+    for trace, sign in ((up, 1.0), (down, -1.0)):
+        d_f0 = sign * g.degrees[trace.agents] * (1.0 - 2.0 * trace.beta_before)
+        F0 = capacity_simple(g, trace.initial_profile) + d_f0.sum()
+        assert capacity_simple(g, trace.final_profile) == pytest.approx(F0, abs=1e-9)
     audit = audit_main_bound(g, shocks, P, x_star, up)
+    p0 = P.eval_array(neighborhood_fractions(g, up.initial_profile))
+    assert audit.capacity0 == pytest.approx(capacity(g, p0), abs=1e-9)
     assert audit.cross_term_A == pytest.approx(up_A, abs=1e-9)
 
 
 def test_async_dynamics_follow_exact_fractions(thousand_flips):
-    g, P, x_star, shocks, _, (down, _, _, _) = thousand_flips
-    for trace, _, Fs, _ in thousand_flips[4:]:
-        for step, F in zip(trace.steps, Fs[1:]):
-            assert abs(step.capacity - F) <= 1e-9
+    g, P, x_star, shocks, _, (down, _, _) = thousand_flips
+    for trace, before, _ in thousand_flips[4:]:
+        assert np.array_equal(trace.beta_before, before)
     assert is_equilibrium(g, shocks, down.final_profile, "lower")
 
 
@@ -498,7 +488,7 @@ def test_audit_zero_step_trace():
     P = StepFn(base=0.3, steps=((0.5, 0.7),))
     shocks = shocks_of([0.5, 0.5])
     a0 = initial_profile(P, 0.5, shocks, seed=3)
-    tr = upper_dynamics(g, shocks, a0, P=P)
+    tr = upper_dynamics(g, shocks, a0)
     audit = audit_main_bound(g, shocks, P, 0.5, tr)
     assert audit.satisfied
     assert audit.cross_term_A == 0.0 or tr.n_steps > 0
@@ -512,8 +502,8 @@ def test_audit_two_node_hand_replay():
     x_star = 0.5
     shocks = shocks_of([0.4, 0.6])
     a0 = np.array([1.0, 0.0])
-    tr = upper_dynamics(g, shocks, a0, P=P)
-    assert tr.n_steps == 1 and tr.steps[0].agent == 1
+    tr = upper_dynamics(g, shocks, a0)
+    assert tr.agents.tolist() == [1]
     audit = audit_main_bound(g, shocks, P, x_star, tr)
     # Hand replay: beta^0 = (0, 1), p^0 = (P(0), P(1)) = (0.3, 0.7).
     # F(p0) = (0.3 - 0.7)^2 = 0.16.
@@ -559,9 +549,30 @@ def test_audit_random_lattice_runs(rng):
             continue
         shocks = sample_shocks(P, g.n, seed=1000 + k)
         a0 = initial_profile(P, x_star, shocks, seed=k)
-        tr = upper_dynamics(g, shocks, a0, P=P)
+        tr = upper_dynamics(g, shocks, a0)
         audit = audit_main_bound(g, shocks, P, x_star, tr)
         assert audit.satisfied
+
+
+def test_audit_rejects_a_trace_it_cannot_replay():
+    g, P = complete_graph(4), StepFn(base=0.3, steps=((0.5, 0.7),))
+    t = shocks_of([0.2, 0.4, 0.6, 0.8])
+
+    def trace(agents, direction="upper", a0=np.zeros(4)):
+        agents = np.array(agents, dtype=np.int64)
+        return DynamicsTrace(agents, np.zeros(agents.size), a0, a0, "fixed_point", direction)
+
+    assert audit_main_bound(g, t, P, 0.5, trace([0, 1, 2, 3])).satisfied
+    cases = [
+        (trace([0, 4]), "trace replay mismatch"),  # out of range
+        (trace([0, -1]), "trace replay mismatch"),  # would wrap as an index
+        (trace([1, 0, 1]), "trace replay mismatch"),  # flipped twice
+        (lower_dynamics(g, t, np.ones(4)), "upper dynamics traces"),
+        (trace([0], a0=np.zeros(5)), "does not match the network size"),
+    ]
+    for tr, match in cases:
+        with pytest.raises(ValueError, match=match):
+            audit_main_bound(g, t, P, 0.5, tr)
 
 
 # ----------------------------------------------------- capacity decrement
@@ -585,9 +596,9 @@ def test_decrement_boundary_flip():
     tr = upper_dynamics(g, s, a0)
     assert tr.n_steps > 0
     assert capacity_decrement_check(g, s, tr)
-    first = tr.steps[0]
-    d_f0 = g.degrees[first.agent] * (1.0 - 2.0 * first.beta_before)
-    assert d_f0 == pytest.approx(-(2 * alpha - 1) * g.degrees[first.agent], abs=1e-12)
+    first, beta = tr.agents[0], tr.beta_before[0]
+    d_f0 = g.degrees[first] * (1.0 - 2.0 * beta)
+    assert d_f0 == pytest.approx(-(2 * alpha - 1) * g.degrees[first], abs=1e-12)
 
 
 def test_decrement_many_lattice_runs(rng):

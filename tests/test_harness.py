@@ -134,11 +134,53 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
         "output": str(tmp_path / "out"),
     }
     path = tmp_path / "cfg.json"
-    for change in ({"game": 5}, {"network": [1]}, {"cubes": 5}, {"cubes": {"B": 6}}, {"cubes": {"b": 5, "B": 6}}):
+    empty, far = tmp_path / "empty.edges", tmp_path / "far.edges"
+    empty.write_text("")
+    far.write_text("n 3\n0 1 1.0\n1 3 1.0\n")
+    changes = [{"game": 5}, {"network": [1]}, {"cubes": 5}, {"cubes": {"B": 6}}, {"cubes": {"b": 5, "B": 6}}]
+    changes += [{"network": {"lattice": {"M": 6}}}, {"network": {"complete": {"n": 1}}}]
+    changes += [{"network": {"lattice": {"M": 6, "m": 3}}}]  # M < 3m
+    changes += [{"network": {"file": str(f)}} for f in (tmp_path / "missing.edges", empty, far)]
+    changes += [{"game": {"additive": {}}}, {"game": {"additive": 5}}, {"game": {"step_json": {"steps": []}}}]
+    changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}}, {"network": {"file": 5}}]
+    for change in changes:
         path.write_text(json.dumps({**base, **change}))
         assert cli_main([command, str(path)]) == 2, change
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"netcoord {command}: cannot read {path}: "), err
+        net = change.get("network")
+        where = net["file"] if isinstance(net, dict) and isinstance(net.get("file"), str) else path
+        assert len(err) == 1 and err[0].startswith(f"netcoord {command}: cannot read {where}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("replications", 2.7), ("seed", True), ("eta", None), ("probes", 5), ("stability_radius", "0.1")],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    doc = {**small_cfg(output=str(tmp_path / "out")).to_dict(), key: value}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(doc)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"netcoord simulate: cannot read {path}: {key}"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_reads_integral_numbers_as_integers():
+    cfg = ExperimentConfig.from_dict({**small_cfg().to_dict(), "seed": 3.0, "replications": 2.0, "stability_gamma": 0})
+    assert (cfg.seed, cfg.replications, cfg.stability_gamma) == (3, 2, 0.0)
+    assert (type(cfg.seed), type(cfg.replications), type(cfg.stability_gamma)) == (int, int, float)
+
+
+def test_cli_simulate_rejects_bad_sim_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIM_WORKERS", "abc")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_cfg(output=str(tmp_path / "out")).to_dict()))
+    assert cli_main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["netcoord simulate: SIM_WORKERS must be an integer, got 'abc'"]
     assert not (tmp_path / "out").exists()
 
 

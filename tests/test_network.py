@@ -282,6 +282,18 @@ def test_edgelist_round_trip(tmp_path, rng):
     assert p.read_text().startswith("n 9\n")
 
 
+def test_network_rejects_non_finite_weights(tmp_path):
+    for bad in (np.nan, np.inf):
+        W = np.ones((3, 3)) - np.eye(3)
+        W[0, 1] = W[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Network.from_weights(sp.csr_matrix(W))
+    p = tmp_path / "g.edges"
+    p.write_text("n 3\n0 1 1.0\n1 2 nan\n0 2 1.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_edgelist(p)
+
+
 def test_network_validation():
     W = np.zeros((3, 3))
     W[0, 1] = 1.0  # asymmetric
