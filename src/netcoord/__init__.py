@@ -50,7 +50,6 @@ from .dynamics import (
 )
 from .contagion import (
     lens_f0,
-    front_f,
     WaveSolution,
     solve_wave,
     ContagionWave,
@@ -58,7 +57,6 @@ from .contagion import (
 )
 from .cubes import (
     CubePartition,
-    partition,
     classify_bad,
     extraordinary_cubes,
     good_set_search,

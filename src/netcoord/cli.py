@@ -113,7 +113,7 @@ def _cmd_lattice_analyze(args) -> int:
     if not cfg.cubes:
         print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
         return 2
-    part, gamma, R = _cube_params(cfg)
+    part, gamma, R, _ = _cube_params(cfg)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(cfg.replications):

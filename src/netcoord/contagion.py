@@ -5,10 +5,9 @@ neighborhood on the plane lies behind a front:
 
 * ``lens_f0(d, r1, r2)``: area of the intersection of two discs (radii
   r1, r2, centers d apart) divided by pi;
-* ``front_f(x)``: the limit profile of a straight front, the unit-disc
-  segment of height 1 + x over pi.  It is "balanced": f(-1) = 0 and
-  f(x) + f(-x) = 1.  ``front_f_array`` is its vectorized form, the one
-  the wave evaluator F(x|v) uses.
+* ``front_f_array(x)``: the limit profile f of a straight front at each
+  x, the unit-disc segment of height 1 + x over pi.  It is "balanced":
+  f(-1) = 0 and f(x) + f(-x) = 1.  The wave evaluator F(x|v) uses it.
 
 ``solve_wave`` computes step thresholds 0 = v_0 < v_1 < ... < v_L for
 the steps and inverse positions of a step game via the monotone
@@ -35,7 +34,6 @@ from .stepfn import StepFn, _dominance_integral, _ru_objective_at, ru_dominant
 
 __all__ = [
     "lens_f0",
-    "front_f",
     "front_f_array",
     "WaveSolution",
     "solve_wave",
@@ -89,16 +87,8 @@ def lens_f0(d: float, r1: float, r2: float) -> float:
     return area / math.pi
 
 
-def front_f(x: float) -> float:
-    """Balanced front profile: unit-disc segment of height 1 + x over pi."""
-    if x <= -1.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return (math.acos(-x) + x * math.sqrt(1.0 - x * x)) / math.pi
-
-
 def front_f_array(x: np.ndarray) -> np.ndarray:
+    """Balanced front profile at each x: unit-disc segment of height 1 + x over pi."""
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -1.0, 1.0)
     out = (np.arccos(-xc) + xc * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))) / math.pi

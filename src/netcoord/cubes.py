@@ -24,7 +24,7 @@ Per-cube neighborhood fractions beta(c) average the lattice network's
 own ``neighborhood_fractions`` (its torus stencil, no CSR matrix).
 Node distances are the torus Euclidean metric scaled by 1/m; set
 distances are minima over node pairs, computed with an exact Euclidean
-distance transform on a 3x3 tiling of the torus.
+distance transform of the grid wrap-padded by half its side.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "CubePartition",
     "CubeReport",
     "GoodSet",
-    "partition",
     "r_interior",
     "classify_bad",
     "extraordinary_cubes",
@@ -93,10 +92,6 @@ class CubePartition:
     def n_small(self) -> int:
         return self.small_side**2
 
-    @property
-    def n_large(self) -> int:
-        return self.large_side**2
-
     def node_grid(self, values: np.ndarray) -> np.ndarray:
         """View a per-node array (index x*M + y) as an (M, M) grid."""
         values = np.asarray(values)
@@ -104,24 +99,9 @@ class CubePartition:
             raise ValueError("array size does not match the lattice")
         return values.reshape(self.M, self.M)
 
-    def small_cube_of_node(self, node: int) -> int:
-        x, y = divmod(int(node), self.M)
-        return (x // self.b) * self.small_side + (y // self.b)
-
-    def nodes_of_small(self, cube: int) -> np.ndarray:
-        cx, cy = divmod(int(cube), self.small_side)
-        xs = np.arange(cx * self.b, (cx + 1) * self.b)
-        ys = np.arange(cy * self.b, (cy + 1) * self.b)
-        return (xs[:, None] * self.M + ys[None, :]).ravel()
-
     def cube_grid(self, per_cube: np.ndarray) -> np.ndarray:
         per_cube = np.asarray(per_cube)
         return per_cube.reshape(self.small_side, self.small_side)
-
-
-def partition(spec: LatticeSpec, b: int, B: int) -> CubePartition:
-    """Exact partition; every node lies in one small and one large cube."""
-    return CubePartition(spec=spec, b=b, B=B)
 
 
 def cube_means(part: CubePartition, values: np.ndarray) -> np.ndarray:
@@ -170,13 +150,16 @@ def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
 
 
 def _torus_edt(source_mask: np.ndarray) -> np.ndarray:
-    """Exact Euclidean node distance to the nearest True cell on the torus."""
+    """Exact Euclidean node distance to the nearest True cell on the torus.
+
+    The nearest torus image of a cell lies within M/2 of it on each axis,
+    so padding by ceil(M/2) keeps every image that can be nearest.
+    """
     if not source_mask.any():
         return np.full(source_mask.shape, np.inf)
-    tiled = np.tile(source_mask, (3, 3))
-    dist = ndimage.distance_transform_edt(~tiled)
-    M = source_mask.shape[0]
-    return dist[M : 2 * M, M : 2 * M]
+    M, pad = source_mask.shape[0], (source_mask.shape[0] + 1) // 2
+    dist = ndimage.distance_transform_edt(~np.pad(source_mask, pad, mode="wrap"))
+    return dist[pad : pad + M, pad : pad + M]
 
 
 def _cube_distance(part: CubePartition, cubes: np.ndarray) -> np.ndarray:
@@ -213,13 +196,6 @@ def _largest_component(mask_grid: np.ndarray) -> np.ndarray:
             root = root[root]
     comp = root[labels]
     return mask_grid & (comp == np.argmax(np.bincount(comp[mask_grid], minlength=1)))
-
-
-def _is_connected(mask_grid: np.ndarray) -> bool:
-    total = int(mask_grid.sum())
-    if total == 0:
-        return False
-    return int(_largest_component(mask_grid).sum()) == total
 
 
 @dataclass(frozen=True)
@@ -280,8 +256,8 @@ def good_set_search(
     conditions: dict[str, bool] = {}
     # (a) coverage.
     conditions["a"] = bool(W.sum() * part.b**2 >= (1.0 - gamma) * part.M**2)
-    # (b) connectivity in the small-cube network.
-    conditions["b"] = _is_connected(part.cube_grid(W))
+    # (b) connectivity in the small-cube network: W is its largest component.
+    conditions["b"] = np.array_equal(_largest_component(part.cube_grid(W)), part.cube_grid(W))
     # (c) node distance from every bad cube to every W cube >= R.
     conditions["c"] = bool(np.all(_cube_distance(part, bad_grid)[W] >= R))
     # (d) a seed c0 in W whose R-ball of cubes is entirely extraordinary.

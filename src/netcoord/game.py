@@ -73,7 +73,7 @@ def additive_game(
         # for the staircase grid, so the continuous formula is used.
         return 1.0 - shock_cdf((alpha - x) / lam)
 
-    return step_approximate(P_exact, max_step, "midpoint")
+    return step_approximate(P_exact, max_step)
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -91,8 +91,12 @@ def sample_shocks(P: StepFn, n: int, seed: int, stream: int = 0) -> np.ndarray:
     return P.inverse_array(_philox(int(seed), int(stream)).random(n))
 
 
-def _best_response_mask(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
-    """Vectorized best responses as a bool array (True plays 1)."""
+def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
+    """Vectorized best responses as a bool array (True plays 1).
+
+    Upper rule: 1 iff t <= beta.  Lower rule: 1 iff t < beta or t = 0
+    (DOMINANT_1).  t = +inf plays 0 under both rules.
+    """
     t = np.asarray(t, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if tie == "upper":
@@ -100,13 +104,3 @@ def _best_response_mask(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray
     if tie == "lower":
         return (t < beta) | (t == DOMINANT_1)
     raise ValueError("tie must be 'upper' or 'lower'")
-
-
-def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray:
-    """Vectorized best responses as a float 0/1 array.
-
-    Upper rule: 1 iff t <= beta.  Lower rule: 1 iff t < beta or t = 0
-    (DOMINANT_1).  t = +inf plays 0 under both rules.
-    """
-    return _best_response_mask(t, beta, tie).astype(float)
-

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search, partition
+from .cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search
 from .dynamics import (
     audit_main_bound,
     enumerate_equilibria,
@@ -156,19 +156,15 @@ class ExperimentConfig:
         if self.stability_radius is not None and not self.stability_radius > 0.0:
             raise ValueError("stability_radius must be positive")
         if self.cubes is not None:
-            if not isinstance(self.cubes, dict):
-                raise ValueError("cubes must be an object")
+            b, B, gamma, R, _ = _cube_numbers(self)
             unknown = sorted(set(self.cubes) - set(_CUBE_KEYS))
             if unknown:
                 raise ValueError(f"unknown cubes keys: {unknown}")
-            for key in ("b", "B"):
-                side = self.cubes.get(key)
-                if isinstance(side, bool) or not isinstance(side, int) or side < 1:
-                    raise ValueError(f"cubes.{key} must be a positive integer, got {side!r}")
-            R = float(self.cubes.get("R", 2.0))
+            if min(b, B) < 1:
+                raise ValueError(f"cubes.b and cubes.B must be positive, got {b} and {B}")
             if not (math.isfinite(R) and R >= 0.0):
                 raise ValueError(f"cubes.R must be finite and nonnegative, got {R}")
-            if not float(self.cubes.get("gamma", self.eta)) > 0.0:
+            if not gamma > 0.0:
                 raise ValueError("cubes.gamma must be positive")
             if "lattice" in self.network:
                 _cube_params(self)  # the partition checks b | B | M
@@ -261,11 +257,19 @@ def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> 
     return [f.x for f in fixed_points(P) if is_strongly_stable(P, f.x, gamma=gamma, radius=radius)]
 
 
-def _cube_params(cfg: ExperimentConfig) -> tuple[CubePartition, float, float]:
-    """Cube partition of the lattice, gamma (default eta) and R (default 2.0)."""
-    c = cfg.cubes
-    part = partition(_lattice_spec(cfg.network), b=int(c["b"]), B=int(c["B"]))
-    return part, float(c.get("gamma", cfg.eta)), float(c.get("R", 2.0))
+def _cube_numbers(cfg: ExperimentConfig) -> tuple[int, int, float, float, float | None]:
+    """cubes' b and B, gamma (default eta), R (default 2.0) and rho (None when unset)."""
+    spec = {"cubes": cfg.cubes}
+    b, B = (_param(spec, "cubes", key, int) for key in ("b", "B"))
+    gamma, R = _param(spec, "cubes", "gamma", default=cfg.eta), _param(spec, "cubes", "R", default=2.0)
+    return b, B, gamma, R, _param(spec, "cubes", "rho") if "rho" in cfg.cubes else None
+
+
+def _cube_params(cfg: ExperimentConfig) -> tuple[CubePartition, float, float, float]:
+    """Cube partition of the lattice, gamma, R and rho (default b/m)."""
+    b, B, gamma, R, rho = _cube_numbers(cfg)
+    part = CubePartition(_lattice_spec(cfg.network), b, B)
+    return part, gamma, R, b / part.m if rho is None else rho
 
 
 def _mix_seed(seed: int, rep: int) -> int:
@@ -516,8 +520,7 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     dominated = 0
     good_runs = 0
     if cfg.cubes:
-        part, gamma, R = _cube_params(cfg)
-        rho = float(cfg.cubes.get("rho", part.b / part.m))
+        part, gamma, R, rho = _cube_params(cfg)
         g = build_network(cfg.network)
         for rep in range(cfg.replications):
             t = sample_shocks(P, g.n, cfg.seed, stream=rep)

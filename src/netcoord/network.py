@@ -67,20 +67,19 @@ class Network:
         return cls(deg, float(deg.sum()), structure)
 
     @classmethod
-    def from_weights(cls, W, validate: bool = True) -> "Network":
+    def from_weights(cls, W) -> "Network":
         W = sp.csr_matrix(W, dtype=float)
-        if validate:
-            if W.shape[0] != W.shape[1]:
-                raise ValueError("weight matrix must be square")
-            if not np.isfinite(W.data).all():
-                raise ValueError("weights must be finite")
-            if W.diagonal().any():
-                raise ValueError("self-loops are not allowed (g_ii = 0)")
-            asym = abs(W - W.T)
-            if asym.nnz and asym.max() > 1e-12:
-                raise ValueError("weights must be symmetric")
-            if W.nnz and W.data.min() < 0:
-                raise ValueError("weights must be nonnegative")
+        if W.shape[0] != W.shape[1]:
+            raise ValueError("weight matrix must be square")
+        if not np.isfinite(W.data).all():
+            raise ValueError("weights must be finite")
+        if W.diagonal().any():
+            raise ValueError("self-loops are not allowed (g_ii = 0)")
+        asym = abs(W - W.T)
+        if asym.nnz and asym.max() > 1e-12:
+            raise ValueError("weights must be symmetric")
+        if W.nnz and W.data.min() < 0:
+            raise ValueError("weights must be nonnegative")
         g = cls._from_degrees(np.asarray(W.sum(axis=1)).ravel())
         g.__dict__["weights"] = W  # the cached_property's slot
         return g
@@ -124,14 +123,12 @@ def complete_graph(n: int) -> Network:
 
 
 def disjoint_copies(g: Network, k: int) -> Network:
+    """k disjoint copies of a complete graph (or of copies of one)."""
+    if not isinstance(g.structure, int):
+        raise ValueError("disjoint_copies copies complete graphs only")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        return g
-    if isinstance(g.structure, int):
-        return Network._from_degrees(np.tile(g.degrees, k), g.structure)
-    W = sp.block_diag([g.weights] * k, format="csr")
-    return Network.from_weights(W, validate=False)
+    return g if k == 1 else Network._from_degrees(np.tile(g.degrees, k), g.structure)
 
 
 def lattice_ball_offsets(m: int) -> np.ndarray:
@@ -262,7 +259,7 @@ def load_edgelist(path) -> Network:
     if len(head) != 2 or head[0] != "n":
         raise ValueError("edge list must start with a 'n <count>' header")
     n = int(head[1])
-    rows, cols, data = [], [], []
+    rows, cols, data, seen = [], [], [], set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -270,6 +267,9 @@ def load_edgelist(path) -> Network:
         i, j, w = int(i), int(j), float(w)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"edge list node id out of range [0, {n}): {line!r}")
+        if (min(i, j), max(i, j)) in seen:
+            raise ValueError(f"edge list repeats an edge: {line!r}")
+        seen.add((min(i, j), max(i, j)))
         rows += [i, j]
         cols += [j, i]
         data += [w, w]

@@ -29,8 +29,6 @@ so no maximizer can lie beyond P(1) and arithmetic stays finite.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -112,10 +110,6 @@ class StepFn:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def constant(cls, c: float) -> "StepFn":
-        return cls(base=c)
-
-    @classmethod
     def from_grid(cls, positions: Sequence[float], values: Sequence[float]) -> "StepFn":
         """Build from piece start positions (first must be 0) and values."""
         positions = list(map(float, positions))
@@ -132,8 +126,6 @@ class StepFn:
         idx = int(np.searchsorted(self._knots, x, side="right"))
         return float(self._vals[idx])
 
-    __call__ = eval
-
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         # Written so that NaN, for which every comparison is false, fails.
@@ -149,15 +141,8 @@ class StepFn:
         idx = int(np.searchsorted(self._knots, x, side="left"))
         return float(self._vals[idx])
 
-    def inverse(self, y: float) -> float:
-        """Generalized inverse inf{x : P(x) >= y}; +inf if empty."""
-        y = _check_unit("y", y)
-        idx = int(np.searchsorted(self._vals, y, side="left"))
-        if idx >= len(self._vals):
-            return math.inf
-        return float(self._pos[idx])
-
     def inverse_array(self, y: np.ndarray) -> np.ndarray:
+        """Generalized inverse inf{x : P(x) >= y} at each y; +inf where empty."""
         y = np.asarray(y, dtype=float)
         if y.size and not (-_DOMAIN_EPS <= y.min() and y.max() <= 1.0 + _DOMAIN_EPS):
             raise ValueError("y outside [0, 1]")
@@ -182,28 +167,11 @@ class StepFn:
         """P(1), the largest value."""
         return float(self._vals[-1])
 
-    def shift_values(self, delta: float) -> "StepFn":
-        """Pointwise P + delta, clipped to [0, 1]."""
-        vals = np.clip(self._vals + delta, 0.0, 1.0)
-        return StepFn.from_grid(self._pos.tolist(), vals.tolist())
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"base": self.base, "steps": [[x, v] for x, v in self.steps]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StepFn":
         if not (isinstance(doc, dict) and "base" in doc):
             raise ValueError(f"a step function needs an object with a 'base' key, got {doc!r}")
         return cls(base=doc["base"], steps=tuple((x, v) for x, v in doc.get("steps", [])))
-
-    @classmethod
-    def from_json(cls, text: str) -> "StepFn":
-        return cls.from_json_dict(json.loads(text))
 
 
 # -- the dominance integral ------------------------------------------------
@@ -349,25 +317,18 @@ def is_strongly_stable(P: StepFn, x: float, gamma: float, radius: float) -> bool
     return True
 
 
-def step_approximate(
-    f: Callable[[float], float],
-    max_step: float,
-    direction: str,
-    grid: int = 4097,
-) -> StepFn:
-    """Staircase above, below or through a monotone nondecreasing f on [0, 1].
+def step_approximate(f: Callable[[float], float], max_step: float) -> StepFn:
+    """Midpoint staircase of a monotone nondecreasing f on [0, 1].
 
-    The result dominates f pointwise (direction="above"), is dominated by
-    it ("below"), or takes the mean of the two on each cell ("midpoint"),
-    with consecutive value gaps <= max_step.  The grid is refined until
-    per-cell increments of f fit under max_step; a monotone violation on
-    the evaluation grid is rejected.
+    Each cell takes the mean of f at its two ends, so the result lies
+    within max_step / 2 of f on the grid, with consecutive value gaps
+    <= max_step.  The grid is refined from 4097 points until per-cell
+    increments of f fit under max_step; a monotone violation on the
+    evaluation grid is rejected.
     """
     if max_step <= 0.0:
         raise ValueError("max_step must be positive")
-    if direction not in ("above", "below", "midpoint"):
-        raise ValueError("direction must be 'above', 'below' or 'midpoint'")
-    n = max(grid, 3)
+    n = 4097
     for _ in range(8):
         xs = np.linspace(0.0, 1.0, n)
         ys = np.asarray([float(f(float(x))) for x in xs])
@@ -389,15 +350,9 @@ def step_approximate(
         while k + 1 < n and ys[k + 1] - ys[sel[-1]] <= max_step:
             k += 1
         sel.append(k)
-    # Cell i spans [xs[sel[i]], xs[sel[i+1]]); "above" takes the value at
-    # the right edge (>= f on the cell), "below" at the left edge.
+    # Cell i spans [xs[sel[i]], xs[sel[i+1]]) and takes the mean of its end values.
     starts = [float(xs[i]) for i in sel[:-1]]
-    if direction == "above":
-        cell_vals = [float(ys[i]) for i in sel[1:]]
-    elif direction == "below":
-        cell_vals = [float(ys[i]) for i in sel[:-1]]
-    else:
-        cell_vals = [0.5 * (float(ys[i]) + float(ys[j])) for i, j in zip(sel[:-1], sel[1:])]
+    cell_vals = [0.5 * (float(ys[i]) + float(ys[j])) for i, j in zip(sel[:-1], sel[1:])]
     # Collapse equal consecutive values.
     keep = np.r_[True, np.diff(cell_vals) != 0.0]
     return StepFn.from_grid(np.asarray(starts)[keep].tolist(), np.asarray(cell_vals)[keep].tolist())

@@ -11,7 +11,6 @@ from netcoord.contagion import (
     WaveSolution,
     build_delta_wave,
     check_ru_wave,
-    front_f,
     front_f_array,
     lens_f0,
     solve_wave,
@@ -34,10 +33,11 @@ def lens_mc(d, r1, r2, n=1_000_000, seed=0):
 
 
 def wave_value(x, v, steps):
-    """Scalar F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k)."""
+    """Scalar F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k), summed term by term."""
+    f = front_f_array(v - x)
     total = float(steps[0])
     for k in range(v.size):
-        total += (1.0 - front_f(float(v[k] - x))) * float(steps[k + 1] - steps[k])
+        total += (1.0 - float(f[k])) * float(steps[k + 1] - steps[k])
     return total
 
 
@@ -169,14 +169,13 @@ def test_lens_domain_errors():
         lens_f0(0.5, 0.5, 0.8)
 
 
-# ------------------------------------------------------------------ front_f
+# ------------------------------------------------------------------ front_f_array
 
 
 def test_front_f_boundary_values():
-    assert front_f(-1.0) == 0.0
-    assert front_f(1.0) == 1.0
-    assert front_f(0.0) == pytest.approx(0.5, abs=1e-15)
-    assert front_f(-2.0) == 0.0 and front_f(2.0) == 1.0
+    f = front_f_array(np.array([-1.0, 1.0, 0.0, -2.0, 2.0]))
+    assert f[[0, 1, 3, 4]].tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert f[2] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_front_f_balanced_identity():
@@ -192,9 +191,9 @@ def test_front_f_strictly_increasing_interior():
 
 def test_front_f_is_large_r2_lens_limit():
     r2 = 50.0
-    for x in (-0.7, -0.2, 0.0, 0.3, 0.5, 0.8):
-        finite = lens_f0(r2 - x, 1.0, r2)
-        assert abs(front_f(x) - finite) <= 5e-3
+    xs = np.array([-0.7, -0.2, 0.0, 0.3, 0.5, 0.8])
+    finite = [lens_f0(r2 - x, 1.0, r2) for x in xs]
+    assert np.all(np.abs(front_f_array(xs) - finite) <= 5e-3)
 
 
 # ------------------------------------------------------ experienced fraction
@@ -385,10 +384,7 @@ def test_wave_summation_identity(rng):
         sol = solve_wave(steps=vals, inv_positions=pos)
         v = sol.thresholds
         da = np.diff(sol.steps)
-        total = 0.0
-        for k in range(v.size):
-            for l in range(v.size):
-                total += (1.0 - front_f(float(v[k] - v[l]))) * da[k] * da[l]
+        total = np.sum((1.0 - front_f_array(v[:, None] - v[None, :])) * da[:, None] * da[None, :])
         assert abs(total - 0.5 * da.sum() ** 2) <= 1e-9
         made += 1
 
@@ -397,7 +393,7 @@ def test_wave_summation_identity(rng):
 
 
 def test_delta_wave_low_constant_game():
-    P = StepFn.constant(0.05)
+    P = StepFn(0.05)
     wave = build_delta_wave(P, eta=0.1)
     assert wave.a_star <= 0.15
     assert wave.delta > 0
@@ -413,7 +409,7 @@ def test_delta_wave_requires_top_below_one():
 
 def test_delta_wave_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta must be positive"):
-        build_delta_wave(StepFn.constant(0.05), eta=math.nan)
+        build_delta_wave(StepFn(0.05), eta=math.nan)
 
 
 def test_check_ru_wave_matches_running_loop(rng):
@@ -436,7 +432,7 @@ def test_check_ru_wave_matches_running_loop(rng):
 def test_staircase_matches_level_by_level_build(rng, monkeypatch):
     # Up to ~6,500 levels: the build is checked past the wave's level bound.
     monkeypatch.setattr(contagion, "_MAX_LEVELS", 10**6)
-    games = [StepFn.constant(0.05)]
+    games = [StepFn(0.05)]
     while len(games) < 6:
         k = int(rng.integers(1, 4))
         pos = np.sort(rng.uniform(0.1, 0.9, size=k))
@@ -461,7 +457,7 @@ def test_dominance_scans_scale_to_late_halvings(monkeypatch):
     # The wave builder's level bound refuses this staircase; the scans are
     # timed on it all the same.
     monkeypatch.setattr(contagion, "_MAX_LEVELS", 10**6)
-    Q = contagion._staircase_above(StepFn.constant(0.05), 0.1 / 2**10)
+    Q = contagion._staircase_above(StepFn(0.05), 0.1 / 2**10)
     assert Q.piece_values.size == 38_910
     t0 = time.perf_counter()
     q_max, _ = ru_dominant(Q)
@@ -478,7 +474,7 @@ def test_delta_wave_failure_lists_every_halving(monkeypatch):
 
     monkeypatch.setattr(contagion, "_staircase_above", fail)
     with pytest.raises(WaveConstructionError) as err:
-        build_delta_wave(StepFn.constant(0.05), eta=0.1)
+        build_delta_wave(StepFn(0.05), eta=0.1)
     msg = str(err.value)
     assert msg.count("no staircase") == contagion._MAX_HALVINGS
     for k in range(1, contagion._MAX_HALVINGS + 1):
@@ -490,7 +486,7 @@ def test_delta_wave_level_bound_fails_every_halving_fast():
     # every halving is over the bound and none is built.
     t0 = time.perf_counter()
     with pytest.raises(WaveConstructionError) as err:
-        build_delta_wave(StepFn.constant(0.05), eta=1e-3)
+        build_delta_wave(StepFn(0.05), eta=1e-3)
     assert time.perf_counter() - t0 < 1.0
     msg = str(err.value)
     bound = f"staircase needs more than {contagion._MAX_LEVELS} levels"
@@ -500,7 +496,7 @@ def test_delta_wave_level_bound_fails_every_halving_fast():
     # A subnormal eta drives the level count past any float (and delta1
     # to 0); it is one more halving over the bound, not an OverflowError.
     with pytest.raises(WaveConstructionError):
-        build_delta_wave(StepFn.constant(0.05), eta=1e-320)
+        build_delta_wave(StepFn(0.05), eta=1e-320)
 
 
 def test_delta_wave_requires_strict_dominance():
@@ -510,7 +506,7 @@ def test_delta_wave_requires_strict_dominance():
 
 
 def test_delta_wave_sigma_branches():
-    P = StepFn.constant(0.05)
+    P = StepFn(0.05)
     wave = build_delta_wave(P, eta=0.1)
     v = wave.wave.thresholds
     mid = 0.5 * (v[0] + v[1])
@@ -552,7 +548,7 @@ def _grid_slack(wave, P, spacing, chunk=50_000):
     uncapped grid of the given spacing over [-1 - delta, v_L + 1 + 2 delta].
 
     F is summed in chunks of x: fronts with v_k <= x - 1 contribute their
-    whole jump, fronts with v_k >= x + 1 nothing, the rest front_f.
+    whole jump, fronts with v_k >= x + 1 nothing, the rest front_f_array.
     """
     d, v, a = wave.delta, wave.wave.thresholds, wave.wave.steps
     jumps = np.diff(a)
@@ -586,14 +582,14 @@ def test_verify_catches_violation_narrower_than_capped_grid():
     assert slack == pytest.approx(-0.01, abs=1e-12)
     assert worst == pytest.approx(r, abs=1e-12)
     # Without the jump the same wave passes.
-    assert wave.verify_grid(StepFn.constant(0.0))[0]
+    assert wave.verify_grid(StepFn(0.0))[0]
 
 
 def test_verify_matches_dense_grid_oracle():
     # The exact check takes the supremum of the right side on each piece
     # of sigma, so it is never looser than any grid; on this wave the
     # delta/4 grid (about 9e6 points) finds the same minimum.
-    P = StepFn.constant(0.05)
+    P = StepFn(0.05)
     wave = build_delta_wave(P, eta=0.1)
     ok, slack, _ = wave.verify_grid(P)
     oracle = _grid_slack(wave, P, wave.delta / 4.0)

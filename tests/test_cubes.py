@@ -7,14 +7,17 @@ import pytest
 
 from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (
+    CubePartition,
     CubeReport,
+    _blocks,
+    _largest_component,
+    _torus_edt,
     classify_bad,
     cube_means,
     cube_report,
     domination_check,
     extraordinary_cubes,
     good_set_search,
-    partition,
     r_interior,
     report_to_csv,
 )
@@ -32,6 +35,11 @@ def uniform_shocks(part, value):
     return shocks_of(np.full(part.M * part.M, value))
 
 
+def cube_nodes(part):
+    """Node ids of each small cube, one row per cube."""
+    return _blocks(part, np.arange(part.M**2))
+
+
 def search(part, t, P, gamma, R):
     """Classify the cubes, then search for a good set on those flags."""
     return good_set_search(part, classify_bad(part, t, P, gamma), extraordinary_cubes(part, t), gamma, R)
@@ -39,24 +47,23 @@ def search(part, t, P, gamma, R):
 
 @pytest.fixture(scope="module")
 def low_wave():
-    return build_delta_wave(StepFn.constant(0.05), eta=0.1)
+    return build_delta_wave(StepFn(0.05), eta=0.1)
 
 
 # ---------------------------------------------------------------- partition
 
 
 def test_partition_counts():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     assert part.n_small == 16
-    assert part.n_large == 4
-    assert part.nodes_of_small(0).size == 9
+    assert cube_nodes(part)[0].size == 9
     assert part.k == 2 and part.large_side == 2
 
 
 def test_partition_single_cube():
-    part = partition(LatticeSpec(M=12, m=2), b=12, B=12)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=12, B=12)
     assert part.n_small == 1
-    assert part.nodes_of_small(0).size == 144
+    assert cube_nodes(part)[0].size == 144
 
 
 def test_partition_is_a_partition(rng):
@@ -68,39 +75,40 @@ def test_partition_is_a_partition(rng):
         M = b * k * K
         if M < 3 * m:
             continue
-        part = partition(LatticeSpec(M=M, m=m), b=b, B=b * k)
+        part = CubePartition(LatticeSpec(M=M, m=m), b=b, B=b * k)
         seen = np.zeros(M * M, dtype=int)
-        for c in range(part.n_small):
-            seen[part.nodes_of_small(c)] += 1
+        for row in cube_nodes(part):
+            seen[row] += 1
         assert np.all(seen == 1)
 
 
 def test_partition_divisibility_guard():
     with pytest.raises(ValueError):
-        partition(LatticeSpec(M=12, m=2), b=5, B=10)
+        CubePartition(LatticeSpec(M=12, m=2), b=5, B=10)
     with pytest.raises(ValueError):
-        partition(LatticeSpec(M=12, m=2), b=3, B=8)
+        CubePartition(LatticeSpec(M=12, m=2), b=3, B=8)
 
 
 def test_node_cube_arithmetic():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
-    for c in range(part.n_small):
-        for node in part.nodes_of_small(c):
-            assert part.small_cube_of_node(int(node)) == c
+    # Row c of the blocks holds the nodes (x, y) with (x // b, y // b) = divmod(c, small_side).
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
+    x, y = np.divmod(cube_nodes(part), part.M)
+    cx, cy = np.divmod(np.arange(part.n_small), part.small_side)
+    assert np.all(x // part.b == cx[:, None]) and np.all(y // part.b == cy[:, None])
 
 
 # ------------------------------------------------------------- classify_bad
 
 
 def test_classify_all_inf_good():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     s = uniform_shocks(part, math.inf)
-    P = StepFn.constant(0.5)
+    P = StepFn(0.5)
     assert not classify_bad(part, s, P, gamma=0.1).any()
 
 
 def test_classify_all_zero_bad():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     s = uniform_shocks(part, 0.0)
     P = StepFn(base=0.4, steps=((0.5, 0.6),))  # P(0.5) + gamma < 1
     assert classify_bad(part, s, P, gamma=0.3).all()
@@ -108,7 +116,7 @@ def test_classify_all_zero_bad():
 
 def test_classify_bad_matches_dense_grid(rng):
     # Brute-force sup over a dense x grid agrees with the exact decision.
-    part = partition(LatticeSpec(M=40, m=2), b=2, B=40)
+    part = CubePartition(LatticeSpec(M=40, m=2), b=2, B=40)
     from conftest import random_stepfn
 
     for trial in range(3):
@@ -119,7 +127,7 @@ def test_classify_bad_matches_dense_grid(rng):
         xs = np.linspace(0.0, 1.0, 4001)
         Pv = P.eval_array(xs)
         for c in range(part.n_small):
-            t = s[part.nodes_of_small(c)]
+            t = s[cube_nodes(part)[c]]
             emp = (t[None, :] < xs[:, None]).mean(axis=1)
             brute = np.max(emp - Pv) > gamma
             # The dense grid can only miss sup points, never invent them.
@@ -134,7 +142,7 @@ def test_classify_bad_dkw_frequency():
     b, gamma = 10, 0.15
     n_cubes_side = 30
     M = b * n_cubes_side
-    part = partition(LatticeSpec(M=M, m=1), b=b, B=M)
+    part = CubePartition(LatticeSpec(M=M, m=1), b=b, B=M)
     n = 64
     pos = np.arange(n) / n
     vals = (np.arange(n) + 0.5) / n
@@ -164,7 +172,7 @@ def test_classify_bad_matches_breakpoint_oracle(rng, b):
     # replacement) duplicates.
     from conftest import random_stepfn
 
-    part = partition(LatticeSpec(M=4 * b, m=1), b=b, B=4 * b)
+    part = CubePartition(LatticeSpec(M=4 * b, m=1), b=b, B=4 * b)
     for _ in range(25):
         P = random_stepfn(rng)
         pool = np.concatenate(
@@ -173,7 +181,7 @@ def test_classify_bad_matches_breakpoint_oracle(rng, b):
         t = rng.choice(pool, size=part.M**2)
         s = shocks_of(t)
         for gamma in (1e-9, 0.1, 0.3, 0.6):
-            want = [_brute_bad_flag(t[part.nodes_of_small(c)], P, gamma) for c in range(part.n_small)]
+            want = [_brute_bad_flag(t[cube_nodes(part)[c]], P, gamma) for c in range(part.n_small)]
             assert classify_bad(part, s, P, gamma).tolist() == want
 
 
@@ -181,13 +189,13 @@ def test_classify_bad_matches_breakpoint_oracle(rng, b):
 
 
 def test_extraordinary_all_inf():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     assert extraordinary_cubes(part, uniform_shocks(part, math.inf)).all()
 
 
 def test_nan_threshold_rejected_by_cube_entry_points():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
-    P = StepFn.constant(0.5)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
+    P = StepFn(0.5)
     t = np.full(144, 0.3)
     t[17] = math.nan
     calls = [
@@ -207,7 +215,7 @@ def test_nan_threshold_rejected_by_cube_entry_points():
 
 
 def test_good_set_search_checks_its_flags():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     ok = np.zeros(part.n_small, dtype=bool)
     for bad, extra in [(ok, np.zeros(part.n_small + 1, dtype=bool)), (ok.astype(float), ok),
                        (ok, ok.astype(int)), (ok.reshape(4, 4), ok)]:
@@ -217,17 +225,17 @@ def test_good_set_search_checks_its_flags():
 
 
 def test_extraordinary_excludes_interior_agent():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     t = np.full(144, math.inf)
-    t[part.nodes_of_small(5)[4]] = 0.3
+    t[cube_nodes(part)[5][4]] = 0.3
     flags = extraordinary_cubes(part, shocks_of(t))
     assert not flags[5]
     assert flags.sum() == 15
 
 
 def test_extraordinary_binomial_rate():
-    part = partition(LatticeSpec(M=200, m=2), b=2, B=200)
-    P = StepFn.constant(0.5)  # Prob(inf) = 1 - P(1) = 0.5
+    part = CubePartition(LatticeSpec(M=200, m=2), b=2, B=200)
+    P = StepFn(0.5)  # Prob(inf) = 1 - P(1) = 0.5
     s = sample_shocks(P, 200 * 200, seed=7)
     share = extraordinary_cubes(part, s).mean()
     p = 0.5**4
@@ -239,9 +247,9 @@ def test_extraordinary_binomial_rate():
 
 
 def test_good_set_all_extraordinary():
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     s = uniform_shocks(part, math.inf)
-    P = StepFn.constant(0.3)
+    P = StepFn(0.3)
     found = search(part, s, P, gamma=0.2, R=1.0)
     assert found is not None
     assert found.W.all()
@@ -249,22 +257,22 @@ def test_good_set_all_extraordinary():
 
 
 def test_good_set_planted_bad_cube():
-    part = partition(LatticeSpec(M=48, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=48, m=2), b=3, B=12)
     t = np.full(48 * 48, math.inf)
     center = part.n_small // 2 + part.small_side // 2
-    t[part.nodes_of_small(center)] = 0.0  # all-zero thresholds: bad cube
+    t[cube_nodes(part)[center]] = 0.0  # all-zero thresholds: bad cube
     s = shocks_of(t)
-    P = StepFn.constant(0.5)
+    P = StepFn(0.5)
     R = 1.5
     found = search(part, s, P, gamma=0.25, R=R)
     assert found is not None
     assert not found.W[center]
     # Exhaustive distance audit of condition (c).
-    bad_nodes = part.nodes_of_small(center)
+    bad_nodes = cube_nodes(part)[center]
     bx = bad_nodes // part.M
     by = bad_nodes % part.M
     for c in np.nonzero(found.W)[0]:
-        nodes = part.nodes_of_small(c)
+        nodes = cube_nodes(part)[c]
         cx = nodes // part.M
         cy = nodes % part.M
         dx = np.abs(cx[:, None] - bx[None, :])
@@ -276,23 +284,38 @@ def test_good_set_planted_bad_cube():
 
 
 def test_good_set_absent_without_seed():
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     s = uniform_shocks(part, 0.9)  # nobody extraordinary
-    P = StepFn.constant(0.95)
+    P = StepFn(0.95)
     assert search(part, s, P, gamma=0.2, R=1.0) is None
 
 
 def test_good_set_rejects_negative_radius():
     # With R < 0 condition (d) held at distance 0, so a non-extraordinary
     # cube could be returned as the seed.
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     t = np.full(24 * 24, 0.9)
-    t[part.nodes_of_small(10)] = math.inf
+    t[cube_nodes(part)[10]] = math.inf
     s = shocks_of(t)
-    P = StepFn.constant(0.95)
+    P = StepFn(0.95)
     assert search(part, s, P, gamma=0.2, R=0.0).seed_cube == 10
     with pytest.raises(ValueError, match="R must"):
         search(part, s, P, gamma=0.2, R=-1.0)
+
+
+# ------------------------------------------------------------ torus distances
+
+
+def test_torus_edt_matches_brute_force(rng):
+    for M in (1, 2, 3, 4, 5, 8, 9, 12):
+        x, y = np.divmod(np.arange(M * M), M)
+        dx = np.abs(x[:, None] - x[None, :])
+        dy = np.abs(y[:, None] - y[None, :])
+        pair = np.hypot(np.minimum(dx, M - dx), np.minimum(dy, M - dy))
+        for density in (0.02, 0.2, 0.7):
+            mask = rng.random((M, M)) < density
+            want = np.where(mask.ravel()[None, :], pair, np.inf).min(axis=1).reshape(M, M)
+            assert np.array_equal(_torus_edt(mask), want), (M, density)
 
 
 # ------------------------------------------------------------ r-interior lemmas
@@ -315,13 +338,13 @@ def random_connected_large_set(rng, side, target):
 
 def test_size_of_r_interior_bound(rng):
     # |union W(U, R)| / M^2 >= (|U| / K^2) (1 - 4 (R m / b + 1) / k).
-    part = partition(LatticeSpec(M=60, m=2), b=5, B=20)
+    part = CubePartition(LatticeSpec(M=60, m=2), b=5, B=20)
     for _ in range(20):
         U = random_connected_large_set(rng, part.large_side, int(rng.integers(1, 9)))
         for R in (0.5, 1.0, 2.0):
             W = r_interior(part, U, R)
             lhs = W.sum() * part.b**2 / part.M**2
-            rhs = (U.sum() / part.n_large) * (
+            rhs = (U.sum() / part.large_side**2) * (
                 1.0 - 4.0 * (R * part.m / part.b + 1.0) / part.k
             )
             assert lhs >= rhs - 1e-12
@@ -329,9 +352,7 @@ def test_size_of_r_interior_bound(rng):
 
 def test_connected_r_interior(rng):
     # R < (b/m)(k/2 - 1) and U connected implies W(U, R) connected.
-    from netcoord.cubes import _is_connected
-
-    part = partition(LatticeSpec(M=60, m=2), b=5, B=20)
+    part = CubePartition(LatticeSpec(M=60, m=2), b=5, B=20)
     R = 0.9 * (part.b / part.m) * (part.k / 2 - 1)
     assert R > 0
     checked = 0
@@ -339,7 +360,7 @@ def test_connected_r_interior(rng):
         U = random_connected_large_set(rng, part.large_side, int(rng.integers(1, 9)))
         W = r_interior(part, U, R)
         if W.any():
-            assert _is_connected(part.cube_grid(W))
+            assert np.array_equal(_largest_component(part.cube_grid(W)), part.cube_grid(W))
             checked += 1
     assert checked > 0
 
@@ -371,8 +392,6 @@ def _bfs_largest_component(mask):
 
 
 def test_largest_component_matches_bfs_oracle(rng):
-    from netcoord.cubes import _largest_component
-
     for _ in range(400):
         n = int(rng.integers(1, 12))
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
@@ -380,8 +399,6 @@ def test_largest_component_matches_bfs_oracle(rng):
 
 
 def test_largest_component_ties_and_wraparound():
-    from netcoord.cubes import _largest_component
-
     # Two components of size 3: the one starting earlier in row-major
     # order wins.  The first wraps around the left/right edge.
     mask = np.zeros((6, 6), dtype=bool)
@@ -402,7 +419,7 @@ def test_largest_component_ties_and_wraparound():
 
 
 def test_domination_all_zero_profile(low_wave):
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     W = np.zeros(part.n_small, dtype=bool)
     W[0] = True
     ok, bad = domination_check(part, np.zeros(24 * 24), low_wave, W, R=1.0, rho=0.05)
@@ -410,7 +427,7 @@ def test_domination_all_zero_profile(low_wave):
 
 
 def test_domination_far_cubes_capped_at_one(low_wave):
-    part = partition(LatticeSpec(M=24, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     W = np.zeros(part.n_small, dtype=bool)
     W[0] = True
     a = np.ones(24 * 24)  # far cubes allowed at 1 through the sigma tail
@@ -421,12 +438,12 @@ def test_domination_far_cubes_capped_at_one(low_wave):
 
 
 def test_domination_planted_violation(low_wave):
-    part = partition(LatticeSpec(M=48, m=2), b=3, B=12)
+    part = CubePartition(LatticeSpec(M=48, m=2), b=3, B=12)
     a = np.zeros(48 * 48)
     W = np.zeros(part.n_small, dtype=bool)
     W[0] = True
     # Neighbor cube of W playing 1 while sigma(-R) = a_star < 1 - rho.
-    a[part.nodes_of_small(1)] = 1.0
+    a[cube_nodes(part)[1]] = 1.0
     ok, bad = domination_check(part, a, low_wave, W, R=2.0, rho=0.05)
     assert not ok and bad == 1
 
@@ -434,7 +451,7 @@ def test_domination_planted_violation(low_wave):
 def test_beliefs_in_a_cube_bound(rng):
     # Deviation of node-level from cube-level neighborhood fractions is
     # bounded for small b/m.
-    part = partition(LatticeSpec(M=300, m=100), b=10, B=300)
+    part = CubePartition(LatticeSpec(M=300, m=100), b=10, B=300)
     worst = 0.0
     for _ in range(5):
         a = (rng.random(300 * 300) < rng.uniform(0.2, 0.8)).astype(float)
@@ -449,11 +466,11 @@ def test_beliefs_in_a_cube_bound(rng):
 
 
 def test_cube_report_csv():
-    part = partition(LatticeSpec(M=12, m=2), b=3, B=6)
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     t = np.full(144, math.inf)
     t[:72] = 0.4
     s = shocks_of(t)
-    P = StepFn.constant(0.5)
+    P = StepFn(0.5)
     rep = cube_report(part, s, P, np.zeros(144), gamma=0.2)
     text = report_to_csv(rep)
     lines = text.strip().splitlines()
@@ -462,7 +479,7 @@ def test_cube_report_csv():
 
 
 def test_report_csv_matches_csv_writer(rng):
-    part = partition(LatticeSpec(M=60, m=3), b=3, B=30)
+    part = CubePartition(LatticeSpec(M=60, m=3), b=3, B=30)
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     shocks = sample_shocks(P, part.M**2, seed=5)
     a = (rng.random(part.M**2) < 0.5).astype(float)
@@ -487,7 +504,7 @@ def test_report_csv_matches_row_by_row_oracle(rng):
         return "".join(lines)
 
     for M, b in [(12, 12), (12, 3), (60, 3)]:
-        part = partition(LatticeSpec(M=M, m=2), b=b, B=M)
+        part = CubePartition(LatticeSpec(M=M, m=2), b=b, B=M)
         k = part.n_small
         pool = np.concatenate([[0.0, -0.0, 1.0, 1 / 3, 2 / 3, 1e-20, 123456.789012345678], rng.random(8)])
         a_c, beta_c = pool[rng.integers(pool.size, size=k)], rng.random(k)
@@ -498,7 +515,7 @@ def test_report_csv_matches_row_by_row_oracle(rng):
 
 def test_lattice_analysis_leaves_csr_unbuilt():
     spec = LatticeSpec(M=60, m=3)
-    part = partition(spec, b=3, B=30)
+    part = CubePartition(spec, b=3, B=30)
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     g = lattice(spec)
     shocks = sample_shocks(P, g.n, seed=7)

@@ -74,7 +74,7 @@ def test_is_equilibrium_rejects_mixed():
 
 def test_nan_threshold_rejected_at_every_entry_point():
     # Unchecked, a NaN threshold would play 0 under both tie rules.
-    g, t, P = two_node(), shocks_of([0.5, math.nan]), StepFn.constant(0.5)
+    g, t, P = two_node(), shocks_of([0.5, math.nan]), StepFn(0.5)
     trace = upper_dynamics(g, shocks_of([0.5, 0.5]), np.zeros(2))
     calls = [
         lambda: is_equilibrium(g, t, np.zeros(2), "upper"),
@@ -261,7 +261,7 @@ def test_initial_profile_all_below():
 
 
 def test_initial_profile_rejects_left_mass_above():
-    P = StepFn.constant(1.0)
+    P = StepFn(1.0)
     with pytest.raises(ValueError):
         initial_profile(P, 0.5, shocks_of([0.0, 0.0]), seed=0)
 
@@ -441,7 +441,8 @@ def thousand_flips():
 def test_capacities_and_audit_over_a_thousand_flips(thousand_flips):
     # F0 moves by +-g_i (1 - 2 beta_i) per flip, the identity the
     # decrement check reads off the trace; the audit's F(p^0) and A
-    # match from-scratch values.
+    # match from-scratch values.  Replayed through the flip state, beta
+    # ends bit-identical to Wa/g; q, updated by increments, within 1e-12 of Wp.
     g, P, x_star, shocks, (up, _, up_A), (down, _, _) = thousand_flips
     assert up.n_steps == 903 and down.n_steps > 0
     for trace, sign in ((up, 1.0), (down, -1.0)):
@@ -452,6 +453,11 @@ def test_capacities_and_audit_over_a_thousand_flips(thousand_flips):
     p0 = P.eval_array(neighborhood_fractions(g, up.initial_profile))
     assert audit.capacity0 == pytest.approx(capacity(g, p0), abs=1e-9)
     assert audit.cross_term_A == pytest.approx(up_A, abs=1e-9)
+    state = _FlipState(g, up.initial_profile.copy(), P)
+    for i in up.agents:
+        state.flip(int(i), up=True)
+    assert np.array_equal(state.beta, neighborhood_fractions(g, up.final_profile))
+    assert np.max(np.abs(state.q - g.weights @ state.p)) <= 1e-12
 
 
 def test_async_dynamics_follow_exact_fractions(thousand_flips):

@@ -21,8 +21,7 @@ TWO_STEP = StepFn(base=0.2, steps=((0.5, 0.8),))
 def test_additive_small_lambda_inverse_concentrates_at_alpha():
     alpha = 0.63
     P = additive_game(alpha, 0.01, uniform_shock_cdf(), max_step=0.02)
-    for y in np.linspace(0.05, 0.95, 19):
-        assert abs(P.inverse(float(y)) - alpha) <= 0.01 + 1e-12
+    assert np.all(np.abs(P.inverse_array(np.linspace(0.05, 0.95, 19)) - alpha) <= 0.01 + 1e-12)
 
 
 def test_additive_uniform_unit_lambda_is_diagonal():
@@ -85,12 +84,12 @@ def test_additive_provenance_matches_formula_on_grid():
 
 
 def test_sample_all_dominant_one():
-    shocks = sample_shocks(StepFn.constant(1.0), 100, seed=3)
+    shocks = sample_shocks(StepFn(1.0), 100, seed=3)
     assert np.all(shocks == 0.0)
 
 
 def test_sample_all_dominant_zero():
-    shocks = sample_shocks(StepFn.constant(0.0), 100, seed=3)
+    shocks = sample_shocks(StepFn(0.0), 100, seed=3)
     assert np.all(np.isinf(shocks))
 
 
@@ -169,7 +168,7 @@ def test_diagonal_staircase_indifference_near_fixed_point():
     pos = np.arange(n) / n
     vals = (np.arange(n) + 0.5) / n
     P = StepFn.from_grid(pos.tolist(), vals.tolist())
-    assert abs(0.5 - P.inverse(0.5)) <= 1.0 / n
+    assert abs(0.5 - P.inverse_array([0.5])[0]) <= 1.0 / n
 
 
 def scalar_best_response(t: float, beta: float, tie: str) -> int:
@@ -186,6 +185,7 @@ def test_best_response_array_matches_scalar(rng):
     beta = rng.uniform(0, 1, t.size)
     for tie in ("upper", "lower"):
         got = best_response_array(t, beta, tie)
+        assert got.dtype == bool
         want = np.array([scalar_best_response(float(a), float(b), tie) for a, b in zip(t, beta)])
         assert np.array_equal(got, want)
 

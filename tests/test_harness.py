@@ -143,6 +143,7 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     changes += [{"network": {"file": str(f)}} for f in (tmp_path / "missing.edges", empty, far)]
     changes += [{"game": {"additive": {}}}, {"game": {"additive": 5}}, {"game": {"step_json": {"steps": []}}}]
     changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}}, {"network": {"file": 5}}]
+    changes += [{"cubes": {"b": 3, "B": 6, key: value}} for key, value in (("R", [1]), ("gamma", True), ("rho", "x"))]
     for change in changes:
         path.write_text(json.dumps({**base, **change}))
         assert cli_main([command, str(path)]) == 2, change
@@ -155,7 +156,8 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("seed", 1.5), ("replications", 2.7), ("seed", True), ("eta", None), ("probes", 5), ("stability_radius", "0.1")],
+    [("seed", 1.5), ("replications", 2.7), ("seed", True), ("eta", None), ("probes", 5), ("stability_radius", "0.1")]
+    + [("cubes", {"b": 3, "B": 6, key: value}) for key, value in (("R", [1]), ("R", "2"), ("gamma", True), ("rho", "x"))],
 )
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
     doc = {**small_cfg(output=str(tmp_path / "out")).to_dict(), key: value}
@@ -216,7 +218,7 @@ def test_build_game_reads_wrapped_and_bare_files_alike(tmp_path):
     wrapped.write_text(json.dumps({"P": TWO_POINT_GAME, "provenance": {"kind": "direct"}}))
     P = build_game({"file": str(bare)})
     assert isinstance(P, StepFn)
-    assert build_game({"file": str(wrapped)}).to_json_dict() == P.to_json_dict()
+    assert build_game({"file": str(wrapped)}) == P
 
 
 def test_build_game_additive():

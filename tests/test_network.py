@@ -77,11 +77,14 @@ def test_disjoint_copies_block_structure():
 
 
 def test_disjoint_copies_preserve_stats(rng):
-    for _ in range(20):
-        g = random_network(rng, 6)
-        gk = disjoint_copies(g, 3)
-        assert abs(imbalance(gk) - imbalance(g)) <= 1e-12
-        assert abs(fineness(gk) - fineness(g)) <= 1e-12
+    for s in (2, 5, 9):
+        g = complete_graph(s)
+        for gk in (disjoint_copies(g, 3), disjoint_copies(disjoint_copies(g, 2), 3)):
+            assert (imbalance(gk), fineness(gk)) == (imbalance(g), fineness(g))
+    # Only complete graphs (and copies of them) are copied.
+    for g in (random_network(rng, 6), lattice(LatticeSpec(M=6, m=2))):
+        with pytest.raises(ValueError, match="complete graphs"):
+            disjoint_copies(g, 3)
 
 
 @pytest.mark.parametrize("s", [2, 3, 7])
@@ -148,7 +151,7 @@ def test_structured_fractions_match_csr(rng, name):
     # Bit for bit on pure profiles (the sums are exact integers), 1e-12 otherwise.
     # A bool profile gives the float profile's fractions bit for bit.
     g = STRUCTURED[name]() if name in STRUCTURED else random_network(rng, 300)
-    csr = Network.from_weights(g.weights, validate=False)
+    csr = Network.from_weights(g.weights)
     assert np.array_equal(g.degrees, csr.degrees)
     assert g.total_degree == csr.total_degree
     for a in _profiles(rng, g.n):
@@ -185,7 +188,7 @@ def test_structured_statistics_equal_csr_values():
     ):
         fine, imb = fineness(g), imbalance(g)
         assert "weights" not in g.__dict__
-        csr = Network.from_weights(g.weights, validate=False)
+        csr = Network.from_weights(g.weights)
         assert (fine, imb) == (fineness(csr), imbalance(csr))
         assert fine == 1.0 / g.degrees[0] and imb == 1.0
 
@@ -256,7 +259,7 @@ def test_lipschitz_averages_through_staircase(rng):
     from netcoord.stepfn import step_approximate
 
     gamma, c, slack = 0.8, 0.1, 0.01
-    P = step_approximate(lambda x: gamma * x + c, max_step=slack, direction="above")
+    P = step_approximate(lambda x: gamma * x + c, max_step=slack)
     for _ in range(20):
         n = int(rng.integers(3, 10))
         g = random_network(rng, n)
@@ -292,6 +295,14 @@ def test_network_rejects_non_finite_weights(tmp_path):
     p.write_text("n 3\n0 1 1.0\n1 2 nan\n0 2 1.0\n")
     with pytest.raises(ValueError, match="finite"):
         load_edgelist(p)
+
+
+def test_edgelist_rejects_a_repeated_edge(tmp_path):
+    p = tmp_path / "g.edges"
+    for repeat in ("1 0 1.0", "0 1 2.0"):
+        p.write_text(f"n 3\n0 1 1.0\n{repeat}\n1 2 1.0\n")
+        with pytest.raises(ValueError, match="repeats an edge"):
+            load_edgelist(p)
 
 
 def test_network_validation():

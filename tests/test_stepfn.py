@@ -41,7 +41,7 @@ def riemann_ru_objective(P: StepFn, x: float, n: int = 1_000_000) -> float:
 
 
 def test_eval_constant():
-    P = StepFn.constant(0.3)
+    P = StepFn(0.3)
     assert P.eval(0.7) == 0.3
 
 
@@ -85,29 +85,31 @@ def test_invalid_construction():
 
 
 def test_inverse_at_jump():
-    assert TWO_STEP.inverse(0.5) == 0.5
+    assert TWO_STEP.inverse_array([0.5]).tolist() == [0.5]
 
 
 def test_inverse_below_base():
-    assert TWO_STEP.inverse(0.1) == 0.0
+    assert TWO_STEP.inverse_array([0.1]).tolist() == [0.0]
 
 
 def test_inverse_empty_set_is_inf():
-    assert TWO_STEP.inverse(0.9) == math.inf
+    assert TWO_STEP.inverse_array([0.9]).tolist() == [math.inf]
 
 
 def test_inverse_domain_error():
-    with pytest.raises(ValueError):
-        TWO_STEP.inverse(1.2)
+    for bad in (1.2, -0.1):
+        with pytest.raises(ValueError):
+            TWO_STEP.inverse_array([0.5, bad])
 
 
 def test_galois_property(rng):
     for _ in range(50):
         P = random_stepfn(rng)
-        for x, y in rng.uniform(0.0, 1.0, size=(40, 2)):
-            inv = P.inverse(y)
-            if math.isfinite(inv):
-                assert (P.eval(x) >= y) == (x >= inv) or math.isclose(x, inv)
+        x, y = rng.uniform(0.0, 1.0, size=(2, 40))
+        inv = P.inverse_array(y)
+        fin = np.isfinite(inv)
+        agree = (P.eval_array(x) >= y) == (x >= inv)
+        assert np.all(agree[fin] | np.isclose(x, inv)[fin])
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,7 +120,7 @@ def test_monotone_eval_and_inverse(breaks, a, b):
     P = StepFn.from_grid([0.0] + breaks, vals.tolist())
     lo, hi = min(a, b), max(a, b)
     assert P.eval(lo) <= P.eval(hi)
-    ia, ib = P.inverse(lo), P.inverse(hi)
+    ia, ib = P.inverse_array([lo, hi])
     assert ia <= ib
 
 
@@ -127,9 +129,9 @@ def test_monotone_comparative_statics(rng):
     for _ in range(20):
         P = random_stepfn(rng)
         lift = rng.uniform(0.0, 0.3)
-        Pp = P.shift_values(lift)
-        for y in rng.uniform(0.0, 1.0, size=20):
-            assert Pp.inverse(y) <= P.inverse(y)
+        Pp = StepFn.from_grid(P.piece_positions, np.minimum(P.piece_values + lift, 1.0))
+        y = rng.uniform(0.0, 1.0, size=20)
+        assert np.all(Pp.inverse_array(y) <= P.inverse_array(y))
 
 
 # ------------------------------------------------------------ ru_objective
@@ -291,7 +293,7 @@ def test_ru_dominant_matches_per_candidate_scoring(rng):
 
 
 def test_fixed_points_constant():
-    fps = fixed_points(StepFn.constant(0.4))
+    fps = fixed_points(StepFn(0.4))
     assert fps == [FixedPoint(0.4, "exact")]
 
 
@@ -303,7 +305,7 @@ def test_fixed_points_two_plateaus_and_crossing():
 
 
 def test_fixed_points_single_plateau():
-    assert fixed_points(StepFn.constant(0.8)) == [FixedPoint(0.8, "exact")]
+    assert fixed_points(StepFn(0.8)) == [FixedPoint(0.8, "exact")]
 
 
 def test_fixed_points_scan_oracle(rng):
@@ -341,12 +343,12 @@ def test_jump_crossing_not_strongly_stable():
 
 
 def test_strongly_stable_constant():
-    P = StepFn.constant(0.3)
+    P = StepFn(0.3)
     assert is_strongly_stable(P, 0.3, gamma=0.0, radius=0.2)
 
 
 def test_strongly_stable_rejects_non_fixed_point():
-    P = StepFn.constant(0.3)
+    P = StepFn(0.3)
     with pytest.raises(ValueError):
         is_strongly_stable(P, 0.7, gamma=0.0, radius=0.1)
 
@@ -392,41 +394,33 @@ def test_loss_constant_inverse_closed_form():
 
 
 def test_step_approximate_identity_quarters():
-    Q = step_approximate(lambda x: x, max_step=0.25, direction="above")
+    Q = step_approximate(lambda x: x, max_step=0.25)
     assert np.allclose(Q.piece_positions, [0.0, 0.25, 0.5, 0.75])
-    assert np.allclose(Q.piece_values, [0.25, 0.5, 0.75, 1.0])
+    assert np.allclose(Q.piece_values, [0.125, 0.375, 0.625, 0.875])
     xs = np.linspace(0, 1, 1001)
-    assert np.all(Q.eval_array(xs) >= xs - 1e-12)
+    assert np.all(np.abs(Q.eval_array(xs) - xs) <= 0.125 + 1e-12)
 
 
 def test_step_approximate_constant():
-    Q = step_approximate(lambda x: 0.3, max_step=0.1, direction="above")
+    Q = step_approximate(lambda x: 0.3, max_step=0.1)
     assert Q.piece_values.tolist() == [0.3]
     assert Q.eval(0.5) == 0.3
 
 
 def test_step_approximate_logistic_dominance():
+    # f + max_step/2 dominates the midpoint staircase, which dominates f - max_step/2.
     f = lambda x: 1.0 / (1.0 + math.exp(-6.0 * (x - 0.4)))
-    for direction, sign in (("above", 1.0), ("below", -1.0)):
-        Q = step_approximate(f, max_step=0.05, direction=direction)
-        xs = np.linspace(0.0, 1.0, 100_000)
-        fx = 1.0 / (1.0 + np.exp(-6.0 * (xs - 0.4)))
-        assert np.all(sign * (Q.eval_array(xs) - fx) >= -1e-12)
-        gaps = np.diff(Q.piece_values)
-        assert np.all(gaps <= 0.05 + 1e-12)
-
-
-def test_step_approximate_midpoint_between_below_and_above():
-    f = lambda x: 1.0 / (1.0 + math.exp(-6.0 * (x - 0.4)))
+    Q = step_approximate(f, max_step=0.05)
     xs = np.linspace(0.0, 1.0, 100_001)
-    lo, mid, hi = (step_approximate(f, 0.05, d).eval_array(xs) for d in ("below", "midpoint", "above"))
-    assert np.all(lo <= mid) and np.all(mid <= hi)
-    assert np.all(mid < hi)  # f rises on every cell, so no cell collapses
+    fx = 1.0 / (1.0 + np.exp(-6.0 * (xs - 0.4)))
+    assert np.all(np.abs(Q.eval_array(xs) - fx) <= 0.025 + 1e-12)
+    assert np.any(np.abs(Q.eval_array(xs) - fx) > 0.02)  # the cells are as wide as max_step allows
+    assert np.all(np.diff(Q.piece_values) <= 0.05 + 1e-12)
 
 
 def test_step_approximate_rejects_non_monotone():
     with pytest.raises(ValueError):
-        step_approximate(lambda x: 1.0 - x, max_step=0.1, direction="above")
+        step_approximate(lambda x: 1.0 - x, max_step=0.1)
 
 
 # ------------------------------------------------------------ serialization
@@ -435,7 +429,5 @@ def test_step_approximate_rejects_non_monotone():
 def test_json_round_trip_bit_exact(rng):
     for _ in range(20):
         P = random_stepfn(rng)
-        doc = json.loads(P.to_json())
-        Q = StepFn.from_json(json.dumps(doc))
-        assert Q.base == P.base and Q.steps == P.steps
-        assert json.loads(Q.to_json()) == json.loads(P.to_json())
+        Q = StepFn.from_json_dict(json.loads(json.dumps({"base": P.base, "steps": P.steps})))
+        assert Q == P
