@@ -20,8 +20,8 @@ the classification machinery:
 
 A realization enters as its threshold array t (node index x*M + y),
 checked like the dynamics' input: one threshold per node, no NaN.
-Per-cube neighborhood fractions beta(c) average the lattice network's
-own ``neighborhood_fractions`` (its torus stencil, no CSR matrix).
+Per-cube fractions beta(c) average the lattice network's own
+``neighborhood_fractions`` of ``a == 1`` (integer torus stencil, no CSR).
 Node distances are the torus Euclidean metric scaled by 1/m; set
 distances are minima over node pairs, computed with an exact Euclidean
 distance transform of the grid wrap-padded by half its side.
@@ -37,7 +37,7 @@ from scipy import ndimage
 
 from .contagion import ContagionWave
 from .dynamics import _thresholds
-from .network import LatticeSpec, lattice, neighborhood_fractions
+from .network import LatticeSpec, is_pure, lattice, neighborhood_fractions
 from .stepfn import StepFn
 
 __all__ = [
@@ -316,10 +316,16 @@ def cube_report(
     a: np.ndarray,
     gamma: float,
 ) -> CubeReport:
+    """Per-small-cube a(c), beta(c) and flags of the pure profile ``a``.
+
+    beta comes from the bool profile ``a == 1.0``; a mixed ``a`` is rejected.
+    """
+    if not is_pure(a):
+        raise ValueError("cube_report needs a pure profile (every entry 0 or 1)")
     return CubeReport(
         part=part,
         a_c=cube_means(part, a),
-        beta_c=cube_means(part, neighborhood_fractions(lattice(part.spec), a)),
+        beta_c=cube_means(part, neighborhood_fractions(lattice(part.spec), np.asarray(a) == 1.0)),
         bad=classify_bad(part, t, P, gamma),
         extraordinary=extraordinary_cubes(part, t),
     )
@@ -335,12 +341,11 @@ def _format_12g(values: np.ndarray) -> list[str]:
 def report_to_csv(report: CubeReport) -> str:
     """CSV with CRLF line ends, one row per small cube in cube-id order.
 
-    a_c and beta_c take few distinct values (at most b^2 + 1 for a_c),
-    so each distinct value is formatted once.
+    Rows join per-column strings: ids and flags index precomputed strings,
+    and a_c and beta_c, which take few distinct values, format each once.
     """
-    cx, cy = np.divmod(np.arange(report.part.n_small), report.part.small_side)
-    cols = (cx.tolist(), cy.tolist(), _format_12g(report.a_c), _format_12g(report.beta_c),
-            report.bad.astype(int).tolist(), report.extraordinary.astype(int).tolist())
-    return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "".join(
-        f"{x},{y},{a},{b},{bad},{extra}\r\n" for x, y, a, b, bad, extra in zip(*cols)
-    )
+    ids = np.array([str(i) for i in range(report.part.small_side)], dtype=object)
+    flags = (np.where(f, "1", "0").tolist() for f in (report.bad, report.extraordinary))
+    cols = (np.repeat(ids, ids.size).tolist(), np.tile(ids, ids.size).tolist(),
+            _format_12g(report.a_c), _format_12g(report.beta_c), *flags)
+    return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "\r\n".join(map(",".join, zip(*cols))) + "\r\n"

@@ -3,7 +3,7 @@
 Weights are symmetric, nonnegative, with zero diagonal; every node must
 have positive degree.  General graphs hold a scipy CSR matrix.  Torus
 lattices and copies of complete graphs hold their structure: neighbor
-sums come from a window-sum stencil or from block sums, which on pure
+sums come from a growing-window stencil or from block sums, which on pure
 profiles add the integers the CSR matvec adds, so the fractions are
 bit-identical; their CSR matrix is built on first access to ``weights``.
 Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
@@ -160,31 +160,33 @@ def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
 
 
 def _count_dtype(spec: LatticeSpec) -> type:
-    """Smallest signed int type holding M + 2m (a padded column's prefix sum) and (2m+1)^2 (a ball count)."""
-    bound = max(spec.M + 2 * spec.m, (2 * spec.m + 1) ** 2)
+    """Smallest signed int type holding (2m+1)^2, which bounds a ball count and every partial sum."""
+    bound = (2 * spec.m + 1) ** 2
     return next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
 
 
 def _torus_sums(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
     """Sum of a over each node's radius-1 ball, center excluded.
 
-    Column dy of the ball is the window |dx| <= isqrt(m^2 - dy^2); each
-    window is a difference of column prefix sums of the wrap-padded grid.
-    The accumulator follows the profile: float64, or ``_count_dtype`` for
-    a bool profile.  Float64 sums of 0/1 terms are exact integers too, so
-    both give the same sums; the integer pass moves 2- or 4-byte cells.
+    Column dy of the ball is the window |dx| <= h = isqrt(m^2 - dy^2).  One
+    window V of the wrap-padded grid grows in place by two rows per h, and
+    each column dy is added as a slice of V once V reaches its half-height.
+    The accumulator follows the profile: float64, or ``_count_dtype`` for a
+    bool profile; float64 sums of 0/1 terms are exact integers, so both agree.
     """
     M, m = spec.M, spec.m
     grid = a.reshape(M, M)
     acc = _count_dtype(spec) if a.dtype == bool else float
-    pre = np.zeros((M + 2 * m + 1, M + 2 * m), dtype=acc)
-    np.cumsum(np.pad(grid, m, mode="wrap"), axis=0, dtype=acc, out=pre[1:])
+    p = np.pad(grid, m, mode="wrap")
+    V = p[m : m + M].astype(acc)
     sums = np.negative(grid, dtype=acc)
-    for dy in range(-m, m + 1):
-        w = math.isqrt(m * m - dy * dy)
-        cols = pre[:, m + dy : m + dy + M]
-        sums += cols[m + w + 1 : m + w + 1 + M]
-        sums -= cols[m - w : m - w + M]
+    for h in range(m + 1):
+        if h:
+            V += p[m - h : m - h + M]
+            V += p[m + h : m + h + M]
+        for dy in range(-m, m + 1):
+            if math.isqrt(m * m - dy * dy) == h:
+                sums += V[:, m + dy : m + dy + M]
     return sums.ravel()
 
 

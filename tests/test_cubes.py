@@ -478,6 +478,14 @@ def test_cube_report_csv():
     assert len(lines) == 17
 
 
+def test_cube_report_rejects_a_mixed_profile():
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
+    a = np.zeros(144)
+    a[17] = 0.5
+    with pytest.raises(ValueError, match="pure profile"):
+        cube_report(part, np.full(144, 0.3), StepFn(0.5), a, gamma=0.2)
+
+
 def test_report_csv_matches_csv_writer(rng):
     part = CubePartition(LatticeSpec(M=60, m=3), b=3, B=30)
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
@@ -503,7 +511,7 @@ def test_report_csv_matches_row_by_row_oracle(rng):
             lines.append(f"{x},{y},{a:.12g},{b:.12g},{int(rep.bad[c])},{int(rep.extraordinary[c])}\r\n")
         return "".join(lines)
 
-    for M, b in [(12, 12), (12, 3), (60, 3)]:
+    for M, b in [(12, 12), (12, 3), (60, 3), (300, 3)]:
         part = CubePartition(LatticeSpec(M=M, m=2), b=b, B=M)
         k = part.n_small
         pool = np.concatenate([[0.0, -0.0, 1.0, 1 / 3, 2 / 3, 1e-20, 123456.789012345678], rng.random(8)])

@@ -140,7 +140,7 @@ def _profiles(rng, n):
 
 STRUCTURED = {
     f"lattice({M},{m})": (lambda M=M, m=m: lattice(LatticeSpec(M=M, m=m)))
-    for M, m in [(300, 3), (200, 5), (120, 2), (60, 12), (90, 9)]
+    for M, m in [(300, 3), (200, 5), (120, 2), (60, 12), (90, 9), (6, 2), (9, 3), (31, 4), (20, 1), (15, 5)]
 }
 STRUCTURED["complete(2000)"] = lambda: complete_graph(2000)
 STRUCTURED["copies(200x10)"] = lambda: disjoint_copies(complete_graph(200), 10)
@@ -165,13 +165,15 @@ def test_structured_fractions_match_csr(rng, name):
 
 
 def test_stencil_accumulator_follows_the_profile():
-    # int16 holds M + 2m and the ball count (2m + 1)^2 up to 32767; no grid is allocated.
-    assert _count_dtype(LatticeSpec(M=32765, m=1)) is np.int16
-    assert _count_dtype(LatticeSpec(M=32766, m=1)) is np.int32
+    # The ball count (2m + 1)^2 bounds every partial sum, whatever M is; no grid is allocated.
+    assert _count_dtype(LatticeSpec(M=32766, m=1)) is np.int16
+    assert _count_dtype(LatticeSpec(M=2**31 - 2, m=1)) is np.int16
     assert _count_dtype(LatticeSpec(M=300, m=90)) is np.int16
     assert _count_dtype(LatticeSpec(M=300, m=91)) is np.int32
-    assert _count_dtype(LatticeSpec(M=2**31 - 3, m=1)) is np.int32
-    assert _count_dtype(LatticeSpec(M=2**31 - 2, m=1)) is np.int64
+    assert _count_dtype(LatticeSpec(M=10**5, m=23169)) is np.int32
+    assert _count_dtype(LatticeSpec(M=10**5, m=23170)) is np.int64
+    full = _torus_sums(LatticeSpec(M=270, m=90), np.ones(270 * 270, dtype=bool))
+    assert full.dtype == np.int16 and (full == len(lattice_ball_offsets(90))).all()
     spec = LatticeSpec(M=12, m=2)
     a = np.arange(144) % 3 == 0
     assert _torus_sums(spec, a).dtype == np.int16
