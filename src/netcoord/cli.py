@@ -17,7 +17,8 @@ with 12 significant digits.  A game or config file that cannot be read
 or parsed, or whose game or network cannot be built, ends the command
 with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
 so does a bad ``SIM_WORKERS`` for ``simulate``, with its own line.
-``-v`` logs each ``lattice-analyze`` replication's stage times to stderr.
+``-v`` logs each ``lattice-analyze`` replication's stage times and each
+``wave`` halving's outcome to stderr.
 """
 
 from __future__ import annotations

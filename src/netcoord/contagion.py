@@ -14,7 +14,9 @@ the steps and inverse positions of a step game via the monotone
 fixed-point iteration of the capped first-crossing map, so that the
 average action experienced at each threshold stays at or below the
 inverse of the next step value; each sweep finds the crossings by
-bracketed Newton steps warm-started at the previous iterate.
+bracketed Newton steps warm-started at the previous iterate, and keeps
+a coordinate capped at an unchanged cap without evaluating F there (the
+iterates only rise, and F(x|v) falls as v rises).
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -25,6 +27,7 @@ delta geometrically until verification passes.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -42,6 +45,8 @@ __all__ = [
     "build_delta_wave",
     "WaveConstructionError",
 ]
+
+log = logging.getLogger("netcoord")
 
 
 # The b* iteration stops when successive iterates differ by less than
@@ -89,18 +94,14 @@ def lens_f0(d: float, r1: float, r2: float) -> float:
 
 def front_f_array(x: np.ndarray) -> np.ndarray:
     """Balanced front profile at each x: unit-disc segment of height 1 + x over pi."""
-    x = np.asarray(x, dtype=float)
-    xc = np.clip(x, -1.0, 1.0)
-    out = (np.arccos(-xc) + xc * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))) / math.pi
-    out[x <= -1.0] = 0.0
-    out[x >= 1.0] = 1.0
-    return out
+    xc = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)  # f(-1) = 0 and f(1) = 1 exactly
+    return (np.arccos(-xc) + xc * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))) / math.pi
 
 
 def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool = False):
     """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with
     ``slope`` also F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi."""
-    y, da = v[None, :] - xs[:, None], np.diff(steps)
+    y, da = v[None, :] - xs[:, None], steps[1:] - steps[:-1]
     F = steps[0] + (1.0 - front_f_array(y)) @ da
     return (F, (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ da) if slope else F
 
@@ -164,32 +165,41 @@ def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
     Recipes sec. 9.4), until a point reaching the target lies within
     1e-12 of one that does not.
     lo_l must miss the target where F(0|v) does; the returned lo keeps
-    missing it at every v' >= v, since F(x|v) falls as v rises.
+    missing it at every v' >= v, since F(x|v) falls as v rises.  Only a
+    capped l gets lo_l = cap_l; the others keep lo_l < cap_l.  So when lo
+    is the previous sweep's and v no lower, lo_l == cap_l means l was
+    capped at this same cap, F(cap_l|v) < targets_l still holds and b*_l =
+    cap_l, without evaluating F there.
     """
     cap = v[:-1] + 1.0
-    ends = _experienced(np.append(0.0, cap), v, a)
-    capped = ends[1:] < targets  # b_l > cap, so b*_l = cap exactly
+    capped = lo == cap  # capped at this same cap in an earlier sweep (see above)
+    rest = np.flatnonzero(~capped)
+    ends = _experienced(np.concatenate(([0.0], cap[rest])), v, a)
+    capped[rest] = ends[1:] < targets[rest]  # b_l > cap, so b*_l = cap exactly
     b = np.where(targets <= ends[0], 0.0, cap)
     lo = np.where(capped, cap, lo)
     idx = np.flatnonzero((targets > ends[0]) & ~capped)
     lo_i, hi, t, x, step = lo[idx], cap[idx], targets[idx], v[idx + 1], np.inf
-    for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
-        if not idx.size:
-            return b, lo
-        # A pair that straddles the root closes the bracket in one call.
-        pts = np.stack([x - 0.45e-12, x + 0.45e-12])
-        f, df = (r.reshape(2, -1) for r in _experienced(pts.ravel(), v, a, slope=True))
-        reach = f >= t
-        hi = np.minimum(hi, np.where(reach, pts, np.inf).min(axis=0))
-        lo_i = np.maximum(lo_i, np.where(reach, -np.inf, pts).max(axis=0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+    half = np.array([[-0.45e-12], [0.45e-12]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # F' is 0 where no front is within 1
+        for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
+            if not idx.size:
+                return b, lo
+            # A pair that straddles the root closes the bracket in one call.
+            # pts[0] < pts[1]: hi takes the lower reaching one, lo_i the higher missing one.
+            pts = x + half
+            f, df = (r.reshape(2, -1) for r in _experienced(pts.ravel(), v, a, slope=True))
+            reach = f >= t
+            hi = np.minimum(hi, np.where(reach[0], pts[0], np.where(reach[1], pts[1], np.inf)))
+            lo_i = np.maximum(lo_i, np.where(reach[1], np.where(reach[0], -np.inf, pts[0]), pts[1]))
             newton = x - (f[0] + f[1] - 2.0 * t) / (df[0] + df[1])
-        ok = (lo_i < newton) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
-        newton = np.where(ok, newton, 0.5 * (lo_i + hi))
-        step, x = np.abs(newton - x), newton
-        done = hi - lo_i <= 1e-12
-        b[idx[done]], lo[idx[done]] = hi[done], lo_i[done]
-        idx, lo_i, hi, t, x, step = (arr[~done] for arr in (idx, lo_i, hi, t, x, step))
+            ok = (lo_i < newton) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
+            newton = np.where(ok, newton, 0.5 * (lo_i + hi))
+            step, x = np.abs(newton - x), newton
+            done = hi - lo_i <= 1e-12
+            if done.any():
+                b[idx[done]], lo[idx[done]] = hi[done], lo_i[done]
+                idx, lo_i, hi, t, x, step = (arr[~done] for arr in (idx, lo_i, hi, t, x, step))
     raise WaveConstructionError("first-crossing search did not close its bracket")
 
 
@@ -225,8 +235,8 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
         b, lo = _b_star(v, a, targets, lo)
         # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
-        new = np.maximum(np.append(0.0, b), v)
-        if np.max(np.abs(new - v)) < _TOL:
+        new = np.maximum(np.concatenate(([0.0], b)), v)
+        if (new - v).max() < _TOL:  # new >= v
             v = new
             break
         v = new
@@ -354,7 +364,8 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
     dominance integral.  The returned wave has base action a* <= x* + eta
     and passes the exact verification of the wave inequality.  delta is
     found by geometric search over {eta / 2^k}; if no k <= _MAX_HALVINGS
-    succeeds, the WaveConstructionError gives each halving's reason.
+    succeeds, the WaveConstructionError gives each halving's reason.  Each
+    halving's outcome is also logged at INFO on the ``netcoord`` logger.
     """
     if not eta > 0.0:
         raise ValueError("eta must be positive")
@@ -372,12 +383,10 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             q_max, _ = ru_dominant(Q)
             a_star = q_max[-1]
             if a_star > x_star + eta:
-                reasons.append((delta1, f"a*={a_star} drifted above x*+eta"))
-                continue
+                raise WaveConstructionError(f"a*={a_star} drifted above x*+eta")
             margin = _ru_wave_margin(Q, a_star)
             if margin <= 0.0:
-                reasons.append((delta1, "RU-wave margin nonpositive"))
-                continue
+                raise WaveConstructionError("RU-wave margin nonpositive")
             delta2 = min(delta1 / 2.0, margin / 2.0)
             # Wave steps: base a_star plus the Q values above it; targets
             # are the shifted inverse positions of Q_{delta2}.
@@ -388,15 +397,16 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             inv[0] = 0.0
             sol = solve_wave(steps=steps, inv_positions=inv)
             if np.any(np.diff(sol.thresholds) <= 0):
-                reasons.append((delta1, "wave thresholds not strictly increasing"))
-                continue
+                raise WaveConstructionError("wave thresholds not strictly increasing")
             delta = min(delta2, float(np.min(np.diff(sol.thresholds))))
             wave = ContagionWave(wave=sol, delta=delta, a_star=a_star)
             ok, slack, worst_x = wave.verify_grid(P)
-            if ok:
-                return wave
-            reasons.append((delta1, f"verification failed at x={worst_x:.6f} (slack {slack:.3e})"))
+            if not ok:
+                raise WaveConstructionError(f"verification failed at x={worst_x:.6f} (slack {slack:.3e})")
+            log.info("wave halving k=%d delta1=%.6g: verified after %d b* sweeps", k, delta1, sol.sweeps)
+            return wave
         except (ValueError, WaveConstructionError) as e:
+            log.info("wave halving k=%d delta1=%.6g: %s", k, delta1, e)
             reasons.append((delta1, str(e)))
     tried = "; ".join(f"delta1={d:.6g}: {why}" for d, why in reasons)
     raise WaveConstructionError(f"no verified wave for eta={eta}: {tried}")

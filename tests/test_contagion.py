@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,45 @@ def experienced(x, v, steps):
     """F(x|v) from ContagionWave.experienced_fraction for thresholds v and steps a_0 .. a_{L+1}."""
     wave = WaveSolution(steps, v, np.zeros(v.size - 1), sweeps=0)
     return ContagionWave(wave, delta=0.0, a_star=float(steps[0])).experienced_fraction(x)
+
+
+def masked_front_f(x):
+    """front_f_array as np.clip, the segment formula, then f = 0 and 1 stored past -1 and 1."""
+    x = np.asarray(x, dtype=float)
+    xc = np.clip(x, -1.0, 1.0)
+    out = (np.arccos(-xc) + xc * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))) / math.pi
+    out[x <= -1.0] = 0.0
+    out[x >= 1.0] = 1.0
+    return out
+
+
+def dense_b_star(v, a, targets, lo):
+    """One b* sweep that evaluates F at 0 and at every cap, then runs the
+    Newton loop over 2-row stacks with min/max reductions."""
+    cap = v[:-1] + 1.0
+    ends = contagion._experienced(np.append(0.0, cap), v, a)
+    capped = ends[1:] < targets
+    b = np.where(targets <= ends[0], 0.0, cap)
+    lo = np.where(capped, cap, lo)
+    idx = np.flatnonzero((targets > ends[0]) & ~capped)
+    lo_i, hi, t, x, step = lo[idx], cap[idx], targets[idx], v[idx + 1], np.inf
+    for _ in range(200):
+        if not idx.size:
+            return b, lo
+        pts = np.stack([x - 0.45e-12, x + 0.45e-12])
+        f, df = (r.reshape(2, -1) for r in contagion._experienced(pts.ravel(), v, a, slope=True))
+        reach = f >= t
+        hi = np.minimum(hi, np.where(reach, pts, np.inf).min(axis=0))
+        lo_i = np.maximum(lo_i, np.where(reach, -np.inf, pts).max(axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - (f[0] + f[1] - 2.0 * t) / (df[0] + df[1])
+        ok = (lo_i < newton) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
+        newton = np.where(ok, newton, 0.5 * (lo_i + hi))
+        step, x = np.abs(newton - x), newton
+        done = hi - lo_i <= 1e-12
+        b[idx[done]], lo[idx[done]] = hi[done], lo_i[done]
+        idx, lo_i, hi, t, x, step = (arr[~done] for arr in (idx, lo_i, hi, t, x, step))
+    raise AssertionError("oracle did not close its bracket")
 
 
 def bisection_solve_wave(a, q):
@@ -178,6 +218,15 @@ def test_front_f_boundary_values():
     assert f[2] == pytest.approx(0.5, abs=1e-15)
 
 
+def test_front_f_edges_match_masked_formula():
+    f = front_f_array(np.array([-np.inf, np.inf, np.nan]))
+    assert f[0] == 0.0 and f[1] == 1.0 and math.isnan(f[2])
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    edges = np.array([1.0, one_up, one_down, 2.0])
+    for xs in (edges, -edges, np.linspace(-2.0, 2.0, 10_001)):
+        assert front_f_array(xs).tobytes() == masked_front_f(xs).tobytes()
+
+
 def test_front_f_balanced_identity():
     xs = np.linspace(-1.0, 1.0, 10_001)
     vals = front_f_array(xs) + front_f_array(-xs)
@@ -276,13 +325,15 @@ def test_solve_wave_panel_game_matches_bisection_oracle(monkeypatch):
     assert np.all(sol.residuals >= -1e-9)
 
 
-def _assert_sweep_exact(v, a, targets, b):
+def _assert_sweep_exact(v, a, targets, b, lo_prev):
     """Each b*_l(v) is 0, the cap v_{l-1} + 1 bit for bit, or a point that
-    reaches the target with x - 1e-12 short of it."""
+    reaches the target with x - 1e-12 short of it; every row the sweep
+    skipped as capped before (lo_prev == cap) misses the target at its cap."""
     cap = v[:-1] + 1.0
     F = lambda x: contagion._experienced(x, v, a)  # noqa: E731
     zero = targets <= F(np.zeros(1))[0]
     capped = F(cap) < targets
+    assert np.all(capped[lo_prev == cap])
     assert np.all(b[zero] == 0.0)
     assert np.array_equal(b[capped], cap[capped])
     rest = ~zero & ~capped
@@ -293,7 +344,8 @@ def _assert_sweep_exact(v, a, targets, b):
 
 def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
     # solve_wave's own iteration, warm brackets included, checked sweep by
-    # sweep against the first-crossing guarantee of plain bisection.
+    # sweep against the first-crossing guarantee of plain bisection, and
+    # bit for bit against the sweep that evaluates F at every cap.
     inputs = [panel_wave_inputs(monkeypatch)]
     while len(inputs) < 11:
         out = random_admissible_wave_inputs(rng)
@@ -303,8 +355,11 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
         targets = q[2:]
         v, lo = np.zeros(a.size - 1), np.zeros(a.size - 2)
         for sweeps in range(1, 10_000):
-            b, lo = contagion._b_star(v, a, targets, lo)
-            _assert_sweep_exact(v, a, targets, b)
+            want_b, want_lo = dense_b_star(v, a, targets, lo)
+            b, lo_next = contagion._b_star(v, a, targets, lo)
+            assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
+            _assert_sweep_exact(v, a, targets, b, lo)
+            lo = lo_next
             new = np.maximum(np.append(0.0, b), v)
             v, step = new, np.max(np.abs(new - v))
             if step < 1e-10:
@@ -312,6 +367,18 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
         sol = solve_wave(steps=a, inv_positions=q)
         assert sol.sweeps == sweeps
         assert np.array_equal(sol.thresholds, v)
+
+
+def test_solve_wave_raises_no_runtime_warning(rng, monkeypatch):
+    inputs = [panel_wave_inputs(monkeypatch)]
+    while len(inputs) < 21:
+        out = random_admissible_wave_inputs(rng)
+        if out is not None:
+            inputs.append(out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, q in inputs:
+            solve_wave(steps=a, inv_positions=q)
 
 
 @pytest.mark.parametrize(
@@ -449,6 +516,14 @@ def test_staircase_matches_level_by_level_build(rng, monkeypatch):
                 continue
             assert np.array_equal(Q.piece_positions, pos)
             assert np.array_equal(Q.piece_values, levels)
+
+
+@pytest.mark.xfail(raises=WaveConstructionError, strict=True, reason="ROADMAP item 2(b)")
+def test_staircase_level_one_survives_base_rounding():
+    # (0.05 + 0.0375) - 0.0375 rounds one ulp below P(0) = 0.05, so level 1
+    # lands at x = 0 and the squeeze finds no room (FOUND in CHANGES.md).
+    Q = contagion._staircase_above(StepFn(0.05), 0.0375)
+    assert Q.piece_positions[1] > 0.0
 
 
 def test_dominance_scans_scale_to_late_halvings(monkeypatch):

@@ -424,6 +424,23 @@ def test_cli_wave(tmp_path, capsys):
     assert json.loads((tmp_path / "w.json").read_text())["sweeps"] >= 1
 
 
+def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
+    # P = 0.1 at eta = 0.15 loses halving k = 1 to the staircase squeeze.
+    game = write_game(tmp_path, {"base": 0.1, "steps": []})
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    assert cli_main(["wave", game, "--eta", "0.15", "--out", str(quiet)]) == 0
+    quiet_out = capsys.readouterr().out
+    caplog.set_level(logging.INFO, logger="netcoord")
+    assert cli_main(["-v", "wave", game, "--eta", "0.15", "--out", str(loud)]) == 0
+    assert capsys.readouterr().out == quiet_out
+    assert loud.read_bytes() == quiet.read_bytes()
+    sweeps = json.loads(loud.read_text())["sweeps"]
+    assert [r.getMessage() for r in caplog.records if r.name == "netcoord"] == [
+        "wave halving k=1 delta1=0.075: staircase squeeze ran out of room near 0",
+        f"wave halving k=2 delta1=0.0375: verified after {sweeps} b* sweeps",
+    ]
+
+
 def test_cli_wave_rejects_nan_eta(tmp_path, capsys):
     game = write_game(tmp_path, {"base": 0.05, "steps": []})
     assert cli_main(["wave", game, "--eta", "nan"]) == 1
