@@ -41,6 +41,7 @@ from .dynamics import (
     upper_dynamics,
     lower_dynamics,
     initial_profile,
+    largest_equilibrium,
     extremal_equilibria,
     enumerate_equilibria,
     capacity_simple,

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import cube_report, good_set_search, report_to_csv
-from .dynamics import enumerate_equilibria, extremal_equilibria
+from .dynamics import enumerate_equilibria, largest_equilibrium
 from .game import sample_shocks
 from .harness import ExperimentConfig, _cube_params, _fmt, _worker_count, build_game, build_network, run_experiment
 from .network import weighted_average
@@ -121,9 +121,10 @@ def _cmd_lattice_analyze(args) -> int:
         t0 = time.perf_counter()
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
         t1 = time.perf_counter()
-        largest, _ = extremal_equilibria(g, t)
+        largest, beta = largest_equilibrium(g, t)
         t2 = time.perf_counter()
-        rep_report = cube_report(part, t, P, largest, gamma)
+        rep_report = cube_report(part, t, P, largest, beta, gamma)
+        del largest, beta  # before the good-set search's distance transforms allocate
         (out_dir / f"cubes_{rep:04d}.csv").write_text(report_to_csv(rep_report))
         t3 = time.perf_counter()
         found = good_set_search(part, rep_report.bad, rep_report.extraordinary, gamma, R)
@@ -133,7 +134,7 @@ def _cmd_lattice_analyze(args) -> int:
             text = found.to_json()
         (out_dir / f"goodset_{rep:04d}.json").write_text(text)
         log.info(
-            "replication %d: shocks %.4fs, extremal %.4fs, report+csv %.4fs, good set %.4fs; %d bad cubes, good_set=%s",
+            "replication %d: shocks %.4fs, largest %.4fs, report+csv %.4fs, good set %.4fs; %d bad cubes, good_set=%s",
             rep, t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3,
             int(rep_report.bad.sum()), "yes" if found else "no",
         )

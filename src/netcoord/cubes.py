@@ -20,8 +20,9 @@ the classification machinery:
 
 A realization enters as its threshold array t (node index x*M + y),
 checked like the dynamics' input: one threshold per node, no NaN.
-Per-cube fractions beta(c) average the lattice network's own
-``neighborhood_fractions`` of ``a == 1`` (integer torus stencil, no CSR).
+Per-cube fractions beta(c) average the beta = Wa/g that the caller's
+closure computed on ``a`` in its final sweep (``largest_equilibrium``
+returns it), so a report runs no stencil of its own.
 Node distances are the torus Euclidean metric scaled by 1/m; set
 distances are minima over node pairs, computed with an exact Euclidean
 distance transform of the grid wrap-padded by half its side.
@@ -37,7 +38,7 @@ from scipy import ndimage
 
 from .contagion import ContagionWave
 from .dynamics import _thresholds
-from .network import LatticeSpec, is_pure, lattice, neighborhood_fractions
+from .network import LatticeSpec, is_pure
 from .stepfn import StepFn
 
 __all__ = [
@@ -142,8 +143,16 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
 
 
 def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
-    """Flags of cubes whose agents all have action 0 strictly dominant."""
-    return np.isinf(_blocks(part, _thresholds(t, part.M**2))).all(axis=1)
+    """Flags of cubes whose agents all have action 0 strictly dominant.
+
+    ``isinf`` of the grid, viewed as (s, b, s, b), is reduced over the
+    rows of each cube in one call and then over its b columns as b
+    strided slices, so no per-cube copy of the thresholds is made.
+    """
+    s, b = part.small_side, part.b
+    inf = np.isinf(part.node_grid(_thresholds(t, part.M**2))).reshape(s, b, s, b)
+    columns = np.logical_and.reduce(inf, axis=1)
+    return np.logical_and.reduce([columns[..., j] for j in range(b)]).ravel()
 
 
 # ---------------------------------------------------------- torus utilities
@@ -314,18 +323,21 @@ def cube_report(
     t: np.ndarray,
     P: StepFn,
     a: np.ndarray,
+    beta: np.ndarray,
     gamma: float,
 ) -> CubeReport:
     """Per-small-cube a(c), beta(c) and flags of the pure profile ``a``.
 
-    beta comes from the bool profile ``a == 1.0``; a mixed ``a`` is rejected.
+    ``beta`` is the per-node beta = Wa/g of ``a`` on the lattice, as the
+    closure that found ``a`` computed it in its final sweep; the report
+    averages it and does not recompute it.  A mixed ``a`` is rejected.
     """
     if not is_pure(a):
         raise ValueError("cube_report needs a pure profile (every entry 0 or 1)")
     return CubeReport(
         part=part,
         a_c=cube_means(part, a),
-        beta_c=cube_means(part, neighborhood_fractions(lattice(part.spec), np.asarray(a) == 1.0)),
+        beta_c=cube_means(part, beta),
         bad=classify_bad(part, t, P, gamma),
         extraordinary=extraordinary_cubes(part, t),
     )

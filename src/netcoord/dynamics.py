@@ -64,6 +64,7 @@ __all__ = [
     "upper_closure",
     "lower_closure",
     "initial_profile",
+    "largest_equilibrium",
     "extremal_equilibria",
     "enumerate_equilibria",
     "capacity_simple",
@@ -308,24 +309,34 @@ def initial_profile(P: StepFn, x_star: float, t: np.ndarray, seed: int) -> np.nd
     return a
 
 
+def _checked_closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool, name: str):
+    """The closure's (a, beta), with a checked as an equilibrium against that beta."""
+    a, beta = _closure(g, t, a0, tie, up)
+    if not np.array_equal(best_response_array(t, beta, tie), a):
+        raise AssertionError(f"{name} iterate is not an equilibrium under the {tie} rule")
+    return a, beta
+
+
+def largest_equilibrium(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest upper equilibrium a and its beta = Wa/g.
+
+    Monotone downward iteration from all-ones under the upper tie rule;
+    a is checked against the beta its closure's final sweep computed,
+    which is returned with it.
+    """
+    return _checked_closure(g, _thresholds(t, g.n), np.ones(g.n), "upper", False, "largest")
+
+
 def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest upper equilibrium and smallest lower equilibrium.
 
-    Largest: monotone downward iteration from all-ones under the upper
-    tie rule; smallest: upward from all-zeros under the lower rule.
-    Both limits are equilibria of their tie rule and bracket every Nash
-    equilibrium of the realized game.  Each is checked against the beta
-    its closure's final sweep computed on it.
+    Largest: ``largest_equilibrium``; smallest: upward from all-zeros
+    under the lower rule, checked the same way.  Both limits bracket
+    every Nash equilibrium of the realized game.
     """
     t = _thresholds(t, g.n)
-    limits = []
-    for name, a0, tie, up in (("largest", np.ones(g.n), "upper", False), ("smallest", np.zeros(g.n), "lower", True)):
-        a, beta = _closure(g, t, a0, tie, up)
-        if not np.array_equal(best_response_array(t, beta, tie), a):
-            raise AssertionError(f"{name} iterate is not an equilibrium under the {tie} rule")
-        limits.append(a)
-        del a, beta  # before the second closure allocates its own
-    largest, smallest = limits
+    largest = largest_equilibrium(g, t)[0]  # its beta is freed before the second closure allocates its own
+    smallest = _checked_closure(g, t, np.zeros(g.n), "lower", True, "smallest")[0]
     if np.any(largest < smallest):
         raise AssertionError("extremal equilibria are not ordered")
     return largest, smallest

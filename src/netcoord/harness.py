@@ -40,6 +40,7 @@ from .dynamics import (
     enumerate_equilibria,
     extremal_equilibria,
     initial_profile,
+    largest_equilibrium,
     lower_closure,
     upper_closure,
     upper_dynamics,
@@ -530,8 +531,7 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
                 continue
             good_found += 1
             if wave is not None:
-                largest, _ = extremal_equilibria(g, t)
-                ok, _ = domination_check(part, largest, wave, found.W, R, rho)
+                ok, _ = domination_check(part, largest_equilibrium(g, t)[0], wave, found.W, R, rho)
                 dominated += ok
     return {
         "x_star": x_star,

@@ -162,24 +162,33 @@ def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
 def _count_dtype(spec: LatticeSpec) -> type:
     """Smallest signed int type holding (2m+1)^2, which bounds a ball count and every partial sum."""
     bound = (2 * spec.m + 1) ** 2
-    return next(d for d in (np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+    return next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
 
 
 def _torus_sums(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:
     """Sum of a over each node's radius-1 ball, center excluded.
 
-    Column dy of the ball is the window |dx| <= h = isqrt(m^2 - dy^2).  One
-    window V of the wrap-padded grid grows in place by two rows per h, and
-    each column dy is added as a slice of V once V reaches its half-height.
+    Column dy of the ball is the window |dx| <= h = isqrt(m^2 - dy^2).  The
+    grid is wrapped by m on every side into one (M+2m)^2 buffer, written by
+    slices.  One window V of it grows in place by two rows per h, and each
+    column dy is added as a slice of V once V reaches its half-height.
     The accumulator follows the profile: float64, or ``_count_dtype`` for a
-    bool profile; float64 sums of 0/1 terms are exact integers, so both agree.
+    bool profile, which is viewed as int8 when that is the count type;
+    float64 sums of 0/1 terms are exact integers, so both agree.
     """
     M, m = spec.M, spec.m
     grid = a.reshape(M, M)
     acc = _count_dtype(spec) if a.dtype == bool else float
-    p = np.pad(grid, m, mode="wrap")
-    V = p[m : m + M].astype(acc)
-    sums = np.negative(grid, dtype=acc)
+    if acc is np.int8:
+        grid = grid.view(np.int8)
+    p = np.empty((M + 2 * m, M + 2 * m), dtype=acc)
+    p[m : m + M, m : m + M] = grid
+    p[m : m + M, :m] = grid[:, M - m :]
+    p[m : m + M, m + M :] = grid[:, :m]
+    p[:m] = p[M : M + m]
+    p[m + M :] = p[m : 2 * m]
+    V = p[m : m + M].copy()
+    sums = np.negative(p[m : m + M, m : m + M])
     for h in range(m + 1):
         if h:
             V += p[m - h : m - h + M]

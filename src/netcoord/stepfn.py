@@ -58,6 +58,21 @@ _VALUE_TIE = 1e-12
 
 _DOMAIN_EPS = 1e-9  # fp dust from incremental neighborhood updates
 
+# Up to this many pieces, array evaluation and inversion count the knots
+# (values) each input passes, one comparison pass per knot; above it, they
+# binary-search.  Both give the same index, but a few branch-free passes
+# cost less than a search per value.
+_FEW_PIECES = 8
+
+
+def _rank(x: np.ndarray, edges: np.ndarray, passes) -> np.ndarray:
+    """Per x, the number of edges e with passes(x, e): for rising edges,
+    searchsorted's index (side="right" for >=, side="left" for >)."""
+    idx = np.zeros(x.shape, dtype=np.int8)
+    for e in edges.tolist():
+        idx += passes(x, e)
+    return idx
+
 
 def _check_unit(name: str, x: float) -> float:
     x = float(x)
@@ -131,8 +146,10 @@ class StepFn:
         # Written so that NaN, for which every comparison is false, fails.
         if x.size and not (-_DOMAIN_EPS <= x.min() and x.max() <= 1.0 + _DOMAIN_EPS):
             raise ValueError("x outside [0, 1]")
-        x = np.clip(x, 0.0, 1.0)
-        idx = np.searchsorted(self._knots, x, side="right")
+        if self._vals.size > _FEW_PIECES:
+            idx = np.searchsorted(self._knots, np.clip(x, 0.0, 1.0), side="right")
+        else:  # the knots lie in (0, 1], so x >= knot as its clipped value would
+            idx = _rank(x, self._knots, np.greater_equal)
         return self._vals[idx]
 
     def eval_left(self, x: float) -> float:
@@ -147,9 +164,11 @@ class StepFn:
         if y.size and not (-_DOMAIN_EPS <= y.min() and y.max() <= 1.0 + _DOMAIN_EPS):
             raise ValueError("y outside [0, 1]")
         y = np.clip(y, 0.0, 1.0)
-        idx = np.searchsorted(self._vals, y, side="left")
-        pos = np.append(self._pos, np.inf)
-        return pos[idx]
+        if self._vals.size > _FEW_PIECES:
+            idx = np.searchsorted(self._vals, y, side="left")
+        else:
+            idx = _rank(y, self._vals, np.greater)
+        return np.append(self._pos, np.inf)[idx]
 
     # -- structure accessors ----------------------------------------------
 

@@ -21,7 +21,7 @@ from netcoord.cubes import (
     r_interior,
     report_to_csv,
 )
-from netcoord.dynamics import extremal_equilibria
+from netcoord.dynamics import largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
 from netcoord.stepfn import StepFn
@@ -201,7 +201,7 @@ def test_nan_threshold_rejected_by_cube_entry_points():
     calls = [
         lambda: classify_bad(part, t, P, 0.1),
         lambda: extraordinary_cubes(part, t),
-        lambda: cube_report(part, t, P, np.zeros(144), 0.1),
+        lambda: cube_report(part, t, P, np.zeros(144), np.zeros(144), 0.1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="NaN"):
@@ -241,6 +241,16 @@ def test_extraordinary_binomial_rate():
     p = 0.5**4
     sigma = math.sqrt(p * (1 - p) / part.n_small)
     assert abs(share - p) <= 3 * sigma
+
+
+def test_extraordinary_matches_per_cube_rows(rng):
+    # The per-cube rows of _blocks, as the flags were once computed, are the oracle.
+    for M, b in [(12, 1), (12, 2), (12, 3), (12, 12), (60, 3), (60, 5)]:
+        part = CubePartition(LatticeSpec(M=M, m=2), b=b, B=M)
+        for p_inf in (0.0, 0.5, 0.9, 1.0):
+            t = np.where(rng.random(M * M) < p_inf, math.inf, rng.random(M * M))
+            want = np.isinf(_blocks(part, t)).all(axis=1)
+            assert np.array_equal(extraordinary_cubes(part, t), want)
 
 
 # ------------------------------------------------------------ good set search
@@ -471,7 +481,7 @@ def test_cube_report_csv():
     t[:72] = 0.4
     s = shocks_of(t)
     P = StepFn(0.5)
-    rep = cube_report(part, s, P, np.zeros(144), gamma=0.2)
+    rep = cube_report(part, s, P, np.zeros(144), np.zeros(144), gamma=0.2)
     text = report_to_csv(rep)
     lines = text.strip().splitlines()
     assert lines[0] == "cube_x,cube_y,a_c,beta_c,bad,extraordinary"
@@ -483,7 +493,7 @@ def test_cube_report_rejects_a_mixed_profile():
     a = np.zeros(144)
     a[17] = 0.5
     with pytest.raises(ValueError, match="pure profile"):
-        cube_report(part, np.full(144, 0.3), StepFn(0.5), a, gamma=0.2)
+        cube_report(part, np.full(144, 0.3), StepFn(0.5), a, np.zeros(144), gamma=0.2)
 
 
 def test_report_csv_matches_csv_writer(rng):
@@ -491,7 +501,7 @@ def test_report_csv_matches_csv_writer(rng):
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     shocks = sample_shocks(P, part.M**2, seed=5)
     a = (rng.random(part.M**2) < 0.5).astype(float)
-    rep = cube_report(part, shocks, P, a, gamma=0.2)
+    rep = cube_report(part, shocks, P, a, neighborhood_fractions(lattice(part.spec), a == 1.0), gamma=0.2)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["cube_x", "cube_y", "a_c", "beta_c", "bad", "extraordinary"])
@@ -527,6 +537,23 @@ def test_lattice_analysis_leaves_csr_unbuilt():
     P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
     g = lattice(spec)
     shocks = sample_shocks(P, g.n, seed=7)
-    largest, _ = extremal_equilibria(g, shocks)
-    cube_report(part, shocks, P, largest, gamma=0.2)
+    largest, beta = largest_equilibrium(g, shocks)
+    cube_report(part, shocks, P, largest, beta, gamma=0.2)
     assert "weights" not in g.__dict__
+
+
+def test_cube_report_averages_the_closures_beta():
+    # The report takes beta from the closure's last sweep; recomputing it
+    # on the profile, as the report once did, is the oracle.
+    spec = LatticeSpec(M=60, m=3)
+    part = CubePartition(spec, b=3, B=30)
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    g = lattice(spec)
+    for seed in range(3):
+        shocks = sample_shocks(P, g.n, seed=seed)
+        largest, beta = largest_equilibrium(g, shocks)
+        assert 0.0 < largest.mean() < 1.0
+        rep = cube_report(part, shocks, P, largest, beta, gamma=0.2)
+        want = cube_means(part, neighborhood_fractions(lattice(spec), largest == 1.0))
+        assert np.array_equal(rep.beta_c, want)
+        assert np.array_equal(rep.a_c, cube_means(part, largest))

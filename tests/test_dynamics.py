@@ -13,6 +13,7 @@ from netcoord.dynamics import (
     capacity_simple,
     enumerate_equilibria,
     extremal_equilibria,
+    largest_equilibrium,
     initial_profile,
     is_equilibrium,
     lower_closure,
@@ -292,6 +293,18 @@ def test_extremal_matches_enumeration(rng):
         assert upper_all.size and lower_all.size
         assert np.array_equal(largest, upper_all.max(axis=0))
         assert np.array_equal(smallest, lower_all.min(axis=0))
+
+
+def test_largest_equilibrium_returns_its_beta(rng):
+    # The largest of the extremal pair, with beta = Wa/g of it bit for bit.
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    g = lattice(LatticeSpec(M=20, m=2))
+    cases = [(g, sample_shocks(P, g.n, seed=s)) for s in range(3)]
+    cases += [(g, t) for g, _, t in (random_instance(rng) for _ in range(20))]
+    for g, t in cases:
+        a, beta = largest_equilibrium(g, t)
+        assert a.dtype == np.float64 and np.array_equal(a, extremal_equilibria(g, t)[0])
+        assert np.array_equal(beta, neighborhood_fractions(g, a))
 
 
 def test_closures_on_bool_profiles_return_float_limits(rng):

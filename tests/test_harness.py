@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import netcoord.cubes
+import netcoord.dynamics
 from netcoord.cli import main as cli_main
 from netcoord.harness import (
     ExperimentConfig,
@@ -543,6 +544,25 @@ def test_cli_lattice_analyze_classifies_once_per_replication(tmp_path, monkeypat
     caplog.set_level(logging.INFO, logger="netcoord")
     assert cli_main(["-v", "lattice-analyze", str(cfg_path)]) == 0
     assert len(calls) == 3
-    stages = [r.getMessage() for r in caplog.records if "extremal" in r.getMessage()]
+    stages = [r.getMessage() for r in caplog.records if "largest" in r.getMessage()]
     assert len(stages) == 3
     assert all("shocks" in m and "good set" in m and "bad cubes" in m and "good_set=" in m for m in stages)
+
+
+def test_cli_lattice_analyze_runs_no_lower_closure(tmp_path, monkeypatch):
+    # Only the largest equilibrium is reported: one upper-rule closure per replication.
+    cfg = {
+        "game": {"step_json": {"base": 0.05, "steps": [[0.4, 0.3]]}},
+        "network": {"lattice": {"M": 24, "m": 2}},
+        "replications": 3,
+        "seed": 5,
+        "cubes": {"b": 3, "B": 12, "gamma": 0.2, "R": 1.0},
+        "output": str(tmp_path / "lat"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ties = []
+    closure = netcoord.dynamics._closure
+    monkeypatch.setattr(netcoord.dynamics, "_closure", lambda g, t, a0, tie, up: ties.append(tie) or closure(g, t, a0, tie, up))
+    assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
+    assert ties == ["upper"] * 3

@@ -166,8 +166,9 @@ def test_structured_fractions_match_csr(rng, name):
 
 def test_stencil_accumulator_follows_the_profile():
     # The ball count (2m + 1)^2 bounds every partial sum, whatever M is; no grid is allocated.
-    assert _count_dtype(LatticeSpec(M=32766, m=1)) is np.int16
-    assert _count_dtype(LatticeSpec(M=2**31 - 2, m=1)) is np.int16
+    assert _count_dtype(LatticeSpec(M=2**31 - 2, m=1)) is np.int8
+    assert _count_dtype(LatticeSpec(M=300, m=5)) is np.int8  # 121 <= 127
+    assert _count_dtype(LatticeSpec(M=300, m=6)) is np.int16  # 169 > 127
     assert _count_dtype(LatticeSpec(M=300, m=90)) is np.int16
     assert _count_dtype(LatticeSpec(M=300, m=91)) is np.int32
     assert _count_dtype(LatticeSpec(M=10**5, m=23169)) is np.int32
@@ -176,8 +177,22 @@ def test_stencil_accumulator_follows_the_profile():
     assert full.dtype == np.int16 and (full == len(lattice_ball_offsets(90))).all()
     spec = LatticeSpec(M=12, m=2)
     a = np.arange(144) % 3 == 0
-    assert _torus_sums(spec, a).dtype == np.int16
+    assert _torus_sums(spec, a).dtype == np.int8
     assert _torus_sums(spec, a.astype(float)).dtype == np.float64
+
+
+@pytest.mark.parametrize("M,m", [(3, 1), (15, 5), (18, 6), (40, 2)])
+def test_bool_stencil_counts_equal_csr_counts(rng, M, m):
+    # int8 counts for m <= 5, int16 at m = 6; the wrap border is written by slices.
+    spec = LatticeSpec(M=M, m=m)
+    W = lattice(spec).weights
+    ball = len(lattice_ball_offsets(m))
+    profiles = [np.zeros(M * M, bool), np.ones(M * M, bool)] + [rng.random(M * M) < p for p in (0.1, 0.5, 0.9)]
+    for a in profiles:
+        sums = _torus_sums(spec, a)
+        assert sums.dtype == _count_dtype(spec)
+        assert np.array_equal(sums, W @ a.astype(float))
+    assert (_torus_sums(spec, profiles[1]) == ball).all()
 
 
 def test_structured_statistics_equal_csr_values():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from netcoord.stepfn import (
     INV_SENTINEL,
     TOL_X,
+    _FEW_PIECES,
     FixedPoint,
     StepFn,
     _dominance_integral,
@@ -65,11 +66,56 @@ def test_eval_domain_error():
 
 
 def test_array_domain_rejects_nan():
-    for bad in ([math.nan, 0.3], [0.3, math.nan], [math.nan]):
-        with pytest.raises(ValueError):
-            TWO_STEP.eval_array(np.array(bad))
-        with pytest.raises(ValueError):
-            TWO_STEP.inverse_array(np.array(bad))
+    many = StepFn.from_grid(np.linspace(0.0, 0.9, _FEW_PIECES + 1).tolist(), np.linspace(0.1, 0.9, _FEW_PIECES + 1).tolist())
+    for P in (TWO_STEP, many):
+        for bad in ([math.nan, 0.3], [0.3, math.nan], [math.nan]):
+            with pytest.raises(ValueError):
+                P.eval_array(np.array(bad))
+            with pytest.raises(ValueError):
+                P.inverse_array(np.array(bad))
+
+
+def searchsorted_eval(P: StepFn, x) -> np.ndarray:
+    """P(x) by binary search over the knots of the clipped x."""
+    return P.piece_values[np.searchsorted(P.piece_positions[1:], np.clip(x, 0.0, 1.0), side="right")]
+
+
+def searchsorted_inverse(P: StepFn, y) -> np.ndarray:
+    """inf{x : P(x) >= y} by binary search over the values of the clipped y."""
+    return np.append(P.piece_positions, np.inf)[np.searchsorted(P.piece_values, np.clip(y, 0.0, 1.0), side="left")]
+
+
+def _step_with_pieces(rng, k: int) -> StepFn:
+    """k pieces whose values repeat, sometimes with a step at 0, a knot at 1, values 0 or 1."""
+    pos = np.sort(rng.choice(np.arange(1, 1000), size=k - 1, replace=False)) / 1000.0
+    if rng.random() < 0.5 and k > 1:
+        pos[-1] = 1.0
+    vals = np.sort(rng.choice([0.0, 0.2, 0.5, 0.7, 1.0, *rng.random(3)], size=k))
+    if rng.random() < 0.5:  # a step at 0 overrides the base
+        return StepFn(base=float(rng.random()) * vals[0], steps=tuple(zip([0.0, *pos], vals)))
+    return StepFn.from_grid([0.0, *pos], vals.tolist())
+
+
+def _edge_inputs(rng, points) -> np.ndarray:
+    """The points, each +-1 ulp, the domain's +-1e-9 edges and uniforms, all inside the domain."""
+    points = np.concatenate([points, [0.0, -0.0, 1.0, -1e-9, 1.0 + 1e-9], rng.random(50)])
+    x = np.concatenate([points, np.nextafter(points, -np.inf), np.nextafter(points, np.inf)])
+    return x[(x >= -1e-9) & (x <= 1.0 + 1e-9)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, _FEW_PIECES, _FEW_PIECES + 1, 40])
+def test_array_evaluation_matches_binary_search(rng, k):
+    # Both sides of the piece-count switch give the binary search's result bit for bit.
+    for _ in range(40):
+        P = _step_with_pieces(rng, k)
+        assert P.piece_values.size == k
+        for pts in (P.piece_positions, P.piece_values):
+            x = _edge_inputs(rng, pts)
+            assert np.array_equal(P.eval_array(x), searchsorted_eval(P, x))
+            assert np.array_equal(P.inverse_array(x), searchsorted_inverse(P, x))
+            grid = x[: 6 * (x.size // 6)].reshape(2, 3, -1)  # any shape
+            assert P.eval_array(grid).shape == grid.shape
+            assert np.array_equal(P.inverse_array(grid), searchsorted_inverse(P, grid))
 
 
 def test_invalid_construction():
