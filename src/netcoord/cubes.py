@@ -22,7 +22,13 @@ A realization enters as its threshold array t (node index x*M + y),
 checked like the dynamics' input: one threshold per node, no NaN.
 Per-cube fractions beta(c) average the beta = Wa/g that the caller's
 closure computed on ``a`` in its final sweep (``largest_equilibrium``
-returns it), so a report runs no stencil of its own.
+returns it), so a report runs no stencil of its own.  Other per-cube
+numbers come from one strided reduction of the node grid
+(``_cube_reduce``): a(c) is the cube's count of 1s over b^2, the
+extraordinary flags are an ``and``, cube distances a minimum, and for a
+P with few pieces the gamma-bad test counts the thresholds below each
+knot.  beta(c) keeps numpy's mean: a strided sum adds the fractions in
+another order and rounds differently, so the CSV's bytes would move.
 Node distances are the torus Euclidean metric scaled by 1/m; set
 distances are minima over node pairs, computed with an exact Euclidean
 distance transform of the grid wrap-padded by half its side.
@@ -39,7 +45,7 @@ from scipy import ndimage
 from .contagion import ContagionWave
 from .dynamics import _thresholds
 from .network import LatticeSpec, is_pure
-from .stepfn import StepFn
+from .stepfn import _FEW_PIECES, StepFn
 
 __all__ = [
     "CubePartition",
@@ -119,6 +125,22 @@ def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
     return grid.reshape(s, b, s, b).transpose(0, 2, 1, 3).reshape(s * s, b * b)
 
 
+def _cube_reduce(part: CubePartition, values: np.ndarray, ufunc: np.ufunc, dtype=None) -> np.ndarray:
+    """``ufunc`` over each small cube's b x b values, in cube-id order.
+
+    The grid, viewed as (s, b, M), is reduced over each cube's b rows in
+    one call, then over its b columns as b strided slices, so no per-cube
+    copy is made.  ``dtype`` is the accumulator (e.g. an int type to
+    count a bool grid with ``np.add``); it defaults to the values' own.
+    """
+    s, b = part.small_side, part.b
+    rows = ufunc.reduce(part.node_grid(values).reshape(s, b, part.M), axis=1, dtype=dtype)
+    out = rows[:, ::b].copy()
+    for j in range(1, b):
+        ufunc(out, rows[:, j::b], out=out)
+    return out.ravel()
+
+
 def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) -> np.ndarray:
     """Per-small-cube gamma-bad flags, decided exactly.
 
@@ -129,30 +151,34 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
     and x = 1 lies right of the largest threshold below 1, so the
     candidates are the cube's thresholds in [0, 1) and x = 0, where the
     negative thresholds are scored.  With no threshold below 1 the gap
-    is -P(x) <= 0.  In the sorted row, position k counts (k+1)/|c|; the
-    last copy of a repeated threshold carries the run's maximum.
+    is -P(x) <= 0.  Within piece j of P, [x_j, e_j) with e_j the next
+    knot (or 1), P is v_j and the largest candidate scores most:
+    C_j/|c| - v_j with C_j = #{t < e_j}.  A piece without a threshold
+    scores no more than the piece below it (same count, P no smaller), or
+    -v_j <= 0 if none below has one, so every piece may be scored.  With
+    at most ``_FEW_PIECES`` pieces the C_j are counted per cube, one pass
+    per piece; above it each cube's row is sorted, where position k
+    counts (k+1)/|c| and the last copy of a repeated threshold carries
+    the run's maximum.  Both score the same floats.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     t = _thresholds(t, part.M**2)
-    t = np.maximum(np.sort(_blocks(part, t), axis=1), 0.0)
-    size = t.shape[1]
-    inside = t < 1.0
-    gap = np.arange(1, size + 1) / size - P.eval_array(np.where(inside, t, 0.0))
-    return np.where(inside, gap, -np.inf).max(axis=1) > gamma
+    size = part.b**2
+    if P.piece_values.size > _FEW_PIECES:
+        t = np.maximum(np.sort(_blocks(part, t), axis=1), 0.0)
+        inside = t < 1.0
+        gap = np.arange(1, size + 1) / size - P.eval_array(np.where(inside, t, 0.0))
+        return np.where(inside, gap, -np.inf).max(axis=1) > gamma
+    bad = np.zeros(part.n_small, dtype=bool)
+    for edge, value in zip(P.piece_positions[1:].tolist() + [1.0], P.piece_values.tolist()):
+        bad |= _cube_reduce(part, t < edge, np.add, np.min_scalar_type(size)) / size - value > gamma
+    return bad
 
 
 def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
-    """Flags of cubes whose agents all have action 0 strictly dominant.
-
-    ``isinf`` of the grid, viewed as (s, b, s, b), is reduced over the
-    rows of each cube in one call and then over its b columns as b
-    strided slices, so no per-cube copy of the thresholds is made.
-    """
-    s, b = part.small_side, part.b
-    inf = np.isinf(part.node_grid(_thresholds(t, part.M**2))).reshape(s, b, s, b)
-    columns = np.logical_and.reduce(inf, axis=1)
-    return np.logical_and.reduce([columns[..., j] for j in range(b)]).ravel()
+    """Flags of cubes whose agents all have action 0 strictly dominant."""
+    return _cube_reduce(part, np.isinf(_thresholds(t, part.M**2)), np.logical_and)
 
 
 # ---------------------------------------------------------- torus utilities
@@ -179,7 +205,7 @@ def _cube_distance(part: CubePartition, cubes: np.ndarray) -> np.ndarray:
     """
     side = part.M // cubes.shape[0]
     nodes = np.kron(cubes, np.ones((side, side), dtype=bool))
-    return _blocks(part, _torus_edt(nodes) / part.m).min(axis=1)
+    return _cube_reduce(part, _torus_edt(nodes) / part.m, np.minimum)
 
 
 def _largest_component(mask_grid: np.ndarray) -> np.ndarray:
@@ -332,11 +358,12 @@ def cube_report(
     closure that found ``a`` computed it in its final sweep; the report
     averages it and does not recompute it.  A mixed ``a`` is rejected.
     """
+    a = np.asarray(a, dtype=float)
     if not is_pure(a):
         raise ValueError("cube_report needs a pure profile (every entry 0 or 1)")
     return CubeReport(
         part=part,
-        a_c=cube_means(part, a),
+        a_c=_cube_reduce(part, a, np.add) / part.b**2,  # sums of 0/1 are exact, so this is the mean
         beta_c=cube_means(part, beta),
         bad=classify_bad(part, t, P, gamma),
         extraordinary=extraordinary_cubes(part, t),

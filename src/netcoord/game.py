@@ -104,3 +104,30 @@ def best_response_array(t: np.ndarray, beta: np.ndarray, tie: str) -> np.ndarray
     if tie == "lower":
         return (t < beta) | (t == DOMINANT_1)
     raise ValueError("tie must be 'upper' or 'lower'")
+
+
+def _count_thresholds(t: np.ndarray, g: int, tie: str, dtype) -> np.ndarray:
+    """Per agent, the least count c in 0..g with best_response_array(t, c/g, tie), else g + 1.
+
+    Exact against the float levels c/g that neighbour counts are divided
+    into: ceil(t*g) is at most one off the least count, so one comparison
+    with c/g in each direction corrects it, and a final clip bounds the
+    infinite and out-of-range thresholds.  With these thresholds a best
+    response to c of g unit-weight neighbours is just c >= k.
+    """
+    if tie not in ("upper", "lower"):
+        raise ValueError("tie must be 'upper' or 'lower'")
+    low, high = (np.less, np.greater_equal) if tie == "upper" else (np.less_equal, np.greater)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # t * g may overflow to +-inf, which the clip bounds
+        c = t * g
+    np.ceil(c, out=c)
+    level = c / g
+    c += low(level, t)  # level c is too low to play 1: one more
+    np.subtract(c, 1.0, out=level)
+    level /= g
+    c -= high(level, t)  # level c - 1 already plays 1: one fewer
+    np.clip(c, 0, g + 1, out=c)
+    if tie == "lower":
+        c[t == DOMINANT_1] = 0
+    return c.astype(dtype)

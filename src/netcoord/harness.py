@@ -330,13 +330,13 @@ def run_replication(
     return ReplicationResult(rep, record, time.perf_counter() - t0)
 
 
-def _run_chunk(args) -> tuple[list[tuple[int, dict]], dict]:
+def _run_chunk(args) -> tuple[list[ReplicationResult], dict]:
     """Replications ``reps`` of config ``cfg``, plus the network's statistics."""
     cfg, reps = args
     P = build_game(cfg.game)
     g = build_network(cfg.network)
-    records = [(rep, run_replication(g, P, cfg, rep).record) for rep in reps]
-    return records, {"fineness": fineness(g), "imbalance": imbalance(g)}
+    results = [run_replication(g, P, cfg, rep) for rep in reps]
+    return results, {"fineness": fineness(g), "imbalance": imbalance(g)}
 
 
 def _worker_count() -> int:
@@ -368,8 +368,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, chunks))
-    records = sorted((pair for part, _ in parts for pair in part), key=lambda pair: pair[0])
-    log.info("ran %d replications in %.2fs", len(records), time.perf_counter() - t0)
+    results = sorted((r for part, _ in parts for r in part), key=lambda r: r.replication_id)
+    log.info("ran %d replications in %.2fs", len(results), time.perf_counter() - t0)
+    for r in results:
+        log.info("replication %d: %.4fs", r.replication_id, r.wall_time)
+    records = [(r.replication_id, r.record) for r in results]
 
     jsonl_lines = [json.dumps(_sig12(rec)) for _, rec in records]
     agg = StringIO()

@@ -161,9 +161,11 @@ class StepFn:
     def inverse_array(self, y: np.ndarray) -> np.ndarray:
         """Generalized inverse inf{x : P(x) >= y} at each y; +inf where empty."""
         y = np.asarray(y, dtype=float)
-        if y.size and not (-_DOMAIN_EPS <= y.min() and y.max() <= 1.0 + _DOMAIN_EPS):
+        lo, hi = (y.min(), y.max()) if y.size else (0.0, 1.0)
+        if not (-_DOMAIN_EPS <= lo and hi <= 1.0 + _DOMAIN_EPS):
             raise ValueError("y outside [0, 1]")
-        y = np.clip(y, 0.0, 1.0)
+        if lo < 0.0 or hi > 1.0:  # only fp dust within _DOMAIN_EPS; uniform draws never clip
+            y = np.clip(y, 0.0, 1.0)
         if self._vals.size > _FEW_PIECES:
             idx = np.searchsorted(self._vals, y, side="left")
         else:

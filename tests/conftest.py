@@ -13,6 +13,17 @@ def random_stepfn(rng: np.random.Generator, max_pieces: int = 8) -> StepFn:
     return StepFn.from_grid([0.0] + pos.tolist(), vals.tolist())
 
 
+def step_with_pieces(rng, k: int) -> StepFn:
+    """k pieces whose values repeat, sometimes with a step at 0, a knot at 1, values 0 or 1."""
+    pos = np.sort(rng.choice(np.arange(1, 1000), size=k - 1, replace=False)) / 1000.0
+    if rng.random() < 0.5 and k > 1:
+        pos[-1] = 1.0
+    vals = np.sort(rng.choice([0.0, 0.2, 0.5, 0.7, 1.0, *rng.random(3)], size=k))
+    if rng.random() < 0.5:  # a step at 0 overrides the base
+        return StepFn(base=float(rng.random()) * vals[0], steps=tuple(zip([0.0, *pos], vals)))
+    return StepFn.from_grid([0.0, *pos], vals.tolist())
+
+
 def random_admissible_wave_inputs(rng: np.random.Generator, n_steps=None):
     """Step values and inverse positions with pos_l >= a_l, which makes
     every prefix of the dominance integral strictly positive.  Returns

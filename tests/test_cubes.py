@@ -10,6 +10,7 @@ from netcoord.cubes import (
     CubePartition,
     CubeReport,
     _blocks,
+    _cube_reduce,
     _largest_component,
     _torus_edt,
     classify_bad,
@@ -24,7 +25,7 @@ from netcoord.cubes import (
 from netcoord.dynamics import largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
-from netcoord.stepfn import StepFn
+from netcoord.stepfn import _FEW_PIECES, StepFn
 
 
 def shocks_of(t) -> np.ndarray:
@@ -167,22 +168,42 @@ def _brute_bad_flag(t: np.ndarray, P: StepFn, gamma: float) -> bool:
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_classify_bad_matches_breakpoint_oracle(rng, b):
-    # Thresholds drawn from a pool with negatives, P's breakpoints,
-    # off-breakpoint values, 0, 1, +inf and (by drawing with
+    # P with 1 to _FEW_PIECES pieces (counted per piece) and with 12
+    # (sorted rows), half of them with a knot at exactly 1.0.  Thresholds
+    # are drawn from a pool with negatives, P's knots and their float
+    # neighbours, off-knot values, 0, 1, +inf and (by drawing with
     # replacement) duplicates.
-    from conftest import random_stepfn
+    from conftest import step_with_pieces
 
     part = CubePartition(LatticeSpec(M=4 * b, m=1), b=b, B=4 * b)
-    for _ in range(25):
-        P = random_stepfn(rng)
+    for k in [*range(1, _FEW_PIECES + 1), 12] * 3:
+        P = step_with_pieces(rng, k)
+        knots = P.piece_positions
         pool = np.concatenate(
-            [P.piece_positions, [-0.5, -1e-12, 0.0, 1.0, math.inf, 0.5], rng.uniform(-0.1, 1.1, 4)]
+            [knots, np.nextafter(knots, -1.0), np.nextafter(knots, 2.0), [-0.5, -1e-12, 0.0, 1.0, math.inf, 0.5],
+             rng.uniform(-0.1, 1.1, 4)]
         )
         t = rng.choice(pool, size=part.M**2)
         s = shocks_of(t)
         for gamma in (1e-9, 0.1, 0.3, 0.6):
             want = [_brute_bad_flag(t[cube_nodes(part)[c]], P, gamma) for c in range(part.n_small)]
             assert classify_bad(part, s, P, gamma).tolist() == want
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 5, 8, 12])
+def test_cube_reduce_matches_block_rows(rng, b):
+    part = CubePartition(LatticeSpec(M=4 * b, m=1), b=b, B=2 * b)
+    x = rng.random(part.M**2)
+    flags = x < 0.7
+    assert np.array_equal(_cube_reduce(part, x, np.minimum), _blocks(part, x).min(axis=1))
+    assert np.array_equal(_cube_reduce(part, flags, np.logical_and), _blocks(part, flags).all(axis=1))
+    counts = _cube_reduce(part, flags, np.add, np.min_scalar_type(b * b))
+    assert np.array_equal(counts, _blocks(part, flags).sum(axis=1))
+    assert np.array_equal(_cube_reduce(part, np.ones(part.M**2, dtype=bool), np.add, np.min_scalar_type(b * b)),
+                          np.full(part.n_small, b * b))
+    # 0/1 floats sum exactly, so count/b^2 is the cube mean bit for bit.
+    a = flags.astype(float)
+    assert np.array_equal((_cube_reduce(part, a, np.add) / b**2).view(np.int64), cube_means(part, a).view(np.int64))
 
 
 # ------------------------------------------------------------- extraordinary

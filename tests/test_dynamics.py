@@ -26,6 +26,7 @@ from netcoord.game import best_response_array, sample_shocks
 from netcoord.network import (
     LatticeSpec,
     Network,
+    _torus_sums,
     complete_graph,
     lattice,
     neighborhood_fractions,
@@ -340,24 +341,68 @@ def test_closures_reject_a_mixed_start():
 # --------------------------------------------------------------- enumeration
 
 
-def test_extremal_computes_one_beta_per_sweep(monkeypatch):
-    # The equilibrium checks reuse each closure's last beta: no extra pass.
-    g = lattice(LatticeSpec(M=20, m=2))
-    t = sample_shocks(StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9))), g.n, seed=3)
-
+def _sweep_count(g, t):
     def sweeps(a, tie, step):
         count = 1
         while not np.array_equal(new := step(a, best_response_array(t, neighborhood_fractions(g, a), tie)), a):
             a, count = new, count + 1
         return count
 
-    want = sweeps(np.ones(g.n), "upper", np.minimum) + sweeps(np.zeros(g.n), "lower", np.maximum)
+    return sweeps(np.ones(g.n), "upper", np.minimum) + sweeps(np.zeros(g.n), "lower", np.maximum)
+
+
+def test_extremal_computes_one_beta_per_sweep(monkeypatch):
+    # The equilibrium checks reuse each closure's last beta: on the count
+    # path, one stencil pass of integer counts per sweep and no fractions.
+    g = lattice(LatticeSpec(M=20, m=2))
+    t = sample_shocks(StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9))), g.n, seed=3)
+    want = _sweep_count(g, t)
+    calls = []
+    monkeypatch.setattr(netcoord.dynamics, "_torus_sums", lambda s, a: calls.append(a.dtype) or _torus_sums(s, a))
+    monkeypatch.setattr(netcoord.dynamics, "neighborhood_fractions", lambda g, a: pytest.fail("fractions pass"))
+    extremal_equilibria(g, t)
+    assert want > 2 and calls == [np.dtype(bool)] * want
+
+
+def test_csr_closures_compute_one_fraction_pass_per_sweep(monkeypatch):
+    # Real-valued weights keep the float path: one matvec per sweep.
+    g = Network.from_weights(lattice(LatticeSpec(M=20, m=2)).weights)
+    t = sample_shocks(StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9))), g.n, seed=3)
+    want = _sweep_count(g, t)
     calls = []
     monkeypatch.setattr(
         netcoord.dynamics, "neighborhood_fractions", lambda g, a: calls.append(1) or neighborhood_fractions(g, a)
     )
     extremal_equilibria(g, t)
     assert want > 2 and len(calls) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_count_closures_match_the_csr_float_path(rng, monkeypatch, m):
+    # Thresholds on the levels c/g and their neighbours, DOMINANT_1,
+    # negatives and +inf: the count path's limits, beta bits and sweep
+    # counts equal those of the same lattice held as a CSR matrix
+    # (int8 counts up to m = 5, int16 at m = 8).
+    g = lattice(LatticeSpec(M=max(3 * m, 15), m=m))
+    csr = Network.from_weights(g.weights)
+    deg = int(g.degrees[0])
+    levels = np.arange(deg + 1) / deg
+    pool = np.concatenate([levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf), [-0.5, 0.0, np.inf]])
+    passes, sweeps = [], []
+    for name in ("_torus_sums", "neighborhood_fractions"):
+        op = getattr(netcoord.dynamics, name)
+        monkeypatch.setattr(netcoord.dynamics, name, lambda g, a, op=op, name=name: passes.append(name) or op(g, a))
+    for _ in range(3):
+        t = rng.choice(pool, g.n, p=np.r_[np.full(pool.size - 3, 0.94 / (pool.size - 3)), 0.02, 0.02, 0.02])
+        for tie, up in (("upper", False), ("upper", True), ("lower", True), ("lower", False)):
+            a0 = np.zeros(g.n) if up else np.ones(g.n)
+            passes.clear()
+            a, beta = netcoord.dynamics._closure(g, t, a0, tie, up)
+            sweeps.append(len(passes))
+            a_csr, beta_csr = netcoord.dynamics._closure(csr, t, a0, tie, up)
+            assert passes == ["_torus_sums"] * sweeps[-1] + ["neighborhood_fractions"] * sweeps[-1]
+            assert np.array_equal(a, a_csr) and np.array_equal(beta.view(np.int64), beta_csr.view(np.int64))
+    assert max(sweeps) > 2
 
 
 def test_enumerate_two_node_indifferent():

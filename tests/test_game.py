@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from netcoord.game import (
+    DOMINANT_1,
+    _count_thresholds,
     additive_game,
     best_response_array,
     sample_shocks,
     uniform_shock_cdf,
 )
+from netcoord.network import LatticeSpec, _count_dtype
 from netcoord.stepfn import StepFn, ru_dominant, ru_objective
 from conftest import random_stepfn
 
@@ -189,3 +192,29 @@ def test_best_response_array_matches_scalar(rng):
         want = np.array([scalar_best_response(float(a), float(b), tie) for a, b in zip(t, beta)])
         assert np.array_equal(got, want)
 
+
+
+# The lattice degrees for m = 1, 2, 3, 5, 8 in their count types (int8 up
+# to m = 5, then int16), and other degrees in int64.
+_COUNT_DEGREES = [(g, _count_dtype(LatticeSpec(M=3 * m, m=m))) for m, g in ((1, 4), (2, 12), (3, 28), (5, 80), (8, 196))]
+_COUNT_DEGREES += [(g, np.int64) for g in (1, 2, 11, 129, 1999)]
+
+
+@pytest.mark.parametrize("g, dtype", _COUNT_DEGREES)
+def test_count_thresholds_match_searchsorted_over_the_levels(rng, g, dtype):
+    # The levels c/g themselves, their nextafter neighbours, negatives,
+    # 0 (DOMINANT_1), 1, beyond 1 and +-inf, under both tie rules.
+    levels = np.arange(g + 1) / g
+    pts = np.concatenate([levels, [-math.inf, -1.0, -1e-300, -0.0, DOMINANT_1, 5e-324, 1.0, 1.5, 1e17, math.inf], rng.uniform(-0.2, 1.2, 200)])
+    t = np.concatenate([pts, np.nextafter(pts, -math.inf), np.nextafter(pts, math.inf)])
+    upper = _count_thresholds(t, g, "upper", dtype)
+    lower = _count_thresholds(t, g, "lower", dtype)
+    assert upper.dtype == lower.dtype == dtype
+    assert np.array_equal(upper, np.searchsorted(levels, t, side="left"))
+    assert np.array_equal(lower, np.where(t == DOMINANT_1, 0, np.searchsorted(levels, t, side="right")))
+    for c in range(g + 1):  # a best response to c of g neighbours is c >= k
+        beta = np.full(t.size, c / g)
+        assert np.array_equal(c >= upper, best_response_array(t, beta, "upper"))
+        assert np.array_equal(c >= lower, best_response_array(t, beta, "lower"))
+    with pytest.raises(ValueError, match="tie"):
+        _count_thresholds(t, g, "middle", dtype)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import logging
@@ -566,3 +567,69 @@ def test_cli_lattice_analyze_runs_no_lower_closure(tmp_path, monkeypatch):
     monkeypatch.setattr(netcoord.dynamics, "_closure", lambda g, t, a0, tie, up: ties.append(tie) or closure(g, t, a0, tie, up))
     assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
     assert ties == ["upper"] * 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_logs_each_replication_wall_time(tmp_path, monkeypatch, caplog, workers):
+    # One INFO line per replication, in id order after the pool returns;
+    # the output files are those of a run without -v.
+    monkeypatch.setenv("SIM_WORKERS", workers)
+    outputs = {}
+    for verbose in ([], ["-v"]):
+        cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 12}},
+               "replications": 3, "seed": 4, "output": str(tmp_path / f"out{len(verbose)}")}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        caplog.clear()
+        caplog.set_level(logging.INFO, logger="netcoord")
+        assert cli_main([*verbose, "simulate", str(cfg_path)]) == 0
+        outputs[len(verbose)] = {p.name: p.read_bytes() for p in (tmp_path / f"out{len(verbose)}").iterdir()}
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("replication ")]
+    assert [m.split(": ")[0] for m in lines] == ["replication 0", "replication 1", "replication 2"]
+    assert all(m.endswith("s") and float(m.split(": ")[1][:-1]) >= 0.0 for m in lines)
+    assert outputs[0] == outputs[1] and set(outputs[0]) == {"replications.jsonl", "aggregate.csv", "plot.csv"}
+
+
+_GOLDEN_GAMES = {
+    "cube": {"base": 0.05, "steps": [[0.4, 0.3]]},
+    "three_point": {"base": 0.1, "steps": [[0.25, 0.5], [0.75, 0.9]]},
+    "sparse": {"base": 0.0, "steps": [[0.3, 0.05]]},  # mostly +inf thresholds: finds a good set at b = 3
+    "staircase": {"base": 0.02, "steps": [[i / 12, 0.02 + 0.07 * i] for i in range(1, 12)] + [[1.0, 0.9]]},  # 13 pieces
+}
+_GOLDEN_LATTICES = {1: (24, 2, 6), 2: (24, 2, 12), 3: (30, 3, 15), 8: (48, 3, 24)}  # b: (M, m, B)
+# First 16 hex digits of the sha256 of cubes_0000.csv, cubes_0001.csv,
+# goodset_0000.json and goodset_0001.json (seed 11, gamma 0.2, R 1),
+# recorded before closures compared counts and cubes were reduced by slices.
+_GOLDEN = {
+    ("cube", 1): ("203fff0220b63754", "98a42d983753c4fd", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("cube", 2): ("b4eab2295d8dbb0a", "d864133e7e966ad0", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("cube", 3): ("bab2536399b17ca5", "27fbfbd423f8d794", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("cube", 8): ("29a3a76ad9b6fe90", "715859ae6aa0d821", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("three_point", 1): ("47011a883c8deabd", "2fa7d0c5efcdd836", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("three_point", 2): ("1033f3697fb0a7c8", "19c773095c4e0c3d", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("three_point", 3): ("79a071e7e5ee7823", "e1d63315f6899ec1", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("three_point", 8): ("b26d614a9797f80a", "221ff2aacea49e02", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("sparse", 1): ("f8c1c02f234e45e8", "26c3314c1f56352a", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("sparse", 2): ("63958180ed49a692", "8bdcbb3f972f0d8f", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("sparse", 3): ("89af432c53c1d1dc", "98c6d0212c96f98c", "0ea0f25b83971f88", "f9e2305d7873a2be"),
+    ("sparse", 8): ("dc9a80886ba40a44", "56fdd58577a28976", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("staircase", 1): ("0ee02fee850810a9", "f70258f5c25c2fa1", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("staircase", 2): ("8d0d1f116e62422f", "8788a701a0770a8f", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("staircase", 3): ("e3beaf131ddd8ff4", "acb79834e6384520", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+    ("staircase", 8): ("d250ac61f1d8c778", "16e895b512b882d8", "0ea0f25b83971f88", "0ea0f25b83971f88"),
+}
+
+
+@pytest.mark.parametrize("game, b", list(_GOLDEN))
+def test_lattice_analyze_output_bytes_match_the_recorded_digests(tmp_path, game, b):
+    M, m, B = _GOLDEN_LATTICES[b]
+    cfg = {"game": {"step_json": _GOLDEN_GAMES[game]}, "network": {"lattice": {"M": M, "m": m}},
+           "replications": 2, "seed": 11, "cubes": {"b": b, "B": B, "gamma": 0.2, "R": 1.0},
+           "output": str(tmp_path / "lat")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
+    names = ["cubes_0000.csv", "cubes_0001.csv", "goodset_0000.json", "goodset_0001.json"]
+    assert sorted(p.name for p in (tmp_path / "lat").iterdir()) == names
+    got = tuple(hashlib.sha256((tmp_path / "lat" / n).read_bytes()).hexdigest()[:16] for n in names)
+    assert got == _GOLDEN[game, b]

@@ -20,7 +20,7 @@ from netcoord.stepfn import (
     ru_objective,
     step_approximate,
 )
-from conftest import random_stepfn
+from conftest import random_stepfn, step_with_pieces
 
 TWO_STEP = StepFn(base=0.2, steps=((0.5, 0.8),))
 
@@ -85,17 +85,6 @@ def searchsorted_inverse(P: StepFn, y) -> np.ndarray:
     return np.append(P.piece_positions, np.inf)[np.searchsorted(P.piece_values, np.clip(y, 0.0, 1.0), side="left")]
 
 
-def _step_with_pieces(rng, k: int) -> StepFn:
-    """k pieces whose values repeat, sometimes with a step at 0, a knot at 1, values 0 or 1."""
-    pos = np.sort(rng.choice(np.arange(1, 1000), size=k - 1, replace=False)) / 1000.0
-    if rng.random() < 0.5 and k > 1:
-        pos[-1] = 1.0
-    vals = np.sort(rng.choice([0.0, 0.2, 0.5, 0.7, 1.0, *rng.random(3)], size=k))
-    if rng.random() < 0.5:  # a step at 0 overrides the base
-        return StepFn(base=float(rng.random()) * vals[0], steps=tuple(zip([0.0, *pos], vals)))
-    return StepFn.from_grid([0.0, *pos], vals.tolist())
-
-
 def _edge_inputs(rng, points) -> np.ndarray:
     """The points, each +-1 ulp, the domain's +-1e-9 edges and uniforms, all inside the domain."""
     points = np.concatenate([points, [0.0, -0.0, 1.0, -1e-9, 1.0 + 1e-9], rng.random(50)])
@@ -107,7 +96,7 @@ def _edge_inputs(rng, points) -> np.ndarray:
 def test_array_evaluation_matches_binary_search(rng, k):
     # Both sides of the piece-count switch give the binary search's result bit for bit.
     for _ in range(40):
-        P = _step_with_pieces(rng, k)
+        P = step_with_pieces(rng, k)
         assert P.piece_values.size == k
         for pts in (P.piece_positions, P.piece_values):
             x = _edge_inputs(rng, pts)
@@ -116,6 +105,19 @@ def test_array_evaluation_matches_binary_search(rng, k):
             grid = x[: 6 * (x.size // 6)].reshape(2, 3, -1)  # any shape
             assert P.eval_array(grid).shape == grid.shape
             assert np.array_equal(P.inverse_array(grid), searchsorted_inverse(P, grid))
+
+
+@pytest.mark.parametrize("k", [1, 3, _FEW_PIECES + 1])
+def test_inverse_clips_only_values_outside_the_unit_interval(rng, k):
+    # Exactly 0 and 1 are not clipped; values up to 1e-10 outside [0, 1]
+    # still map as 0 and 1 do, alone or mixed with inside values.
+    dust = np.array([-1e-10, -5e-324, -0.0, 1.0 + 1e-10, np.nextafter(1.0, 2.0)])
+    for _ in range(20):
+        P = step_with_pieces(rng, k)
+        inside = np.concatenate([[0.0, 1.0, 0.5], P.piece_values, rng.random(5)])
+        assert np.array_equal(P.inverse_array(dust), P.inverse_array([0.0, 0.0, 0.0, 1.0, 1.0]))
+        for y in (inside, np.concatenate([inside, dust]), dust[:3], dust[3:]):
+            assert np.array_equal(P.inverse_array(y), searchsorted_inverse(P, y))
 
 
 def test_invalid_construction():
