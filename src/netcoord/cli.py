@@ -106,14 +106,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_lattice_analyze(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
+    if "lattice" not in cfg.network or not cfg.cubes:
+        raise _BadInput(f"cannot read {args.config}: lattice-analyze needs a lattice network and a cubes section")
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
-    if "lattice" not in cfg.network:
-        print("lattice-analyze needs a lattice network", file=sys.stderr)
-        return 2
-    if not cfg.cubes:
-        print("lattice-analyze needs a cubes section (b, B, gamma, R)", file=sys.stderr)
-        return 2
+    g = _load(args.config, build_network, cfg.network)
     part, gamma, R, _ = _cube_params(cfg)
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)

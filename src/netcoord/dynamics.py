@@ -47,7 +47,7 @@ agent, see ``game``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class DynamicsTrace:
     beta_before: np.ndarray
     initial_profile: np.ndarray
     final_profile: np.ndarray
-    stop_reason: str  # "fixed_point" | "step_limit"
     direction: str  # "upper" | "lower"
 
     @property
@@ -97,9 +96,6 @@ class BoundAudit:
     beta_deviation: float
     fineness_term: float
     satisfied: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _thresholds(t, n: int) -> np.ndarray:
@@ -197,13 +193,11 @@ class _FlipState:
         return J, beta_old, dp, q_old
 
 
-def _async_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None, direction: str) -> DynamicsTrace:
+def _async_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, direction: str) -> DynamicsTrace:
     t = _thresholds(t, g.n)
     a = np.asarray(a0, dtype=float).copy()
     if not is_pure(a):
         raise ValueError("dynamics need a pure starting profile")
-    if step_limit is None:
-        step_limit = 4 * g.n
     up = direction == "upper"
     target = 1.0 if up else 0.0
     state = _FlipState(g, a, None)
@@ -216,7 +210,7 @@ def _async_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int |
     heapq.heapify(heap)
 
     agents, beta_before = [], []
-    while heap and len(agents) < step_limit:
+    while heap:
         i = int(heapq.heappop(heap))
         agents.append(i)
         beta_before.append(state.beta[i])
@@ -227,22 +221,22 @@ def _async_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int |
             heapq.heappush(heap, int(j))
         in_heap[newly] = True
     return DynamicsTrace(np.array(agents, dtype=np.int64), np.array(beta_before, dtype=float),
-                         initial_profile=np.asarray(a0, dtype=float).copy(), final_profile=a,
-                         stop_reason="step_limit" if heap else "fixed_point", direction=direction)
+                         initial_profile=np.asarray(a0, dtype=float).copy(), final_profile=a, direction=direction)
 
 
-def upper_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None = None) -> DynamicsTrace:
+def upper_dynamics(g: Network, t: np.ndarray, a0: np.ndarray) -> DynamicsTrace:
     """Flip the minimum-index agent with action 0 and upper best response 1.
 
-    Terminates in at most n flips; the final profile has no agent who
-    wants to move up, and is independent of the revision order.
+    Each agent flips at most once, so a run ends within n flips, when no
+    agent wants to move up; the final profile is independent of the
+    revision order.
     """
-    return _async_dynamics(g, t, a0, step_limit, "upper")
+    return _async_dynamics(g, t, a0, "upper")
 
 
-def lower_dynamics(g: Network, t: np.ndarray, a0: np.ndarray, step_limit: int | None = None) -> DynamicsTrace:
+def lower_dynamics(g: Network, t: np.ndarray, a0: np.ndarray) -> DynamicsTrace:
     """Mirror image: flips agents playing 1 whose lower best response is 0."""
-    return _async_dynamics(g, t, a0, step_limit, "lower")
+    return _async_dynamics(g, t, a0, "lower")
 
 
 def _closure(g: Network, t: np.ndarray, a0: np.ndarray, tie: str, up: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -77,8 +77,11 @@ log = logging.getLogger("netcoord")
 
 _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
 _CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
-_GAME_KINDS = ("step_json", "additive", "file")
-_NETWORK_KINDS = ("complete", "copies", "lattice", "file")
+# A kind with a key tuple takes an object holding only those keys; step_json takes a document, file a path.
+_KINDS = {
+    "game": {"step_json": None, "additive": ("alpha", "lambda", "support", "max_step"), "file": None},
+    "network": {"complete": ("n",), "copies": ("n", "k"), "lattice": ("M", "m"), "file": None},
+}
 # ExperimentConfig.from_dict reads these fields as numbers of this type and takes the others as given.
 _NUMBERS = {"replications": int, "seed": int, "eta": float, "stability_gamma": float, "stability_radius": float}
 
@@ -86,21 +89,11 @@ _NUMBERS = {"replications": int, "seed": int, "eta": float, "stability_gamma": f
 def _sig12(x):
     """Round floats to 12 significant digits for output stability."""
     if isinstance(x, float):
-        if math.isnan(x):
-            return None
-        if math.isinf(x):
-            return "inf"
         return float(f"{x:.12g}")
     if isinstance(x, dict):
         return {k: _sig12(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, list):
         return [_sig12(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return _sig12(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
     return x
 
 
@@ -124,6 +117,20 @@ def _param(spec: dict, section: str, key: str, kind=float, default=None):
     return _number(f"{section}.{key}", params.get(key, default), kind)
 
 
+def _kind(section: str, spec) -> str:
+    """The one kind that the config section spec names, checked against its entry in ``_KINDS``."""
+    kinds = _KINDS[section]
+    if not (isinstance(spec, dict) and len(spec) == 1 and set(spec) <= kinds.keys()):
+        raise ValueError(f"{section} must be an object naming exactly one of: {', '.join(kinds)}")
+    ((kind, params),) = spec.items()
+    if kind == "file" and not isinstance(params, str):
+        raise ValueError(f"{section}.file must be a path, got {params!r}")
+    unknown = sorted(set(params) - set(kinds[kind])) if kinds[kind] and isinstance(params, dict) else ()
+    if unknown:  # a params that is not an object is reported by _param
+        raise ValueError(f"unknown {section}.{kind} keys: {unknown}")
+    return kind
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     game: dict
@@ -138,11 +145,8 @@ class ExperimentConfig:
     cubes: dict | None = None
 
     def __post_init__(self):
-        for name, spec, kinds in (("game", self.game, _GAME_KINDS), ("network", self.network, _NETWORK_KINDS)):
-            if not (isinstance(spec, dict) and set(spec) & set(kinds)):
-                raise ValueError(f"{name} must be an object naming one of: {', '.join(kinds)}")
-            if not isinstance(spec.get("file", ""), str):
-                raise ValueError(f"{name}.file must be a path, got {spec['file']!r}")
+        _kind("game", self.game)
+        _kind("network", self.network)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (0.0 < self.eta <= 0.5):
@@ -201,9 +205,6 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "probes": list(self.probes)}
-
 
 @dataclass
 class ReplicationResult:
@@ -219,22 +220,18 @@ def _dist_from_doc(doc: dict) -> StepFn:
 
 def build_game(spec: dict) -> StepFn:
     """Game source: inline step function, additive parameters, or file."""
-    if "step_json" in spec:
+    kind = _kind("game", spec)
+    if kind == "step_json":
         return _dist_from_doc(spec["step_json"])
-    if "additive" in spec:
+    if kind == "additive":
         alpha, lam = _param(spec, "additive", "alpha"), _param(spec, "additive", "lambda")
-        a = spec["additive"]
-        shock, support = a.get("shock", "uniform"), a.get("support", (-0.5, 0.5))
-        if shock != "uniform":
-            raise ValueError(f"unknown shock family {shock!r}")
+        support = spec["additive"].get("support", (-0.5, 0.5))
         if not (isinstance(support, (list, tuple)) and len(support) == 2):
             raise ValueError(f"additive.support must be a pair [lo, hi], got {support!r}")
         cdf = uniform_shock_cdf(*(_number("additive.support", v) for v in support))
         max_step = _param(spec, "additive", "max_step", default=0.005)
         return additive_game(alpha=alpha, lam=lam, shock_cdf=cdf, max_step=max_step)
-    if "file" in spec:
-        return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
-    raise ValueError(f"game spec needs one of: {', '.join(_GAME_KINDS)}")
+    return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
 
 
 def _lattice_spec(spec: dict) -> LatticeSpec:
@@ -242,18 +239,17 @@ def _lattice_spec(spec: dict) -> LatticeSpec:
 
 
 def build_network(spec: dict) -> Network:
-    if "complete" in spec:
+    kind = _kind("network", spec)
+    if kind == "complete":
         return complete_graph(_param(spec, "complete", "n", int))
-    if "copies" in spec:
+    if kind == "copies":
         return disjoint_copies(complete_graph(_param(spec, "copies", "n", int)), _param(spec, "copies", "k", int))
-    if "lattice" in spec:
+    if kind == "lattice":
         return lattice(_lattice_spec(spec))
-    if "file" in spec:
-        return load_edgelist(spec["file"])
-    raise ValueError(f"network spec needs one of: {', '.join(_NETWORK_KINDS)}")
+    return load_edgelist(spec["file"])
 
 
-def stable_fixed_points(P: StepFn, gamma: float = 0.9, radius: float = 0.02) -> list[float]:
+def stable_fixed_points(P: StepFn, gamma: float, radius: float) -> list[float]:
     """Fixed points passing the strong-stability test at (gamma, radius)."""
     return [f.x for f in fixed_points(P) if is_strongly_stable(P, f.x, gamma=gamma, radius=radius)]
 
@@ -322,7 +318,7 @@ def run_replication(
         unweighted["sandwich"] = unweighted_average(sandwich)
         record["x_star"] = x_star
         record["x_star_distance"] = abs(av - x_star)
-        record["bound_audit"] = audit.to_json_dict()
+        record["bound_audit"] = asdict(audit)
         record["upper_flips"] = trace.n_steps
 
     record["averages"] = averages
@@ -374,7 +370,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         log.info("replication %d: %.4fs", r.replication_id, r.wall_time)
     records = [(r.replication_id, r.record) for r in results]
 
-    jsonl_lines = [json.dumps(_sig12(rec)) for _, rec in records]
+    jsonl_lines = [json.dumps(_sig12(rec), allow_nan=False) for _, rec in records]
     agg = StringIO()
     writer = csv.writer(agg)
     writer.writerow(

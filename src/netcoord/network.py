@@ -161,8 +161,7 @@ def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
 
 def _count_dtype(spec: LatticeSpec) -> type:
     """Smallest signed int type holding (2m+1)^2, which bounds a ball count and every partial sum."""
-    bound = (2 * spec.m + 1) ** 2
-    return next(d for d in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(d).max)
+    return np.min_scalar_type(-((2 * spec.m + 1) ** 2) - 1).type
 
 
 def _torus_sums(spec: LatticeSpec, a: np.ndarray) -> np.ndarray:

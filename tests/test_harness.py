@@ -4,13 +4,21 @@ import json
 import logging
 import math
 import pkgutil
+from collections import Counter
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+import netcoord.cli
 import netcoord.cubes
 import netcoord.dynamics
+import netcoord.harness
 from netcoord.cli import main as cli_main
+from netcoord.contagion import build_delta_wave
+from netcoord.cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search
+from netcoord.dynamics import largest_equilibrium
+from netcoord.game import sample_shocks
 from netcoord.harness import (
     ExperimentConfig,
     _worker_count,
@@ -23,6 +31,7 @@ from netcoord.harness import (
     run_replication,
     stable_fixed_points,
 )
+from netcoord.network import LatticeSpec
 from netcoord.stepfn import StepFn
 
 TWO_POINT_GAME = {"base": 0.1, "steps": [[0.5, 0.9]]}
@@ -63,7 +72,7 @@ def test_config_validation():
 
 
 def test_config_rejects_unknown_keys():
-    doc = small_cfg().to_dict()
+    doc = asdict(small_cfg())
     doc.pop("replications")
     doc.pop("probes")
     with pytest.raises(ValueError, match="probs.*replication"):
@@ -110,7 +119,7 @@ def test_config_rejects_bad_cubes(cubes, match):
 
 @pytest.mark.parametrize("key", ["game", "network"])
 def test_config_names_a_missing_required_key(key):
-    doc = small_cfg().to_dict()
+    doc = asdict(small_cfg())
     del doc[key]
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(doc)
@@ -146,12 +155,20 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     changes += [{"game": {"additive": {}}}, {"game": {"additive": 5}}, {"game": {"step_json": {"steps": []}}}]
     changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}}, {"network": {"file": 5}}]
     changes += [{"cubes": {"b": 3, "B": 6, key: value}} for key, value in (("R", [1]), ("gamma", True), ("rho", "x"))]
+    # A section names exactly one kind and holds only that kind's keys.
+    changes += [{"network": {"lattice": {"M": 12, "m": 2}, "complete": {"n": 5}}}]
+    changes += [{"network": {"complete": {"n": 5, "k": 3}}}]
+    changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, key: value}}} for key, value in
+                (("max_stp", 0.5), ("shock", "uniform"))]
+    changes += [{"game": {"step_json": TWO_POINT_GAME, "file": str(tmp_path / "game.json")}}, {"game": {}}]
     for change in changes:
         path.write_text(json.dumps({**base, **change}))
         assert cli_main([command, str(path)]) == 2, change
         err = capsys.readouterr().err.strip().splitlines()
         net = change.get("network")
-        where = net["file"] if isinstance(net, dict) and isinstance(net.get("file"), str) else path
+        # lattice-analyze rejects a file network before it reads the file.
+        read_first = isinstance(net, dict) and isinstance(net.get("file"), str) and command != "lattice-analyze"
+        where = net["file"] if read_first else path
         assert len(err) == 1 and err[0].startswith(f"netcoord {command}: cannot read {where}: "), err
     assert not (tmp_path / "out").exists()
 
@@ -162,7 +179,7 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     + [("cubes", {"b": 3, "B": 6, key: value}) for key, value in (("R", [1]), ("R", "2"), ("gamma", True), ("rho", "x"))],
 )
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
-    doc = {**small_cfg(output=str(tmp_path / "out")).to_dict(), key: value}
+    doc = {**asdict(small_cfg(output=str(tmp_path / "out"))), key: value}
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(doc)
     path = tmp_path / "cfg.json"
@@ -174,7 +191,7 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
 
 
 def test_config_reads_integral_numbers_as_integers():
-    cfg = ExperimentConfig.from_dict({**small_cfg().to_dict(), "seed": 3.0, "replications": 2.0, "stability_gamma": 0})
+    cfg = ExperimentConfig.from_dict({**asdict(small_cfg()), "seed": 3.0, "replications": 2.0, "stability_gamma": 0})
     assert (cfg.seed, cfg.replications, cfg.stability_gamma) == (3, 2, 0.0)
     assert (type(cfg.seed), type(cfg.replications), type(cfg.stability_gamma)) == (int, int, float)
 
@@ -182,7 +199,7 @@ def test_config_reads_integral_numbers_as_integers():
 def test_cli_simulate_rejects_bad_sim_workers(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SIM_WORKERS", "abc")
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(small_cfg(output=str(tmp_path / "out")).to_dict()))
+    path.write_text(json.dumps(asdict(small_cfg(output=str(tmp_path / "out")))))
     assert cli_main(["simulate", str(path)]) == 2
     assert capsys.readouterr().err.strip().splitlines() == ["netcoord simulate: SIM_WORKERS must be an integer, got 'abc'"]
     assert not (tmp_path / "out").exists()
@@ -197,7 +214,7 @@ def test_config_stability_radius_default():
 def test_config_round_trip(tmp_path):
     cfg = small_cfg()
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(cfg.to_dict()))
+    p.write_text(json.dumps(asdict(cfg)))
     back = ExperimentConfig.from_json_file(p)
     assert back == cfg
 
@@ -393,6 +410,25 @@ def test_probe_theorem3_smoke():
     assert out["x_star"] == 0.5
 
 
+def test_probe_theorem3_counts_good_sets_and_domination_per_replication():
+    game = {"base": 0.05, "steps": [[0.4, 0.3]]}
+    cubes = {"b": 2, "B": 6, "gamma": 0.5, "R": 0.0}
+    cfg = small_cfg(game={"step_json": game}, network={"lattice": {"M": 24, "m": 2}}, replications=4, seed=3, eta=0.15)
+    P, g = build_game(cfg.game), build_network(cfg.network)
+    part, wave = CubePartition(LatticeSpec(24, 2), 2, 6), build_delta_wave(P, 0.15)
+    for rho, passes in ((None, 4), (0.5, 2)):  # the default rho is b/m = 1
+        out = probe_theorem3(replace(cfg, cubes=cubes if rho is None else {**cubes, "rho": rho}))
+        found = dominated = 0
+        for rep in range(4):
+            t = sample_shocks(P, g.n, 3, stream=rep)
+            good = good_set_search(part, classify_bad(part, t, P, 0.5), extraordinary_cubes(part, t), 0.5, 0.0)
+            if good is not None:
+                found += 1
+                dominated += domination_check(part, largest_equilibrium(g, t)[0], wave, good.W, 0.0, rho or 1.0)[0]
+        assert out["wave_found"] and (found, dominated) == (4, passes)
+        assert (out["good_set_frequency"], out["domination_pass"]) == (found / 4, dominated)
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -400,6 +436,11 @@ def write_game(tmp_path, doc):
     p = tmp_path / "game.json"
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_cli_ru_dominant(tmp_path, capsys):
@@ -526,6 +567,45 @@ def test_cli_simulate_reports_a_missing_game_file(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"netcoord simulate: cannot read {game}: ")
     assert not (tmp_path / "cfg_out").exists()
+
+
+@pytest.mark.parametrize("change", [{"network": {"complete": {"n": 36}}}, {"cubes": None}])
+def test_cli_lattice_analyze_rejects_what_it_cannot_analyze_before_building(tmp_path, capsys, monkeypatch, change):
+    for name in ("build_game", "build_network"):
+        monkeypatch.setattr(netcoord.cli, name, lambda spec: pytest.fail("built before the config was checked"))
+    cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": {"lattice": {"M": 6, "m": 2}}, "cubes": {"b": 3, "B": 6},
+           "output": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, **change}))
+    assert cli_main(["lattice-analyze", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    reason = "lattice-analyze needs a lattice network and a cubes section"
+    assert err == [f"netcoord lattice-analyze: cannot read {path}: {reason}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_benchmark_item_clocks_run_once_per_item(tmp_path, monkeypatch):
+    # The benchmark times each item by rebinding one of these names.
+    calls = Counter()
+    clocked = ((netcoord.cli, "sample_shocks"), (netcoord.cli, "build_delta_wave"), (netcoord.harness, "run_replication"))
+    for module, name in clocked:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setenv("SIM_WORKERS", "1")
+    lat = {"game": {"step_json": {"base": 0.05, "steps": [[0.4, 0.3]]}}, "network": {"lattice": {"M": 24, "m": 2}},
+           "replications": 3, "cubes": {"b": 3, "B": 12}, "output": str(tmp_path / "lat")}
+    sim = {"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 12}}, "replications": 3,
+           "output": str(tmp_path / "sim")}
+    runs = [(["lattice-analyze", str(_write_json(tmp_path / "lat.json", lat))], "sample_shocks", 3)]
+    runs += [(["simulate", str(_write_json(tmp_path / "sim.json", sim))], "run_replication", 3)]
+    runs += [(["wave", write_game(tmp_path, {"base": 0.05, "steps": []}), "--eta", "0.1"], "build_delta_wave", 1)]
+    for argv, name, items in runs:
+        calls.clear()
+        assert cli_main(argv) == 0
+        assert calls == {name: items}, argv
 
 
 def test_cli_lattice_analyze_classifies_once_per_replication(tmp_path, monkeypatch, caplog):
