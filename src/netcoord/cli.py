@@ -143,15 +143,12 @@ def _cmd_enumerate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
+    if g.n > 20:
+        raise _BadInput(f"cannot read {args.config}: enumerate needs a network of at most 20 nodes, got {g.n}")
     for rep in range(cfg.replications):
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
         for tie in ("upper", "lower"):
-            try:
-                eqs = enumerate_equilibria(g, t, tie)
-            except ValueError as e:  # e.g. the n <= 20 guard
-                print(e, file=sys.stderr)
-                return 2
-            avs = sorted(weighted_average(g, e) for e in eqs)
+            avs = sorted(weighted_average(g, e) for e in enumerate_equilibria(g, t, tie))
             print(f"replication {rep} {tie}: " + " ".join(_fmt(a) for a in avs))
     return 0
 

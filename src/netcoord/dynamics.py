@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import _count_thresholds, _philox, best_response_array
-from .network import LatticeSpec, Network, _count_dtype, _torus_sums, fineness, is_pure, neighborhood_fractions
+from .network import (LatticeSpec, Network, _count_dtype, _matvec, _rows, _torus_sums, fineness, is_pure,
+                      neighborhood_fractions)
 from .stepfn import StepFn, _ru_objective_at
 
 __all__ = [
@@ -123,15 +124,15 @@ def capacity_simple(g: Network, a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     if not is_pure(a):
         raise ValueError("capacity_simple expects a pure profile")
-    return float(a @ (g.weights @ (1.0 - a)))
+    return float(a @ _matvec(g, 1.0 - a))
 
 
 def capacity(g: Network, p: np.ndarray) -> float:
     """F(p) = 1/2 sum_ij g_ij (p_i - p_j)^2 by definition (a test oracle)."""
     p = np.asarray(p, dtype=float)
-    W = g.weights.tocoo()
-    d = p[W.row] - p[W.col]
-    return 0.5 * float(np.dot(W.data, d * d))
+    cols, w = _rows(g, np.arange(g.n))
+    d = p[:, None] - p[cols]
+    return 0.5 * float(np.sum(d * d if w is None else w * d * d))
 
 
 # ------------------------------------------------------------------ dynamics
@@ -142,19 +143,19 @@ class _FlipState:
 
     ``flip`` is the one place where a single revision updates these
     arrays; the async dynamics (without P) and the bound audit (with P)
-    both replay their paths through it.
+    both replay their paths through it.  It reads the network's rows and
+    sums (``_rows``, ``_matvec``), so a structured network builds no CSR.
     """
 
     def __init__(self, g: Network, a: np.ndarray, P: StepFn | None):
-        self.W = W = g.weights
+        self.g = g
         self.deg = g.degrees
         self.P = P
         self.a = a
         self.beta = neighborhood_fractions(g, a)
-        self.offsets = np.arange(np.diff(W.indptr).max())
         if P is not None:
             self.p = P.eval_array(self.beta)
-            self.q = W @ self.p
+            self.q = _matvec(g, self.p)
 
     def capacity(self) -> float:
         """F(p) = sum_i g_i p_i^2 - p.Wp, from the q the state holds."""
@@ -163,23 +164,25 @@ class _FlipState:
     def flip(self, i: int, up: bool):
         """Set a_i to 1 (up) or 0 and update beta, p and q on N(i).
 
-        beta_J is summed from the gathered CSR rows of J = N(i) in the
-        order the matvec adds them, so beta equals Wa/g bit for bit.  q
-        moves by the increment W[J].T dp (W is symmetric, so row j is
-        also column j), so it drifts from Wp by rounding: 3.6e-15 after
+        J = N(i) is i's row in CSR order, the order in which the audit's
+        sums over J and each q bin add.  beta_J sums J's rows (0/1 terms
+        in any order, weights in the matvec's), so beta equals Wa/g bit for
+        bit.  q moves by the increment W[J].T dp (W is symmetric, so row j
+        is also column j), so it drifts from Wp by rounding: 3.6e-15 after
         866-989 flips of the three-point game on the (120,2)-lattice.
         Returns (J, beta_J before, dp, q_J before); dp and q_J are None
         when P is None or no p_j moves.
         """
-        W = self.W
-        J = W.indices[W.indptr[i] : W.indptr[i + 1]]
+        J, w = _rows(self.g, i)
+        if w is None:
+            J.sort()
         self.a[i] = 1.0 if up else 0.0
         beta_old = self.beta[J]
-        pos = W.indptr[J][:, None] + self.offsets
-        real = pos < W.indptr[J + 1][:, None]
-        pos = np.where(real, pos, 0)
-        cols, w = W.indices[pos], np.where(real, W.data[pos], 0.0)
-        self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
+        cols, w = _rows(self.g, J)
+        if w is None:
+            self.beta[J] = self.a[cols].sum(axis=1) / self.deg[J]
+        else:
+            self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
         if self.P is None:
             return J, beta_old, None, None
         p_new = self.P.eval_array(self.beta[J])
@@ -187,8 +190,13 @@ class _FlipState:
         if not np.any(dp != 0.0):
             return J, beta_old, None, None
         q_old = self.q[J]
-        rows, inv = np.unique(cols[real], return_inverse=True)
-        self.q[rows] += np.bincount(inv, weights=(w * dp[:, None])[real])
+        if w is None:
+            cols, terms = cols.ravel(), np.repeat(dp, cols.shape[1])
+        else:
+            real = cols >= 0  # padding, not a zero-weight edge
+            cols, terms = cols[real], (w * dp[:, None])[real]
+        rows, inv = np.unique(cols, return_inverse=True)
+        self.q[rows] += np.bincount(inv, weights=terms)
         self.p[J] = p_new
         return J, beta_old, dp, q_old
 
@@ -359,7 +367,7 @@ def enumerate_equilibria(g: Network, t: np.ndarray, tie: str) -> np.ndarray:
     if n > 20:
         raise ValueError("enumerate_equilibria is guarded at n <= 20")
     t = _thresholds(t, n)
-    W = g.weights.toarray()
+    W = _matvec(g, np.eye(n))  # dense W
     deg = g.degrees
     found = []
     chunk = 1 << 14

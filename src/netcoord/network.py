@@ -5,7 +5,9 @@ have positive degree.  General graphs hold a scipy CSR matrix.  Torus
 lattices and copies of complete graphs hold their structure: neighbor
 sums come from a growing-window stencil or from block sums, which on pure
 profiles add the integers the CSR matvec adds, so the fractions are
-bit-identical; their CSR matrix is built on first access to ``weights``.
+bit-identical.  ``_rows`` gives any network's neighbour rows; a
+structured network's CSR matrix is built from them on first access to
+``weights``.
 Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
 the operators take their accumulator from the profile, so a bool one is
 summed in integers (stencil, blocks) and gives its 0/1 copy's fractions.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -86,18 +88,11 @@ class Network:
 
     @cached_property
     def weights(self) -> sp.csr_matrix:
-        """CSR weights; a structured network builds them on first access."""
-        if isinstance(self.structure, LatticeSpec):
-            return _torus_csr(self.structure)
-        # Row i of K_s lists the block's other nodes in ascending order:
-        # column j of the row, shifted past the diagonal when j >= i mod s.
-        s, n = self.structure, self.n
-        index = np.int32 if n * (s - 1) < 2**31 else np.int64
-        j = np.arange(s - 1, dtype=index)
-        block = j + (j >= np.arange(s, dtype=index)[:, None])
-        indices = (block[None] + np.arange(0, n, s, dtype=index)[:, None, None]).ravel()
-        indptr = np.arange(0, n * (s - 1) + 1, s - 1, dtype=index)
-        return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        """CSR weights; a structured network builds them from its sorted ``_rows`` on first access."""
+        # On integers "stable" (timsort) gives the same order, 2-3x faster on these nearly ascending rows.
+        cols = np.sort(_rows(self, np.arange(self.n))[0], axis=1, kind="stable")
+        indptr = np.arange(0, cols.size + 1, cols.shape[1])
+        return sp.csr_matrix((np.ones(cols.size), cols.ravel(), indptr), shape=(self.n, self.n))
 
     @property
     def n(self) -> int:
@@ -151,12 +146,61 @@ def lattice(spec: LatticeSpec) -> Network:
     return Network._from_degrees(np.full(M * M, float(len(lattice_ball_offsets(m)))), spec)
 
 
-def _torus_csr(spec: LatticeSpec) -> sp.csr_matrix:
-    M = spec.M
-    xs, ys = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
-    cols = [(((xs + dx) % M) * M + (ys + dy) % M).ravel() for dx, dy in lattice_ball_offsets(spec.m)]
-    rows = np.tile(np.arange(M * M), len(cols))
-    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))), shape=(M * M, M * M))
+@cache
+def _torus_rows(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y), read-only: node (x, y) has the neighbours X[x] + Y[y], in ball-offset order."""
+    dx, dy = lattice_ball_offsets(spec.m).T
+    r = np.arange(spec.M)[:, None]
+    X, Y = (r + dx) % spec.M * spec.M, (r + dy) % spec.M
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
+
+
+def _rows(g: Network, J) -> tuple[np.ndarray, np.ndarray | None]:
+    """(cols, w): the neighbour ids of each node of J and their weights; an int J gives one row.
+
+    Lattice rows follow the ball offsets and block rows ascend; w is None
+    there (all 1).  A CSR network gives its stored rows, zero weights
+    included, padded to J's longest row with column -1 and weight 0.
+    """
+    s = g.structure
+    if isinstance(s, LatticeSpec):
+        X, Y = _torus_rows(s)
+        x, y = divmod(J, s.M)
+        return X[x] + Y[y], None
+    J = np.asarray(J)
+    if s is not None:
+        r, j = J % s, np.arange(s - 1)
+        return (J - r)[..., None] + j + (j >= r[..., None]), None
+    W = g.weights
+    start, stop = W.indptr[J], W.indptr[J + 1]
+    pos = start[..., None] + np.arange(np.max(stop - start, initial=0))
+    real = pos < stop[..., None]
+    pos = np.where(real, pos, 0)
+    return np.where(real, W.indices[pos], -1), np.where(real, W.data[pos], 0.0)
+
+
+def _matvec(g: Network, x: np.ndarray) -> np.ndarray:
+    """W @ x, each row summed in ascending column order as the CSR matvec sums it.
+
+    A structured network builds no CSR: it sums its sorted ``_rows`` in
+    chunks of ~2^20 entries, except that a lattice adds by shifted slices
+    the rows that do not wrap the torus, whose ball order is ascending.
+    """
+    s = g.structure
+    if s is None:
+        return g.weights @ x
+    sums, J = np.zeros((g.n,) + x.shape[1:]), np.arange(g.n)
+    if isinstance(s, LatticeSpec) and x.ndim == 1:
+        M, m = s.M, s.m
+        grid, acc = np.pad(x.reshape(M, M), m, mode="wrap"), sums.reshape(M, M)
+        for dx, dy in lattice_ball_offsets(m):
+            acc += grid[m + dx : m + dx + M, m + dy : m + dy + M]
+        wraps = (np.arange(M) < m) | (np.arange(M) >= M - m)
+        J = np.flatnonzero(wraps[:, None] | wraps)
+    for C in np.array_split(J, max(1, J.size * int(g.degrees[0]) >> 20)):
+        sums[C] = np.cumsum(x[np.sort(_rows(g, C)[0], axis=1, kind="stable")], axis=1)[:, -1]
+    return sums
 
 
 def _count_dtype(spec: LatticeSpec) -> type:

@@ -190,8 +190,8 @@ class StepFn:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StepFn":
-        if not (isinstance(doc, dict) and "base" in doc):
-            raise ValueError(f"a step function needs an object with a 'base' key, got {doc!r}")
+        if not (isinstance(doc, dict) and "base" in doc and doc.keys() <= {"base", "steps"}):
+            raise ValueError(f"a step function is an object with the key 'base' and optionally 'steps', got {doc!r}")
         return cls(base=doc["base"], steps=tuple((x, v) for x, v in doc.get("steps", [])))
 
 

@@ -29,6 +29,7 @@ from netcoord.network import (
     _torus_sums,
     complete_graph,
     lattice,
+    load_edgelist,
     neighborhood_fractions,
 )
 from netcoord.stepfn import StepFn, ru_dominant
@@ -535,6 +536,23 @@ def test_flip_state_equals_matvecs_bit_for_bit(rng):
                 q_ref += g.weights[J].T @ dp
             assert np.array_equal(state.beta, neighborhood_fractions(g, state.a))
             assert np.array_equal(state.q, q_ref)
+
+
+def test_flip_state_keeps_zero_weight_neighbours(tmp_path):
+    # Explicit zero-weight edges stay in J = N(i); rows shorter than the
+    # longest row of J are padded, and padding moves neither beta nor q.
+    path = tmp_path / "g.edges"
+    path.write_text("n 5\n0 1 1.0\n0 2 0.0\n0 3 0.5\n1 2 2.0\n2 3 1.0\n3 4 0.0\n1 4 1.5\n")
+    g = load_edgelist(path)
+    state = _FlipState(g, np.zeros(5), StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9))))
+    q_ref = state.q.copy()
+    for i, want in ((0, [1, 2, 3]), (3, [0, 2, 4]), (2, [0, 1, 3])):
+        J, _, dp, _ = state.flip(i, up=True)
+        assert J.tolist() == want
+        if dp is not None:
+            q_ref += g.weights[J].T @ dp
+        assert np.array_equal(state.beta, neighborhood_fractions(g, state.a))
+        assert np.array_equal(state.q, q_ref)
 
 
 # ---------------------------------------------------------------- main bound

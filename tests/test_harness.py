@@ -161,6 +161,10 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, key: value}}} for key, value in
                 (("max_stp", 0.5), ("shock", "uniform"))]
     changes += [{"game": {"step_json": TWO_POINT_GAME, "file": str(tmp_path / "game.json")}}, {"game": {}}]
+    # A step function holds only base and steps: a typo in a key is not read as an absent key.
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"base": 0.1, "step": [[0.5, 0.9]]}))
+    changes += [{"game": {"step_json": {"base": 0.1, "step": [[0.5, 0.9]]}}}, {"game": {"file": str(typo)}}]
     for change in changes:
         path.write_text(json.dumps({**base, **change}))
         assert cli_main([command, str(path)]) == 2, change
@@ -168,7 +172,7 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
         net = change.get("network")
         # lattice-analyze rejects a file network before it reads the file.
         read_first = isinstance(net, dict) and isinstance(net.get("file"), str) and command != "lattice-analyze"
-        where = net["file"] if read_first else path
+        where = net["file"] if read_first else typo if change == {"game": {"file": str(typo)}} else path
         assert len(err) == 1 and err[0].startswith(f"netcoord {command}: cannot read {where}: "), err
     assert not (tmp_path / "out").exists()
 
@@ -429,6 +433,33 @@ def test_probe_theorem3_counts_good_sets_and_domination_per_replication():
         assert (out["good_set_frequency"], out["domination_pass"]) == (found / 4, dominated)
 
 
+@pytest.mark.parametrize(
+    "game, eta, error, good",
+    [
+        ({"base": 0.1, "steps": [[0.5, 1.0]]}, 0.05, "wave prerequisites not met (strict dominance and P(1) < 1)", 0.0),
+        ({"base": 0.05, "steps": []}, 0.001, "no verified wave for eta=0.001", 0.5),
+    ],
+    ids=["P(1)=1", "no-wave-at-eta"],
+)
+def test_probe_theorem3_reports_why_it_has_no_wave(game, eta, error, good):
+    # P(1) = 1 fails the prerequisites; P = 0.05 at eta = 0.001 fails the construction.
+    cubes = {"b": 3, "B": 12, "gamma": 0.2, "R": 1.0}
+    cfg = small_cfg(game={"step_json": game}, network={"lattice": {"M": 24, "m": 2}}, replications=2, seed=3, eta=eta)
+    out = probe_theorem3(replace(cfg, cubes=cubes))
+    assert out["wave_error"].startswith(error), out["wave_error"]
+    assert (out["wave_found"], out["wave_delta"]) == (False, None)
+    assert (out["good_set_frequency"], out["domination_pass"]) == (good, 0)
+
+
+@pytest.mark.parametrize("network", [{"lattice": {"M": 24, "m": 2}}, {"copies": {"n": 10, "k": 6}}])
+def test_ru_path_builds_no_csr_on_a_structured_network(network):
+    cfg = small_cfg(game={"step_json": THREE_POINT_GAME}, network=network, probes=("ru-path",))
+    g = build_network(network)
+    record = run_replication(g, build_game(cfg.game), cfg, 0).record
+    assert record["upper_flips"] > 0 and record["bound_audit"]["satisfied"]
+    assert "weights" not in g.__dict__
+
+
 # ------------------------------------------------------------------- CLI
 
 
@@ -527,7 +558,8 @@ def test_cli_enumerate_rejects_large_network(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 30}}}))
     assert cli_main(["enumerate", str(cfg_path)]) == 2
-    assert "n <= 20" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"netcoord enumerate: cannot read {cfg_path}: enumerate needs a network of at most 20 nodes, got 30"]
 
 
 def test_cli_lattice_analyze(tmp_path, capsys):
@@ -548,15 +580,25 @@ def test_cli_lattice_analyze(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["wave", "ru-dominant", "simulate"])
-@pytest.mark.parametrize("broken", ["missing", "truncated"])
+@pytest.mark.parametrize("broken", ["missing", "truncated", "unknown key"])
 def test_cli_reports_an_unreadable_input_file(tmp_path, capsys, cmd, broken):
     path = tmp_path / "in.json"
     if broken == "truncated":
         path.write_text('{"base": 0.05, "ste')
+    if broken == "unknown key":
+        path.write_text('{"base": 0.05, "step": [[0.5, 0.9]]}')
     argv = [cmd, str(path)] + (["--eta", "0.1"] if cmd == "wave" else [])
     assert cli_main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"netcoord {cmd}: cannot read {path}: ")
+
+
+def test_cli_simulate_writes_next_to_a_config_without_output(tmp_path, capsys):
+    path = _write_json(tmp_path / "exp.json", {"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 6}}})
+    assert cli_main(["simulate", str(path)]) == 0
+    out = tmp_path / "exp_out"
+    assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "plot.csv", "replications.jsonl"]
+    assert f"wrote {out / 'plot.csv'}" in capsys.readouterr().out
 
 
 def test_cli_simulate_reports_a_missing_game_file(tmp_path, capsys):

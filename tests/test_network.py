@@ -12,6 +12,7 @@ from netcoord.network import (
     lattice,
     lattice_ball_offsets,
     _count_dtype,
+    _matvec,
     _torus_sums,
     load_edgelist,
     neighborhood_fractions,
@@ -97,6 +98,61 @@ def test_block_complete_csr_matches_dense_construction(s, k):
     for name in ("indptr", "indices", "data"):
         got, ref = getattr(W, name), getattr(want, name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _torus_csr_oracle(spec: LatticeSpec) -> sp.csr_matrix:
+    """The lattice CSR as it was built before rows: one COO entry per (node, ball offset)."""
+    M = spec.M
+    xs, ys = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+    cols = [(((xs + dx) % M) * M + (ys + dy) % M).ravel() for dx, dy in lattice_ball_offsets(spec.m)]
+    rows = np.tile(np.arange(M * M), len(cols))
+    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))), shape=(M * M, M * M))
+
+
+def _copies_csr_oracle(s: int, n: int) -> sp.csr_matrix:
+    """The K_s-copies CSR as it was built before rows: block index arithmetic."""
+    index = np.int32 if n * (s - 1) < 2**31 else np.int64
+    j = np.arange(s - 1, dtype=index)
+    block = j + (j >= np.arange(s, dtype=index)[:, None])
+    indices = (block[None] + np.arange(0, n, s, dtype=index)[:, None, None]).ravel()
+    indptr = np.arange(0, n * (s - 1) + 1, s - 1, dtype=index)
+    return sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+
+
+def _assert_same_csr(W, want):
+    assert W.shape == want.shape and W.has_sorted_indices and want.has_sorted_indices
+    for attr in ("indptr", "indices", "data"):
+        got, ref = getattr(W, attr), getattr(want, attr)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("M,m", [(3, 1), (20, 1), (6, 2), (31, 2), (9, 3), (40, 3), (15, 5), (53, 5)])
+def test_lattice_weights_equal_the_old_builder_bit_for_bit(M, m):
+    _assert_same_csr(lattice(LatticeSpec(M, m)).weights, _torus_csr_oracle(LatticeSpec(M, m)))
+
+
+@pytest.mark.parametrize("s,k", [(2, 1), (2, 7), (5, 3), (30, 4), (200, 1)])
+def test_copies_weights_equal_the_old_builder_bit_for_bit(s, k):
+    _assert_same_csr(disjoint_copies(complete_graph(s), k).weights, _copies_csr_oracle(s, s * k))
+
+
+ROW_SUM_NETWORKS = {f"lattice({M},{m})": (lambda rng, M=M, m=m: lattice(LatticeSpec(M, m)))
+                    for M, m in ((3, 1), (4, 1), (9, 3), (31, 4), (200, 5))}
+ROW_SUM_NETWORKS["copies(7x5)"] = lambda rng: disjoint_copies(complete_graph(7), 5)
+ROW_SUM_NETWORKS["complete(50)"] = lambda rng: complete_graph(50)
+ROW_SUM_NETWORKS["weighted-csr(60)"] = lambda rng: random_network(rng, 60)
+
+
+@pytest.mark.parametrize("name", ROW_SUM_NETWORKS)
+def test_row_sums_equal_the_csr_matvec_bit_for_bit(rng, name):
+    # The audit's initial q = Wp adds each row in the CSR's order: sorted
+    # rows, and shifted slices on lattice rows that do not wrap the torus.
+    g = ROW_SUM_NETWORKS[name](rng)
+    for _ in range(3):
+        x = rng.random(g.n)
+        assert np.array_equal(_matvec(g, x), g.weights @ x)
+    if g.n <= 20:
+        assert np.array_equal(_matvec(g, np.eye(g.n)), g.weights.toarray())
 
 
 def test_lattice_degree_m2():
