@@ -31,13 +31,11 @@ from .network import (
     neighborhood_fractions,
     weighted_average,
     unweighted_average,
-    save_edgelist,
     load_edgelist,
 )
 from .dynamics import (
     DynamicsTrace,
     BoundAudit,
-    is_equilibrium,
     upper_dynamics,
     lower_dynamics,
     initial_profile,

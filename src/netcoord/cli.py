@@ -54,6 +54,11 @@ def _load(path, fn, arg):
         raise _BadInput(f"cannot read {path}: {e}") from e
 
 
+def _check_enumerable(path, g) -> None:
+    if g.n > 20:
+        raise _BadInput(f"cannot read {path}: enumerate needs a network of at most 20 nodes, got {g.n}")
+
+
 def _cmd_ru_dominant(args) -> int:
     P = _load(args.game, build_game, {"file": args.game})
     maximizers, strict = ru_dominant(P)
@@ -90,7 +95,9 @@ def _cmd_wave(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
+    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
+    if "enumerate" in cfg.probes:
+        _check_enumerable(args.config, g)
     try:
         _worker_count()
     except ValueError as e:
@@ -143,8 +150,7 @@ def _cmd_enumerate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
-    if g.n > 20:
-        raise _BadInput(f"cannot read {args.config}: enumerate needs a network of at most 20 nodes, got {g.n}")
+    _check_enumerable(args.config, g)
     for rep in range(cfg.replications):
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
         for tie in ("upper", "lower"):

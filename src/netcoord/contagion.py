@@ -13,10 +13,11 @@ neighborhood on the plane lies behind a front:
 the steps and inverse positions of a step game via the monotone
 fixed-point iteration of the capped first-crossing map, so that the
 average action experienced at each threshold stays at or below the
-inverse of the next step value; each sweep finds the crossings by
-bracketed Newton steps warm-started at the previous iterate, and keeps
-a coordinate capped at an unchanged cap without evaluating F there (the
-iterates only rise, and F(x|v) falls as v rises).
+inverse of the next step value.  Each sweep keeps a coordinate capped at
+an unchanged cap without evaluating F there (the iterates only rise and
+F(x|v) falls as v rises), and finds the other crossings by bracketed
+Newton steps warm-started at the previous iterate, each row's bracket
+held as Python floats between vector evaluations of F and F'.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -92,18 +93,28 @@ def lens_f0(d: float, r1: float, r2: float) -> float:
     return area / math.pi
 
 
+def _front(y: np.ndarray):
+    """f(y) and s = sqrt(1 - c^2), c = y clipped to [-1, 1] in place (so c^2 <= 1: no max(0, .))."""
+    c = np.minimum(np.maximum(y, -1.0, out=y), 1.0, out=y)
+    s = np.sqrt(1.0 - c * c)
+    f = np.arccos(-c)
+    f += np.multiply(c, s, out=c)
+    f /= math.pi
+    return f, s
+
+
 def front_f_array(x: np.ndarray) -> np.ndarray:
     """Balanced front profile at each x: unit-disc segment of height 1 + x over pi."""
-    xc = np.minimum(np.maximum(np.asarray(x, dtype=float), -1.0), 1.0)  # f(-1) = 0 and f(1) = 1 exactly
-    return (np.arccos(-xc) + xc * np.sqrt(np.maximum(0.0, 1.0 - xc * xc))) / math.pi
+    return _front(np.array(x, dtype=float))[0]  # f(-1) = 0 and f(1) = 1 exactly
 
 
 def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool = False):
-    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with
-    ``slope`` also F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi."""
-    y, da = v[None, :] - xs[:, None], steps[1:] - steps[:-1]
-    F = steps[0] + (1.0 - front_f_array(y)) @ da
-    return (F, (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ da) if slope else F
+    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with ``slope`` also
+    F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi, from one clipped y."""
+    f, s = _front(v[None, :] - xs[:, None])
+    da = steps[1:] - steps[:-1]
+    F = steps[0] + np.subtract(1.0, f, out=f) @ da
+    return (F, np.multiply(s, 2.0 / math.pi, out=s) @ da) if slope else F
 
 
 @dataclass(frozen=True)
@@ -159,11 +170,14 @@ def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, f
 def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
     """One b* sweep: b*_l(v) = min(b_l, v_{l-1} + 1), b_l = inf{x >= 0 : F(x|v) >= targets_l}.
 
-    F at 0 and at the caps settles most l exactly; the rest take Newton
-    steps from v_l inside [lo_l, cap_l], bisecting when a step leaves the
-    bracket or is longer than half the step before (rtsafe; Numerical
-    Recipes sec. 9.4), until a point reaching the target lies within
-    1e-12 of one that does not.
+    F at 0 and at the caps settles most l exactly.  Each other l keeps its
+    bracket state (l, lo_l, hi_l, target, x, last step) as Python floats;
+    an iteration evaluates F and F' at x -/+ 0.45e-12 for all of them in
+    one call, then takes each l's Newton step from v_l inside [lo_l, cap_l]
+    by scalar arithmetic, bisecting when the step leaves the bracket, is
+    longer than half the step before or F' is 0 (rtsafe; Numerical Recipes
+    sec. 9.4), until a point reaching the target lies within 1e-12 of one
+    that does not.
     lo_l must miss the target where F(0|v) does; the returned lo keeps
     missing it at every v' >= v, since F(x|v) falls as v rises.  Only a
     capped l gets lo_l = cap_l; the others keep lo_l < cap_l.  So when lo
@@ -179,27 +193,31 @@ def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
     b = np.where(targets <= ends[0], 0.0, cap)
     lo = np.where(capped, cap, lo)
     idx = np.flatnonzero((targets > ends[0]) & ~capped)
-    lo_i, hi, t, x, step = lo[idx], cap[idx], targets[idx], v[idx + 1], np.inf
-    half = np.array([[-0.45e-12], [0.45e-12]])
-    with np.errstate(divide="ignore", invalid="ignore"):  # F' is 0 where no front is within 1
-        for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
-            if not idx.size:
-                return b, lo
-            # A pair that straddles the root closes the bracket in one call.
-            # pts[0] < pts[1]: hi takes the lower reaching one, lo_i the higher missing one.
-            pts = x + half
-            f, df = (r.reshape(2, -1) for r in _experienced(pts.ravel(), v, a, slope=True))
-            reach = f >= t
-            hi = np.minimum(hi, np.where(reach[0], pts[0], np.where(reach[1], pts[1], np.inf)))
-            lo_i = np.maximum(lo_i, np.where(reach[1], np.where(reach[0], -np.inf, pts[0]), pts[1]))
-            newton = x - (f[0] + f[1] - 2.0 * t) / (df[0] + df[1])
-            ok = (lo_i < newton) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step)
-            newton = np.where(ok, newton, 0.5 * (lo_i + hi))
-            step, x = np.abs(newton - x), newton
-            done = hi - lo_i <= 1e-12
-            if done.any():
-                b[idx[done]], lo[idx[done]] = hi[done], lo_i[done]
-                idx, lo_i, hi, t, x, step = (arr[~done] for arr in (idx, lo_i, hi, t, x, step))
+    state = (idx, lo[idx], cap[idx], targets[idx], v[idx + 1], np.full(idx.size, np.inf))
+    rows = list(zip(*(arr.tolist() for arr in state)))
+    for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
+        if not rows:
+            return b, lo
+        xs = np.array([row[4] for row in rows])
+        f, df = (r.tolist() for r in _experienced(np.concatenate((xs - 0.45e-12, xs + 0.45e-12)), v, a, slope=True))
+        k, still_open = len(rows), []
+        for j, (l, lo_l, hi, t, x, step) in enumerate(rows):
+            # A pair that straddles the root closes the bracket in one call:
+            # hi takes the lower reaching point, lo_l the higher missing one.
+            p0, p1, f0, f1, d = x - 0.45e-12, x + 0.45e-12, f[j], f[k + j], df[j] + df[k + j]
+            reach = p0 if f0 >= t else p1 if f1 >= t else math.inf
+            miss = p1 if f1 < t else p0 if f0 < t else -math.inf
+            hi = reach if reach <= hi else hi
+            lo_l = miss if miss >= lo_l else lo_l
+            newton = x - (f0 + f1 - 2.0 * t) / d if d else math.nan  # F' is 0 where no front is within 1
+            if not (lo_l < newton < hi and abs(newton - x) <= 0.5 * step):
+                newton = 0.5 * (lo_l + hi)
+            step, x = abs(newton - x), newton
+            if hi - lo_l <= 1e-12:
+                b[l], lo[l] = hi, lo_l
+            else:
+                still_open.append((l, lo_l, hi, t, x, step))
+        rows = still_open
     raise WaveConstructionError("first-crossing search did not close its bracket")
 
 
@@ -263,13 +281,8 @@ class ContagionWave:
         return self.wave.L
 
     def sigma_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        v = self.wave.thresholds
-        a = self.wave.steps
-        idx = np.searchsorted(v, x, side="right")
-        out = a[idx]
-        out = np.where(x < 0.0, a[0], out)
-        return out
+        x, a = np.asarray(x, dtype=float), self.wave.steps
+        return np.where(x < 0.0, a[0], a[np.searchsorted(self.wave.thresholds, x, side="right")])
 
     def experienced_fraction(self, x: np.ndarray) -> np.ndarray:
         """a* + sum over jumps (1 - f(jump_location - x)) * jump size."""

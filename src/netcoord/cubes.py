@@ -36,6 +36,7 @@ distance transform of the grid wrap-padded by half its side.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -371,20 +372,28 @@ def cube_report(
 
 
 def _format_12g(values: np.ndarray) -> list[str]:
-    """``f"{v:.12g}"`` per entry, formatting each distinct float64 bit pattern once."""
+    """``f"{v:.12g},"`` per entry, formatting each distinct float64 bit pattern once."""
     bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    text = np.array([f"{v:.12g}" for v in bits.view(float).tolist()], dtype=object)
+    text = np.array([f"{v:.12g}," for v in bits.view(float).tolist()], dtype=object)
     return text[inverse].tolist()
 
 
-def report_to_csv(report: CubeReport) -> str:
-    """CSV with CRLF line ends, one row per small cube in cube-id order.
+@functools.lru_cache(maxsize=4)
+def _row_heads(side: int) -> list[str]:
+    """The "x,y," head of each row of a side x side cube grid, cube-id order."""
+    ids = [f"{i}," for i in range(side)]
+    return [x + y for x in ids for y in ids]
 
-    Rows join per-column strings: ids and flags index precomputed strings,
-    and a_c and beta_c, which take few distinct values, format each once.
-    """
-    ids = np.array([str(i) for i in range(report.part.small_side)], dtype=object)
-    flags = (np.where(f, "1", "0").tolist() for f in (report.bad, report.extraordinary))
-    cols = (np.repeat(ids, ids.size).tolist(), np.tile(ids, ids.size).tolist(),
-            _format_12g(report.a_c), _format_12g(report.beta_c), *flags)
-    return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "\r\n".join(map(",".join, zip(*cols))) + "\r\n"
+
+def report_to_csv(report: CubeReport) -> str:
+    """CSV with CRLF line ends, one row per small cube in cube-id order: one join
+    over cached "x,y," heads, a_c and beta_c text formatted once per distinct
+    value, and one of four "bad,extraordinary" ends."""
+    heads = _row_heads(report.part.small_side)
+    fields = [None] * (4 * len(heads))
+    fields[0::4] = heads
+    fields[1::4] = _format_12g(report.a_c)
+    fields[2::4] = _format_12g(report.beta_c)
+    ends = np.array(["0,0\r\n", "0,1\r\n", "1,0\r\n", "1,1\r\n"], dtype=object)
+    fields[3::4] = ends[2 * report.bad + report.extraordinary].tolist()
+    return "cube_x,cube_y,a_c,beta_c,bad,extraordinary\r\n" + "".join(fields)

@@ -59,7 +59,6 @@ from .stepfn import StepFn, _ru_objective_at
 __all__ = [
     "DynamicsTrace",
     "BoundAudit",
-    "is_equilibrium",
     "upper_dynamics",
     "lower_dynamics",
     "upper_closure",
@@ -107,16 +106,6 @@ def _thresholds(t, n: int) -> np.ndarray:
     if np.isnan(t).any():
         raise ValueError("thresholds must not be NaN")
     return t
-
-
-def is_equilibrium(g: Network, t: np.ndarray, a: np.ndarray, tie: str) -> bool:
-    """True iff every agent's action equals her best response under tie."""
-    a = np.asarray(a, dtype=float)
-    if not is_pure(a):
-        raise ValueError("is_equilibrium expects a pure profile")
-    t = _thresholds(t, g.n)
-    beta = neighborhood_fractions(g, a == 1.0)
-    return bool(np.array_equal(best_response_array(t, beta, tie), a))
 
 
 def capacity_simple(g: Network, a: np.ndarray) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "weighted_average",
     "unweighted_average",
     "is_pure",
-    "save_edgelist",
     "load_edgelist",
 ]
 
@@ -291,20 +290,6 @@ def unweighted_average(a: np.ndarray) -> float:
     if a.size == 0:
         raise ValueError("empty profile")
     return float(a.mean())
-
-
-def save_edgelist(g: Network, path) -> None:
-    """Text format: header 'n <count>' then 'i j w' triples, 0-indexed.
-
-    Each undirected edge is written once (i < j), its weight as
-    ``repr(float(w))`` so that loading gives back the same float.
-    """
-    W = sp.triu(g.weights, k=1).tocoo()
-    lines = [f"n {g.n}"]
-    order = np.lexsort((W.col, W.row))
-    for i, j, w in zip(W.row[order], W.col[order], W.data[order]):
-        lines.append(f"{i} {j} {float(w)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_edgelist(path) -> Network:

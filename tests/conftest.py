@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from netcoord.stepfn import StepFn
+
+
+def save_edgelist(g, path) -> None:
+    """Write g as load_edgelist reads it: 'n <count>', then each undirected
+    edge once (i < j) as 'i j w', w as repr(float(w)) so it loads back exactly."""
+    W = sp.triu(g.weights, k=1).tocoo()
+    order = np.lexsort((W.col, W.row))
+    lines = [f"n {g.n}"] + [f"{i} {j} {float(w)!r}" for i, j, w in zip(W.row[order], W.col[order], W.data[order])]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def random_stepfn(rng: np.random.Generator, max_pieces: int = 8) -> StepFn:

@@ -120,13 +120,13 @@ PANEL_GAME_0 = StepFn(
 )
 
 
-def panel_wave_inputs(monkeypatch):
+def panel_wave_inputs(monkeypatch, eta=0.15):
     """The steps and inverse positions of the wave build_delta_wave returns
-    for PANEL_GAME_0 at eta = 0.15."""
+    for PANEL_GAME_0 at eta (L = 44 at 0.15, L = 177 at 0.04)."""
     calls = []
     solve = contagion.solve_wave
     monkeypatch.setattr(contagion, "solve_wave", lambda **kw: calls.append(kw) or solve(**kw))
-    build_delta_wave(PANEL_GAME_0, eta=0.15)
+    build_delta_wave(PANEL_GAME_0, eta=eta)
     return np.asarray(calls[-1]["steps"]), np.asarray(calls[-1]["inv_positions"])
 
 
@@ -248,6 +248,19 @@ def test_front_f_is_large_r2_lens_limit():
 # ------------------------------------------------------ experienced fraction
 
 
+def test_experienced_slope_call_shares_the_clipped_front(rng):
+    v = np.array([0.0, 0.5, 1.5, 2.0, 2.25])
+    a = np.array([0.1, 0.3, 0.5, 0.8, 0.9, 1.0])
+    xs = np.concatenate(([-1.0, 0.5, 1.0, 3.0, 3.25, 4.0], rng.uniform(-2.0, 4.0, 40)))
+    y = v[None, :] - xs[:, None]
+    assert (np.abs(y) < 1.0).any() and (np.abs(y) == 1.0).any() and (np.abs(y) > 1.0).any()
+    F, slope = contagion._experienced(xs, v, a, slope=True)
+    assert F.tobytes() == contagion._experienced(xs, v, a).tobytes()
+    assert F.tobytes() == (a[0] + (1.0 - masked_front_f(y)) @ np.diff(a)).tobytes()
+    want = (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ np.diff(a)
+    assert slope.tobytes() == want.tobytes()
+
+
 def test_wave_value_far_left_is_base():
     v = np.array([0.0, 0.8, 1.5])
     a = np.array([0.2, 0.5, 0.8, 1.0])
@@ -345,28 +358,50 @@ def _assert_sweep_exact(v, a, targets, b, lo_prev):
 def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
     # solve_wave's own iteration, warm brackets included, checked sweep by
     # sweep against the first-crossing guarantee of plain bisection, and
-    # bit for bit against the sweep that evaluates F at every cap.
-    inputs = [panel_wave_inputs(monkeypatch)]
-    while len(inputs) < 11:
+    # bit for bit against the sweep that evaluates F at every cap.  The
+    # L = 177 wave runs its first 40 sweeps only; they take many rows
+    # through the Newton loop at once.
+    inputs = [(*panel_wave_inputs(monkeypatch), None), (*panel_wave_inputs(monkeypatch, eta=0.04), 40)]
+    while len(inputs) < 12:
         out = random_admissible_wave_inputs(rng)
         if out is not None:
-            inputs.append(out)
-    for a, q in inputs:
+            inputs.append((*out, None))
+    assert inputs[1][0].size == 177 + 2
+    for a, q, limit in inputs:
         targets = q[2:]
         v, lo = np.zeros(a.size - 1), np.zeros(a.size - 2)
+        newton_rows = 0
         for sweeps in range(1, 10_000):
             want_b, want_lo = dense_b_star(v, a, targets, lo)
             b, lo_next = contagion._b_star(v, a, targets, lo)
             assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
             _assert_sweep_exact(v, a, targets, b, lo)
+            newton_rows += int(np.count_nonzero((b > 0.0) & (b < v[:-1] + 1.0)))
             lo = lo_next
             new = np.maximum(np.append(0.0, b), v)
             v, step = new, np.max(np.abs(new - v))
-            if step < 1e-10:
+            if step < 1e-10 or sweeps == limit:
                 break
+        if limit is not None:
+            assert sweeps == limit and newton_rows >= 50 * limit
+            continue
         sol = solve_wave(steps=a, inv_positions=q)
         assert sol.sweeps == sweeps
         assert np.array_equal(sol.thresholds, v)
+
+
+def test_sweep_bisects_where_the_slope_is_zero():
+    # Row 2 starts at v_2 = 5.5, far above its bracket [0, cap = 4.2]; the
+    # step is rejected and the sweep bisects to x = 2.1, where every front is
+    # more than 1 away, so F' = 0 at both Newton points.  That step must
+    # bisect again, as the oracle's inf step does, and raise nothing.
+    v, a = np.array([0.0, 3.2, 5.5]), np.array([0.1, 0.3, 0.99, 1.0])
+    targets, lo = np.array([0.15, 0.35]), np.zeros(2)
+    assert not contagion._experienced(np.array([2.1 - 0.45e-12, 2.1 + 0.45e-12]), v, a, slope=True)[1].any()
+    b, lo_next = contagion._b_star(v, a, targets, lo)
+    want_b, want_lo = dense_b_star(v, a, targets, lo)
+    assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
+    assert b[0] == 0.0 and 2.1 < b[1] < 4.2
 
 
 def test_solve_wave_raises_no_runtime_warning(rng, monkeypatch):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from netcoord.dynamics import (
     DynamicsTrace,
     _FlipState,
+    _thresholds,
     audit_main_bound,
     capacity,
     capacity_decrement_check,
@@ -15,7 +16,6 @@ from netcoord.dynamics import (
     extremal_equilibria,
     largest_equilibrium,
     initial_profile,
-    is_equilibrium,
     lower_closure,
     lower_dynamics,
     upper_closure,
@@ -29,11 +29,21 @@ from netcoord.network import (
     _torus_sums,
     complete_graph,
     lattice,
+    is_pure,
     load_edgelist,
     neighborhood_fractions,
 )
 from netcoord.stepfn import StepFn, ru_dominant
 from conftest import random_stepfn
+
+
+def is_equilibrium(g, t, a, tie) -> bool:
+    """True iff every agent's pure action equals her best response under tie."""
+    a = np.asarray(a, dtype=float)
+    if not is_pure(a):
+        raise ValueError("is_equilibrium expects a pure profile")
+    beta = neighborhood_fractions(g, a == 1.0)
+    return bool(np.array_equal(best_response_array(_thresholds(t, g.n), beta, tie), a))
 
 
 def shocks_of(t) -> np.ndarray:

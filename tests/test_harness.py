@@ -33,6 +33,7 @@ from netcoord.harness import (
 )
 from netcoord.network import LatticeSpec
 from netcoord.stepfn import StepFn
+from conftest import save_edgelist
 
 TWO_POINT_GAME = {"base": 0.1, "steps": [[0.5, 0.9]]}
 THREE_POINT_GAME = {"base": 0.1, "steps": [[0.25, 0.5], [0.75, 0.9]]}
@@ -256,8 +257,6 @@ def test_build_network_variants(tmp_path):
     assert build_network({"complete": {"n": 5}}).n == 5
     assert build_network({"copies": {"n": 4, "k": 3}}).n == 12
     assert build_network({"lattice": {"M": 9, "m": 1}}).n == 81
-    from netcoord.network import save_edgelist
-
     g = build_network({"complete": {"n": 4}})
     f = tmp_path / "g.edges"
     save_edgelist(g, f)
@@ -560,6 +559,21 @@ def test_cli_enumerate_rejects_large_network(tmp_path, capsys):
     assert cli_main(["enumerate", str(cfg_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"netcoord enumerate: cannot read {cfg_path}: enumerate needs a network of at most 20 nodes, got 30"]
+
+
+def test_cli_simulate_rejects_the_enumerate_probe_on_a_large_network(tmp_path, capsys):
+    cfg = {
+        "game": {"step_json": TWO_POINT_GAME},
+        "network": {"complete": {"n": 30}},
+        "probes": ["extremal", "enumerate"],
+        "output": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"netcoord simulate: cannot read {cfg_path}: enumerate needs a network of at most 20 nodes, got 30"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_lattice_analyze(tmp_path, capsys):

@@ -16,10 +16,10 @@ from netcoord.network import (
     _torus_sums,
     load_edgelist,
     neighborhood_fractions,
-    save_edgelist,
     unweighted_average,
     weighted_average,
 )
+from conftest import save_edgelist
 
 def star(leaves: int) -> Network:
     n = leaves + 1
