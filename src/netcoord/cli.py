@@ -17,8 +17,10 @@ with 12 significant digits.  A game or config file that cannot be read
 or parsed, or whose game or network cannot be built, ends the command
 with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
 so does a bad ``SIM_WORKERS`` for ``simulate``, with its own line.
-``-v`` logs each ``lattice-analyze`` replication's stage times and each
-``wave`` halving's outcome to stderr.
+``-v`` logs each ``simulate`` and ``lattice-analyze`` replication's stage
+times and each ``wave`` halving's outcome to stderr.  The stages are
+``shocks`` (``lattice-analyze`` only), the cube step's ``largest``,
+``report`` and ``good set``, and each probe by its name.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import cube_report, good_set_search, report_to_csv
-from .dynamics import enumerate_equilibria, largest_equilibrium
+from .cubes import report_to_csv
+from .dynamics import enumerate_equilibria
 from .game import sample_shocks
-from .harness import ExperimentConfig, _cube_params, _fmt, _worker_count, build_game, build_network, run_experiment
+from .harness import (ExperimentConfig, _fmt, _stage_text, _worker_count, build_game, build_network, run_experiment,
+                      run_replication)
 from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
@@ -96,6 +99,8 @@ def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
     _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
+    if cfg.cubes is not None and "lattice" not in cfg.network:
+        raise _BadInput(f"cannot read {args.config}: a cubes section needs a lattice network")
     if "enumerate" in cfg.probes:
         _check_enumerable(args.config, g)
     try:
@@ -117,30 +122,20 @@ def _cmd_lattice_analyze(args) -> int:
         raise _BadInput(f"cannot read {args.config}: lattice-analyze needs a lattice network and a cubes section")
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(args.config, build_network, cfg.network)
-    part, gamma, R, _ = _cube_params(cfg)
+    cfg = replace(cfg, probes=())
     out_dir = Path(cfg.output or "lattice_analysis")
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(cfg.replications):
         t0 = time.perf_counter()
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
-        t1 = time.perf_counter()
-        largest, beta = largest_equilibrium(g, t)
-        t2 = time.perf_counter()
-        rep_report = cube_report(part, t, P, largest, beta, gamma)
-        del largest, beta  # before the good-set search's distance transforms allocate
-        (out_dir / f"cubes_{rep:04d}.csv").write_text(report_to_csv(rep_report))
-        t3 = time.perf_counter()
-        found = good_set_search(part, rep_report.bad, rep_report.extraordinary, gamma, R)
-        if found is None:
-            text = json.dumps({"found": False})
-        else:
-            text = found.to_json()
-        (out_dir / f"goodset_{rep:04d}.json").write_text(text)
-        log.info(
-            "replication %d: shocks %.4fs, largest %.4fs, report+csv %.4fs, good set %.4fs; %d bad cubes, good_set=%s",
-            rep, t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3,
-            int(rep_report.bad.sum()), "yes" if found else "no",
-        )
+        shocks = time.perf_counter() - t0
+        res = run_replication(g, P, cfg, rep, t)
+        report, found = res.cubes
+        (out_dir / f"cubes_{rep:04d}.csv").write_text(report_to_csv(report))
+        found_text = json.dumps({"found": False}) if found is None else found.to_json()
+        (out_dir / f"goodset_{rep:04d}.json").write_text(found_text)
+        log.info("replication %d: shocks %.4fs, %s; %d bad cubes, good_set=%s",
+                 rep, shocks, _stage_text(res.stages), res.record["bad_cubes"], "yes" if found else "no")
         print(f"replication {rep}: good_set={'yes' if found else 'no'}")
     print(f"wrote reports to {out_dir}")
     return 0

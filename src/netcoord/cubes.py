@@ -310,7 +310,7 @@ def good_set_search(
 
 def domination_check(
     part: CubePartition,
-    a: np.ndarray,
+    a_c: np.ndarray,
     sigma: ContagionWave,
     W: np.ndarray,
     R: float,
@@ -318,15 +318,15 @@ def domination_check(
 ) -> tuple[bool, int | None]:
     """Check a(c) <= sigma(d(c, W) - R) + rho for every small cube.
 
+    ``a_c`` is a(c) per cube in cube-id order (a ``CubeReport``'s);
     d(c, W) is the exact torus node metric between the cube and the
     union of W's cubes.  Returns (flag, first violating cube id).
     """
-    W = np.asarray(W, dtype=bool)
-    if W.size != part.n_small:
-        raise ValueError("W must flag every small cube")
+    a_c, W = np.asarray(a_c, dtype=float), np.asarray(W, dtype=bool)
+    if a_c.shape != (part.n_small,) or W.size != part.n_small:
+        raise ValueError("a_c and W must each hold one entry per small cube")
     if not W.any():
         raise ValueError("W must be nonempty")
-    a_c = cube_means(part, a)
     sigma_vals = sigma.sigma_array(_cube_distance(part, part.cube_grid(W)) - R)
     bad = a_c > sigma_vals + rho + 1e-12
     if bad.any():

@@ -65,6 +65,7 @@ __all__ = [
     "lower_closure",
     "initial_profile",
     "largest_equilibrium",
+    "smallest_equilibrium",
     "extremal_equilibria",
     "enumerate_equilibria",
     "capacity_simple",
@@ -332,19 +333,18 @@ def largest_equilibrium(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return _checked_closure(g, _thresholds(t, g.n), np.ones(g.n), "upper", False, "largest")
 
 
-def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest upper equilibrium and smallest lower equilibrium.
-
-    Largest: ``largest_equilibrium``; smallest: upward from all-zeros
-    under the lower rule, checked the same way.  Both limits bracket
-    every Nash equilibrium of the realized game.
-    """
-    t = _thresholds(t, g.n)
-    largest = largest_equilibrium(g, t)[0]  # its beta is freed before the second closure allocates its own
-    smallest = _checked_closure(g, t, np.zeros(g.n), "lower", True, "smallest")[0]
+def smallest_equilibrium(g: Network, t: np.ndarray, largest: np.ndarray) -> np.ndarray:
+    """Smallest lower equilibrium (upward from all-zeros), checked as the largest is and to lie below ``largest``."""
+    smallest = _checked_closure(g, _thresholds(t, g.n), np.zeros(g.n), "lower", True, "smallest")[0]
     if np.any(largest < smallest):
         raise AssertionError("extremal equilibria are not ordered")
-    return largest, smallest
+    return smallest
+
+
+def extremal_equilibria(g: Network, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest upper and smallest lower equilibrium; they bracket every Nash equilibrium of the realized game."""
+    largest = largest_equilibrium(g, t)[0]  # its beta is freed before the second closure allocates its own
+    return largest, smallest_equilibrium(g, t, largest)
 
 
 def enumerate_equilibria(g: Network, t: np.ndarray, tie: str) -> np.ndarray:

@@ -11,8 +11,16 @@ stays the whole truth about the experiment).
 Outputs per run: ``replications.jsonl`` (one record per replication),
 ``aggregate.csv`` (one row per replication), and ``plot.csv``
 (replication/series/value rows for external plotting).  All numbers are
-written with 12 significant digits.  Wall-clock timings go to the log
-only, never into the output files, to keep reruns byte-identical.
+written with 12 significant digits.
+
+``run_replication`` is the one place where a replication's thresholds
+become evidence: ``simulate``, the probes and ``lattice-analyze`` all
+call it.  With a ``cubes`` section on a lattice it first runs the cube
+step: the largest equilibrium (whose profile the extremal probes reuse),
+the cube report, and, after the probes, the good-set search on the
+report's flags; the record gains ``bad_cubes`` and ``good_set``.  Each
+stage's wall time (``ReplicationResult.stages``) goes to the log only,
+never into the output files, to keep reruns byte-identical.
 
 Theorem-level probes live here as well; their checks are reported as
 data, never raised as process failures.
@@ -34,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .contagion import WaveConstructionError, build_delta_wave
-from .cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search
+from .cubes import CubePartition, CubeReport, GoodSet, cube_report, domination_check, good_set_search
 from .dynamics import (
     audit_main_bound,
     enumerate_equilibria,
@@ -42,6 +50,7 @@ from .dynamics import (
     initial_profile,
     largest_equilibrium,
     lower_closure,
+    smallest_equilibrium,
     upper_closure,
     upper_dynamics,
 )
@@ -210,7 +219,8 @@ class ExperimentConfig:
 class ReplicationResult:
     replication_id: int
     record: dict
-    wall_time: float  # logged only; excluded from serialized outputs
+    stages: dict[str, float]  # wall seconds per stage; logged only, never serialized
+    cubes: tuple[CubeReport, GoodSet | None] | None  # the cube step's report and good set; never serialized
 
 
 def _dist_from_doc(doc: dict) -> StepFn:
@@ -273,28 +283,48 @@ def _mix_seed(seed: int, rep: int) -> int:
     return (seed * 0x9E3779B97F4A7C15 + rep + 1) % (1 << 63)
 
 
+def _stage_text(stages: dict[str, float]) -> str:
+    return ", ".join(f"{stage} {s:.4f}s" for stage, s in stages.items())
+
+
 def run_replication(
     g: Network,
     P: StepFn,
     cfg: ExperimentConfig,
     rep: int,
+    t: np.ndarray,
 ) -> ReplicationResult:
-    t0 = time.perf_counter()
-    t = sample_shocks(P, g.n, cfg.seed, stream=rep)
+    """Replication rep's record, stage times and cube evidence from its thresholds t."""
+    marks = [("", time.perf_counter())]  # (stage, when it ended), after the start
     record: dict = {"replication_id": rep, "seed": cfg.seed}
     averages: dict = {}
     unweighted: dict = {}
+    largest = report = cubes = None
+
+    if cfg.cubes is not None and "lattice" in cfg.network:
+        part, gamma, R, _ = _cube_params(cfg)
+        largest, beta = largest_equilibrium(g, t)
+        marks.append(("largest", time.perf_counter()))
+        report = cube_report(part, t, P, largest, beta, gamma)
+        del beta  # before any further closure or the good-set search allocates
+        marks.append(("report", time.perf_counter()))
 
     if "extremal" in cfg.probes or "seeded-local" in cfg.probes or "enumerate" in cfg.probes:
-        largest, smallest = extremal_equilibria(g, t)
+        if largest is None:
+            largest, smallest = extremal_equilibria(g, t)
+        else:
+            smallest = smallest_equilibrium(g, t, largest)
         averages["largest"] = weighted_average(g, largest)
         averages["smallest"] = weighted_average(g, smallest)
         unweighted["largest"] = unweighted_average(largest)
         unweighted["smallest"] = unweighted_average(smallest)
+        marks.append(("extremal", time.perf_counter()))
+    del largest  # before the other probes and the good-set search allocate
 
     if "enumerate" in cfg.probes:
         eqs = enumerate_equilibria(g, t, "upper")
         averages["enumerated"] = sorted(weighted_average(g, e) for e in eqs)
+        marks.append(("enumerate", time.perf_counter()))
 
     if "seeded-local" in cfg.probes:
         seeded = {}
@@ -303,6 +333,7 @@ def run_replication(
             eq = lower_closure(g, t, upper_closure(g, t, (t <= x).astype(float)))
             seeded[_fmt(x)] = weighted_average(g, eq)
         averages["seeded"] = seeded
+        marks.append(("seeded-local", time.perf_counter()))
 
     if "ru-path" in cfg.probes:
         maximizers, strict = ru_dominant(P)
@@ -320,10 +351,18 @@ def run_replication(
         record["x_star_distance"] = abs(av - x_star)
         record["bound_audit"] = asdict(audit)
         record["upper_flips"] = trace.n_steps
+        marks.append(("ru-path", time.perf_counter()))
+
+    if report is not None:
+        found = good_set_search(part, report.bad, report.extraordinary, gamma, R)
+        record["bad_cubes"], record["good_set"] = int(report.bad.sum()), found is not None
+        cubes = (report, found)
+        marks.append(("good set", time.perf_counter()))
 
     record["averages"] = averages
     record["unweighted"] = unweighted
-    return ReplicationResult(rep, record, time.perf_counter() - t0)
+    stages = {stage: end - start for (_, start), (stage, end) in zip(marks, marks[1:])}
+    return ReplicationResult(rep, record, stages, cubes)
 
 
 def _run_chunk(args) -> tuple[list[ReplicationResult], dict]:
@@ -331,7 +370,7 @@ def _run_chunk(args) -> tuple[list[ReplicationResult], dict]:
     cfg, reps = args
     P = build_game(cfg.game)
     g = build_network(cfg.network)
-    results = [run_replication(g, P, cfg, rep) for rep in reps]
+    results = [run_replication(g, P, cfg, rep, sample_shocks(P, g.n, cfg.seed, stream=rep)) for rep in reps]
     return results, {"fineness": fineness(g), "imbalance": imbalance(g)}
 
 
@@ -353,7 +392,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     stream (seed, r) regardless of which worker executes it; results are
     serialized in replication order.  Exit is clean regardless of
     theorem-check outcomes -- the checks are data.  The result also holds
-    the network's ``fineness`` and ``imbalance``.
+    the network's ``fineness`` and ``imbalance``, and under ``cubes`` each
+    replication's ``ReplicationResult.cubes``.
     """
     workers = min(_worker_count(), cfg.replications)
     reps = list(range(cfg.replications))
@@ -367,7 +407,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     results = sorted((r for part, _ in parts for r in part), key=lambda r: r.replication_id)
     log.info("ran %d replications in %.2fs", len(results), time.perf_counter() - t0)
     for r in results:
-        log.info("replication %d: %.4fs", r.replication_id, r.wall_time)
+        log.info("replication %d: %.4fs", r.replication_id, sum(r.stages.values()))
+        log.info("stages of replication %d: %s", r.replication_id, _stage_text(r.stages))
     records = [(r.replication_id, r.record) for r in results]
 
     jsonl_lines = [json.dumps(_sig12(rec), allow_nan=False) for _, rec in records]
@@ -408,6 +449,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "replications": cfg.replications,
         "records": [rec for _, rec in records],
         "outputs": outputs,
+        "cubes": [r.cubes for r in results],
         **parts[0][1],
     }
 
@@ -516,22 +558,11 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     else:
         wave_error = "wave prerequisites not met (strict dominance and P(1) < 1)"
 
-    good_found = 0
+    good_sets = [(report.a_c, found.W) for report, found in lat_out["cubes"] if found is not None] if cfg.cubes else []
     dominated = 0
-    good_runs = 0
-    if cfg.cubes:
-        part, gamma, R, rho = _cube_params(cfg)
-        g = build_network(cfg.network)
-        for rep in range(cfg.replications):
-            t = sample_shocks(P, g.n, cfg.seed, stream=rep)
-            found = good_set_search(part, classify_bad(part, t, P, gamma), extraordinary_cubes(part, t), gamma, R)
-            good_runs += 1
-            if found is None:
-                continue
-            good_found += 1
-            if wave is not None:
-                ok, _ = domination_check(part, largest_equilibrium(g, t)[0], wave, found.W, R, rho)
-                dominated += ok
+    if wave is not None and good_sets:
+        part, _, R, rho = _cube_params(cfg)
+        dominated = sum(domination_check(part, a_c, wave, W, R, rho)[0] for a_c, W in good_sets)
     return {
         "x_star": x_star,
         "lattice_largest": lat_large,
@@ -543,6 +574,6 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
         "wave_found": wave is not None,
         "wave_error": wave_error,
         "wave_delta": wave.delta if wave is not None else None,
-        "good_set_frequency": (good_found / good_runs) if good_runs else None,
+        "good_set_frequency": len(good_sets) / cfg.replications if cfg.cubes else None,
         "domination_pass": dominated,
     }

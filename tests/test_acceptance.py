@@ -187,6 +187,22 @@ def test_criterion_5_theorem4_desk_check():
     )
 
 
+def test_theorem4_desk_check_audits_a_path_that_flips():
+    # Criterion 5's config flips no agent (its x* is near 0), so its audits hold trivially;
+    # on the narrow three-point game the ru-path runs hundreds of flips per replication.
+    cfg = ExperimentConfig(
+        game={"step_json": {"base": 0.3, "steps": [[0.35, 0.5], [0.65, 0.7]]}},
+        network={"lattice": {"M": 240, "m": 4}},
+        replications=3,
+        seed=0,
+        probes=("ru-path",),
+    )
+    out = probe_theorem4(cfg)
+    for rec in out["records"]:
+        audit = rec["bound_audit"]
+        assert rec["upper_flips"] >= 1 and audit["satisfied"] and audit["lhs"] > 0.0, rec
+
+
 def test_criterion_6_theorem3_substitutes(rng):
     # (i) paired dispersion comparison.
     cfg = ExperimentConfig(

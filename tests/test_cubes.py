@@ -453,7 +453,7 @@ def test_domination_all_zero_profile(low_wave):
     part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
     W = np.zeros(part.n_small, dtype=bool)
     W[0] = True
-    ok, bad = domination_check(part, np.zeros(24 * 24), low_wave, W, R=1.0, rho=0.05)
+    ok, bad = domination_check(part, cube_means(part, np.zeros(24 * 24)), low_wave, W, R=1.0, rho=0.05)
     assert ok and bad is None
 
 
@@ -462,7 +462,7 @@ def test_domination_far_cubes_capped_at_one(low_wave):
     W = np.zeros(part.n_small, dtype=bool)
     W[0] = True
     a = np.ones(24 * 24)  # far cubes allowed at 1 through the sigma tail
-    ok, bad = domination_check(part, a, low_wave, W, R=1.0, rho=0.05)
+    ok, bad = domination_check(part, cube_means(part, a), low_wave, W, R=1.0, rho=0.05)
     # Cubes adjacent to W see sigma near a_star < 1: must be flagged.
     assert not ok
     assert bad is not None
@@ -475,7 +475,7 @@ def test_domination_planted_violation(low_wave):
     W[0] = True
     # Neighbor cube of W playing 1 while sigma(-R) = a_star < 1 - rho.
     a[cube_nodes(part)[1]] = 1.0
-    ok, bad = domination_check(part, a, low_wave, W, R=2.0, rho=0.05)
+    ok, bad = domination_check(part, cube_means(part, a), low_wave, W, R=2.0, rho=0.05)
     assert not ok and bad == 1
 
 

@@ -16,7 +16,8 @@ import netcoord.dynamics
 import netcoord.harness
 from netcoord.cli import main as cli_main
 from netcoord.contagion import build_delta_wave
-from netcoord.cubes import CubePartition, classify_bad, domination_check, extraordinary_cubes, good_set_search
+from netcoord.cubes import (CubePartition, classify_bad, cube_means, domination_check, extraordinary_cubes,
+                            good_set_search)
 from netcoord.dynamics import largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.harness import (
@@ -313,7 +314,8 @@ def test_replication_replayable():
     rec = out["records"][2]
     g = build_network(cfg.network)
     P = build_game(cfg.game)
-    replay = run_replication(g, P, cfg, rec["replication_id"]).record
+    t = sample_shocks(P, g.n, cfg.seed, stream=rec["replication_id"])
+    replay = run_replication(g, P, cfg, rec["replication_id"], t).record
     assert replay["averages"]["largest"] == rec["averages"]["largest"]
 
 
@@ -427,9 +429,25 @@ def test_probe_theorem3_counts_good_sets_and_domination_per_replication():
             good = good_set_search(part, classify_bad(part, t, P, 0.5), extraordinary_cubes(part, t), 0.5, 0.0)
             if good is not None:
                 found += 1
-                dominated += domination_check(part, largest_equilibrium(g, t)[0], wave, good.W, 0.0, rho or 1.0)[0]
+                a_c = cube_means(part, largest_equilibrium(g, t)[0])
+                dominated += domination_check(part, a_c, wave, good.W, 0.0, rho or 1.0)[0]
         assert out["wave_found"] and (found, dominated) == (4, passes)
         assert (out["good_set_frequency"], out["domination_pass"]) == (found / 4, dominated)
+
+
+def test_probe_theorem3_runs_one_upper_closure_per_replication(monkeypatch):
+    # The cube step's largest equilibrium serves the extremal probe and the domination check.
+    monkeypatch.setenv("SIM_WORKERS", "1")
+    game = {"base": 0.05, "steps": [[0.4, 0.3]]}
+    cubes = {"b": 2, "B": 6, "gamma": 0.5, "R": 0.0}
+    cfg = small_cfg(game={"step_json": game}, network={"lattice": {"M": 24, "m": 2}}, replications=4, seed=3, eta=0.15,
+                    cubes=cubes)
+    ties = []
+    closure = netcoord.dynamics._closure
+    monkeypatch.setattr(netcoord.dynamics, "_closure", lambda g, t, a0, tie, up: ties.append(tie) or closure(g, t, a0, tie, up))
+    out = probe_theorem3(cfg)
+    assert out["good_set_frequency"] == 1.0 and out["domination_pass"] == 4
+    assert ties.count("upper") == 4 + 4  # one per lattice and one per complete-graph replication
 
 
 @pytest.mark.parametrize(
@@ -454,7 +472,8 @@ def test_probe_theorem3_reports_why_it_has_no_wave(game, eta, error, good):
 def test_ru_path_builds_no_csr_on_a_structured_network(network):
     cfg = small_cfg(game={"step_json": THREE_POINT_GAME}, network=network, probes=("ru-path",))
     g = build_network(network)
-    record = run_replication(g, build_game(cfg.game), cfg, 0).record
+    P = build_game(cfg.game)
+    record = run_replication(g, P, cfg, 0, sample_shocks(P, g.n, cfg.seed, stream=0)).record
     assert record["upper_flips"] > 0 and record["bound_audit"]["satisfied"]
     assert "weights" not in g.__dict__
 
@@ -573,6 +592,18 @@ def test_cli_simulate_rejects_the_enumerate_probe_on_a_large_network(tmp_path, c
     assert cli_main(["simulate", str(cfg_path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"netcoord simulate: cannot read {cfg_path}: enumerate needs a network of at most 20 nodes, got 30"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("network", [{"complete": {"n": 36}}, {"copies": {"n": 6, "k": 6}}])
+def test_cli_simulate_rejects_a_cubes_section_it_would_ignore(tmp_path, capsys, network):
+    # The cube step runs on lattices only; elsewhere the section would silently do nothing.
+    cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": network, "cubes": {"b": 3, "B": 6},
+           "output": str(tmp_path / "out")}
+    cfg_path = _write_json(tmp_path / "cfg.json", cfg)
+    assert cli_main(["simulate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"netcoord simulate: cannot read {cfg_path}: a cubes section needs a lattice network"]
     assert not (tmp_path / "out").exists()
 
 
@@ -703,6 +734,22 @@ def test_cli_lattice_analyze_runs_no_lower_closure(tmp_path, monkeypatch):
     monkeypatch.setattr(netcoord.dynamics, "_closure", lambda g, t, a0, tie, up: ties.append(tie) or closure(g, t, a0, tie, up))
     assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
     assert ties == ["upper"] * 3
+
+
+def test_simulate_records_the_cube_evidence_that_lattice_analyze_writes(tmp_path, capsys):
+    cfg = {"game": {"step_json": _GOLDEN_GAMES["sparse"]}, "network": {"lattice": {"M": 30, "m": 3}},
+           "replications": 2, "seed": 11, "cubes": {"b": 3, "B": 15, "gamma": 0.2, "R": 1.0}}
+    sim = _write_json(tmp_path / "sim.json", {**cfg, "output": str(tmp_path / "sim")})
+    lat = _write_json(tmp_path / "lat.json", {**cfg, "output": str(tmp_path / "lat")})
+    assert cli_main(["simulate", str(sim)]) == 0 and cli_main(["lattice-analyze", str(lat)]) == 0
+    records = [json.loads(line) for line in (tmp_path / "sim" / "replications.jsonl").read_text().splitlines()]
+    written = []
+    for rep in range(2):
+        rows = (tmp_path / "lat" / f"cubes_{rep:04d}.csv").read_text().splitlines()[1:]
+        found = json.loads((tmp_path / "lat" / f"goodset_{rep:04d}.json").read_text())["found"]
+        written.append((sum(row.split(",")[4] == "1" for row in rows), found))
+    assert [(r["bad_cubes"], r["good_set"]) for r in records] == written
+    assert [found for _, found in written] == [False, True]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
