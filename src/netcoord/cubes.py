@@ -41,7 +41,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .contagion import ContagionWave
 from .dynamics import _thresholds
@@ -193,6 +192,7 @@ def _torus_edt(source_mask: np.ndarray) -> np.ndarray:
     """
     if not source_mask.any():
         return np.full(source_mask.shape, np.inf)
+    from scipy import ndimage  # loaded only past good_set_search's early return
     M, pad = source_mask.shape[0], (source_mask.shape[0] + 1) // 2
     dist = ndimage.distance_transform_edt(~np.pad(source_mask, pad, mode="wrap"))
     return dist[pad : pad + M, pad : pad + M]
@@ -217,6 +217,7 @@ def _largest_component(mask_grid: np.ndarray) -> np.ndarray:
     then joined under their smallest label.  Ties therefore go to the
     component whose first cell comes earliest in row-major order.
     """
+    from scipy import ndimage
     labels, count = ndimage.label(mask_grid)
     seams = np.stack([np.r_[labels[0], labels[:, 0]], np.r_[labels[-1], labels[:, -1]]])
     seams = seams[:, (seams > 0).all(axis=0)]

@@ -34,7 +34,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from io import StringIO
 from pathlib import Path
@@ -402,6 +401,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if workers == 1:
         parts = [_run_chunk(chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # single-worker runs never load multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, chunks))
     results = sorted((r for part, _ in parts for r in part), key=lambda r: r.replication_id)

@@ -1,13 +1,14 @@
 """Weighted undirected graphs, generators, statistics, and averages.
 
 Weights are symmetric, nonnegative, with zero diagonal; every node must
-have positive degree.  General graphs hold a scipy CSR matrix.  Torus
-lattices and copies of complete graphs hold their structure: neighbor
-sums come from a growing-window stencil or from block sums, which on pure
-profiles add the integers the CSR matvec adds, so the fractions are
-bit-identical.  ``_rows`` gives any network's neighbour rows; a
-structured network's CSR matrix is built from them on first access to
-``weights``.
+have positive degree.  General graphs hold a scipy CSR matrix; scipy is
+imported on the first CSR build, so lattices and copies load it only if
+``weights`` is read.  Torus lattices and copies of complete graphs hold
+their structure: neighbor sums come from a growing-window stencil or from
+block sums, which on pure profiles add the integers the CSR matvec adds,
+so the fractions are bit-identical.  ``_rows`` gives any network's
+neighbour rows; a structured network's CSR matrix is built from them on
+first access to ``weights``.
 Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
 the operators take their accumulator from the profile, so a bool one is
 summed in integers (stencil, blocks) and gives its 0/1 copy's fractions.
@@ -27,7 +28,6 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Network",
@@ -69,6 +69,7 @@ class Network:
 
     @classmethod
     def from_weights(cls, W) -> "Network":
+        import scipy.sparse as sp
         W = sp.csr_matrix(W, dtype=float)
         if W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
@@ -91,6 +92,7 @@ class Network:
         # On integers "stable" (timsort) gives the same order, 2-3x faster on these nearly ascending rows.
         cols = np.sort(_rows(self, np.arange(self.n))[0], axis=1, kind="stable")
         indptr = np.arange(0, cols.size + 1, cols.shape[1])
+        import scipy.sparse as sp
         return sp.csr_matrix((np.ones(cols.size), cols.ravel(), indptr), shape=(self.n, self.n))
 
     @property
@@ -312,5 +314,6 @@ def load_edgelist(path) -> Network:
         rows += [i, j]
         cols += [j, i]
         data += [w, w]
+    import scipy.sparse as sp
     W = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     return Network.from_weights(W)

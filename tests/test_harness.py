@@ -3,9 +3,13 @@ import importlib
 import json
 import logging
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,16 +807,64 @@ _GOLDEN = {
 }
 
 
+_GOLDEN_NAMES = ["cubes_0000.csv", "cubes_0001.csv", "goodset_0000.json", "goodset_0001.json"]
+
+
+def _golden_cfg(game, b, out):
+    M, m, B = _GOLDEN_LATTICES[b]
+    return {"game": {"step_json": _GOLDEN_GAMES[game]}, "network": {"lattice": {"M": M, "m": m}},
+            "replications": 2, "seed": 11, "cubes": {"b": b, "B": B, "gamma": 0.2, "R": 1.0}, "output": str(out)}
+
+
 @pytest.mark.parametrize("game, b", list(_GOLDEN))
 def test_lattice_analyze_output_bytes_match_the_recorded_digests(tmp_path, game, b):
-    M, m, B = _GOLDEN_LATTICES[b]
-    cfg = {"game": {"step_json": _GOLDEN_GAMES[game]}, "network": {"lattice": {"M": M, "m": m}},
-           "replications": 2, "seed": 11, "cubes": {"b": b, "B": B, "gamma": 0.2, "R": 1.0},
-           "output": str(tmp_path / "lat")}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path = _write_json(tmp_path / "cfg.json", _golden_cfg(game, b, tmp_path / "lat"))
     assert cli_main(["lattice-analyze", str(cfg_path)]) == 0
-    names = ["cubes_0000.csv", "cubes_0001.csv", "goodset_0000.json", "goodset_0001.json"]
-    assert sorted(p.name for p in (tmp_path / "lat").iterdir()) == names
-    got = tuple(hashlib.sha256((tmp_path / "lat" / n).read_bytes()).hexdigest()[:16] for n in names)
+    assert sorted(p.name for p in (tmp_path / "lat").iterdir()) == _GOLDEN_NAMES
+    got = tuple(hashlib.sha256((tmp_path / "lat" / n).read_bytes()).hexdigest()[:16] for n in _GOLDEN_NAMES)
     assert got == _GOLDEN[game, b]
+
+
+_LAZY_MODULES = ("scipy.sparse", "scipy.ndimage", "concurrent.futures.process")
+# Run in a fresh interpreter: conftest has already imported scipy.sparse into this one.
+_LAZY_IMPORT_SCRIPT = """
+import hashlib, json, sys
+from pathlib import Path
+from netcoord.cli import main
+from netcoord.network import load_edgelist
+
+work, lazy = Path(sys.argv[1]), sys.argv[2:]
+assert main(["wave", str(work / "game.json"), "--eta", "0.15", "--out", str(work / "wave.json")]) == 0
+assert main(["ru-dominant", str(work / "game.json")]) == 0 and main(["fixed-points", str(work / "game.json")]) == 0
+assert main(["lattice-analyze", str(work / "early.json")]) == 0
+before = [m for m in lazy if m in sys.modules]
+weights = load_edgelist(work / "g.edges").weights.toarray().tolist()
+assert main(["lattice-analyze", str(work / "sparse.json")]) == 0
+digests = {d: {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in (work / d).iterdir()}
+           for d in ("early", "lat")}
+print(json.dumps({"before": before, "after": [m for m in lazy if m in sys.modules], "weights": weights,
+                  "digests": digests, "thresholds": json.loads((work / "wave.json").read_text())["thresholds"]}))
+"""
+
+
+def test_wave_ru_and_early_lattice_runs_load_no_scipy_or_process_pool(tmp_path):
+    # wave, ru-dominant, fixed-points and a lattice-analyze whose good-set
+    # search stops at its early return import neither scipy module nor the
+    # process pool; a CSR network and a found good set still load scipy and
+    # give their recorded bytes in the same interpreter.
+    root = Path(__file__).resolve().parents[1]
+    panel = json.loads((root / "perfbench" / "reference.json").read_text())["wave_panel"][0]
+    _write_json(tmp_path / "game.json", panel["game"])
+    _write_json(tmp_path / "early.json", _golden_cfg("cube", 3, tmp_path / "early"))
+    _write_json(tmp_path / "sparse.json", _golden_cfg("sparse", 3, tmp_path / "lat"))
+    (tmp_path / "g.edges").write_text("n 3\n0 1 0.5\n1 2 2.0\n")
+    proc = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_SCRIPT, str(tmp_path), *_LAZY_MODULES],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["before"] == []
+    assert out["after"] == ["scipy.sparse", "scipy.ndimage"]
+    assert out["thresholds"] == pytest.approx(panel["thresholds"], rel=0, abs=1e-9)  # the benchmark's check
+    assert out["weights"] == [[0.0, 0.5, 0.0], [0.5, 0.0, 2.0], [0.0, 2.0, 0.0]]
+    got = [tuple(out["digests"][d].get(n) for n in _GOLDEN_NAMES) for d in ("early", "lat")]
+    assert got == [_GOLDEN["cube", 3], _GOLDEN["sparse", 3]]
