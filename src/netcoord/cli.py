@@ -33,6 +33,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import report_to_csv
 from .dynamics import enumerate_equilibria
@@ -43,6 +45,11 @@ from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
 log = logging.getLogger("netcoord")
+
+# glibc raises its mmap and trim thresholds to the largest mmapped block freed
+# so far (mallopt(3)): one 4-MB block freed now keeps each replication's freed
+# heap top from going back to the kernel, to be faulted in again by the next.
+np.empty(4 << 20, dtype=np.uint8)
 
 
 class _BadInput(Exception):
@@ -97,8 +104,10 @@ def _cmd_wave(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
-    _load(cfg.game.get("file", args.config), build_game, cfg.game)
+    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
+    if "ru-path" in cfg.probes and not ru_dominant(P)[1]:
+        raise _BadInput(f"cannot read {args.config}: the ru-path probe needs a strictly dominant maximizer")
     if cfg.cubes is not None and "lattice" not in cfg.network:
         raise _BadInput(f"cannot read {args.config}: a cubes section needs a lattice network")
     if "enumerate" in cfg.probes:

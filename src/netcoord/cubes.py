@@ -25,13 +25,12 @@ closure computed on ``a`` in its final sweep (``largest_equilibrium``
 returns it), so a report runs no stencil of its own.  Other per-cube
 numbers come from one strided reduction of the node grid
 (``_cube_reduce``): a(c) is the cube's count of 1s over b^2, the
-extraordinary flags are an ``and``, cube distances a minimum, and for a
-P with few pieces the gamma-bad test counts the thresholds below each
-knot.  beta(c) keeps numpy's mean: a strided sum adds the fractions in
-another order and rounds differently, so the CSV's bytes would move.
-Node distances are the torus Euclidean metric scaled by 1/m; set
-distances are minima over node pairs, computed with an exact Euclidean
-distance transform of the grid wrap-padded by half its side.
+extraordinary flags are an ``and``, and for a P with few pieces the
+gamma-bad test counts the thresholds below each knot.  beta(c) keeps
+numpy's mean: a strided sum adds the fractions in another order and
+rounds differently, so the CSV's bytes would move.  Node distances are
+the torus Euclidean metric scaled by 1/m; set distances are minima over
+node pairs, computed exactly on the small-cube grid (``_cube_distance``).
 """
 
 from __future__ import annotations
@@ -184,55 +183,47 @@ def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------- torus utilities
 
 
-def _torus_edt(source_mask: np.ndarray) -> np.ndarray:
-    """Exact Euclidean node distance to the nearest True cell on the torus.
-
-    The nearest torus image of a cell lies within M/2 of it on each axis,
-    so padding by ceil(M/2) keeps every image that can be nearest.
-    """
-    if not source_mask.any():
-        return np.full(source_mask.shape, np.inf)
-    from scipy import ndimage  # loaded only past good_set_search's early return
-    M, pad = source_mask.shape[0], (source_mask.shape[0] + 1) // 2
-    dist = ndimage.distance_transform_edt(~np.pad(source_mask, pad, mode="wrap"))
-    return dist[pad : pad + M, pad : pad + M]
-
-
 def _cube_distance(part: CubePartition, cubes: np.ndarray) -> np.ndarray:
     """Per-small-cube node distance (units of m) to the flagged cubes.
 
-    ``cubes`` is a square grid of small or large cube flags; the
-    distance is +inf everywhere when nothing is flagged.
+    ``cubes`` is a square grid of small or large cube flags (+inf if none).
+    Cubes delta = min(|i-j|, K-|i-j|) apart on an axis of K have nearest
+    nodes max(0, delta*b - b + 1) apart on it, so squared distances are a
+    min-plus over each axis's K cyclic shifts (of integers, exact in
+    float64); sqrt and /m are monotone and correctly rounded, so this is
+    the per-cube minimum of the node-level distance.
     """
-    side = part.M // cubes.shape[0]
-    nodes = np.kron(cubes, np.ones((side, side), dtype=bool))
-    return _cube_reduce(part, _torus_edt(nodes) / part.m, np.minimum)
+    K = part.small_side
+    up = K // cubes.shape[0]
+    D = np.where(cubes.repeat(up, axis=0).repeat(up, axis=1), 0.0, np.inf)
+    delta = np.minimum(np.arange(K), K - np.arange(K))
+    gap2 = np.maximum(0, delta * part.b - (part.b - 1)).astype(float) ** 2
+    for axis in (0, 1):
+        D = functools.reduce(np.minimum, (np.roll(D, s, axis) + gap2[s] for s in range(K)))
+    return (np.sqrt(D) / part.m).ravel()
 
 
 def _largest_component(mask_grid: np.ndarray) -> np.ndarray:
     """Largest 4-connected component on a torus grid of flags.
 
-    ``ndimage.label`` numbers the planar components in row-major order
-    of their first cell; components touching across the torus seams are
-    then joined under their smallest label.  Ties therefore go to the
-    component whose first cell comes earliest in row-major order.
+    Cells joined by a torus edge are merged by hooking the larger root
+    under the smaller, then pointer jumping until every cell points at
+    its root; each root is then its component's first cell in row-major
+    order, so ties go to the component that starts earliest.
     """
-    from scipy import ndimage
-    labels, count = ndimage.label(mask_grid)
-    seams = np.stack([np.r_[labels[0], labels[:, 0]], np.r_[labels[-1], labels[:, -1]]])
-    seams = seams[:, (seams > 0).all(axis=0)]
-    # Union by hooking the larger root under the smaller, then pointer
-    # jumping until every label points at its root.
-    root = np.arange(count + 1)
+    ids = np.arange(mask_grid.size).reshape(mask_grid.shape)
+    edges = np.concatenate([np.stack([ids, np.roll(ids, -1, axis)])[:, mask_grid & np.roll(mask_grid, -1, axis)]
+                            for axis in (0, 1)], axis=1)
+    root = ids.ravel()
     while True:
-        lo, hi = np.sort(root[seams], axis=0)
+        lo, hi = np.sort(root[edges], axis=0)
         if np.array_equal(lo, hi):
             break
         np.minimum.at(root, hi, lo)
         while not np.array_equal(root[root], root):
             root = root[root]
-    comp = root[labels]
-    return mask_grid & (comp == np.argmax(np.bincount(comp[mask_grid], minlength=1)))
+    root = root.reshape(mask_grid.shape)
+    return mask_grid & (root == np.argmax(np.bincount(root[mask_grid], minlength=1)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from netcoord.cubes import (
     CubePartition,
     CubeReport,
     _blocks,
+    _cube_distance,
     _cube_reduce,
     _largest_component,
-    _torus_edt,
     classify_bad,
     cube_means,
     cube_report,
@@ -337,16 +338,25 @@ def test_good_set_rejects_negative_radius():
 # ------------------------------------------------------------ torus distances
 
 
-def test_torus_edt_matches_brute_force(rng):
-    for M in (1, 2, 3, 4, 5, 8, 9, 12):
+def test_cube_distance_matches_brute_force(rng):
+    # The per-cube minimum of the brute-force torus node distance to every
+    # node of a flagged cube, for small- and large-cube sources, b = m and
+    # b != m, an empty source (+inf) and a full one (0).
+    for M, m, b, B in ((1, 1, 1, 1), (4, 1, 1, 2), (6, 2, 2, 6), (8, 2, 2, 4), (9, 1, 3, 9),
+                       (12, 3, 3, 6), (12, 2, 3, 12), (12, 5, 2, 4), (16, 3, 2, 8)):
+        part = CubePartition(LatticeSpec(M=M, m=m), b=b, B=B)
         x, y = np.divmod(np.arange(M * M), M)
         dx = np.abs(x[:, None] - x[None, :])
         dy = np.abs(y[:, None] - y[None, :])
-        pair = np.hypot(np.minimum(dx, M - dx), np.minimum(dy, M - dy))
-        for density in (0.02, 0.2, 0.7):
-            mask = rng.random((M, M)) < density
-            want = np.where(mask.ravel()[None, :], pair, np.inf).min(axis=1).reshape(M, M)
-            assert np.array_equal(_torus_edt(mask), want), (M, density)
+        pair = np.sqrt(np.minimum(dx, M - dx) ** 2 + np.minimum(dy, M - dy) ** 2) / m
+        cube_of = (x // b) * part.small_side + y // b
+        for side in (part.small_side, part.large_side):
+            masks = [rng.random((side, side)) < d for d in (0.05, 0.2, 0.7)]
+            for mask in masks + [np.zeros((side, side), dtype=bool), np.ones((side, side), dtype=bool)]:
+                nodes = np.kron(mask, np.ones((M // side, M // side), dtype=bool)).ravel()
+                want = np.full(part.n_small, np.inf)
+                np.minimum.at(want, cube_of, np.where(nodes[None, :], pair, np.inf).min(axis=1))
+                assert np.array_equal(_cube_distance(part, mask), want), (M, m, b, B, side)
 
 
 # ------------------------------------------------------------ r-interior lemmas
@@ -427,6 +437,44 @@ def test_largest_component_matches_bfs_oracle(rng):
         n = int(rng.integers(1, 12))
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
         assert np.array_equal(_largest_component(mask), _bfs_largest_component(mask))
+
+
+def _serpentine(n):
+    # One path: the even rows, joined at alternate ends through the odd rows.
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _spiral(n):
+    # An inward spiral corridor one cell wide between walls one cell wide.
+    mask = np.zeros((n, n), dtype=bool)
+    lo, hi = 0, n - 1
+    while lo <= hi:
+        mask[lo, lo:hi + 1] = True
+        mask[lo:hi + 1, hi] = True
+        mask[hi, lo:hi + 1] = True
+        mask[lo + 2:hi + 1, lo] = True
+        if lo + 2 <= hi:
+            mask[lo + 2, lo:hi - 1] = True
+        lo, hi = lo + 2, hi - 2
+    return mask
+
+
+def test_largest_component_labels_long_paths_quickly():
+    # Serpentine and spiral corridors on a 100 x 100 torus, each one
+    # component, rolled so that they cross both seams.
+    for make in (_serpentine, _spiral):
+        for shift in ((0, 0), (37, 61)):
+            mask = np.roll(make(100), shift, axis=(0, 1))
+            start = time.perf_counter()
+            got = _largest_component(mask)
+            elapsed = time.perf_counter() - start
+            assert np.array_equal(got, _bfs_largest_component(mask)), (make.__name__, shift)
+            assert np.array_equal(got, mask)
+            assert elapsed < 0.5, (make.__name__, shift, elapsed)
 
 
 def test_largest_component_ties_and_wraparound():

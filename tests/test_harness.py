@@ -611,6 +611,20 @@ def test_cli_simulate_rejects_a_cubes_section_it_would_ignore(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_rejects_the_ru_path_probe_without_a_strict_maximizer(tmp_path, capsys):
+    # ru-dominant prints strict=false for this game; the probe used to fail
+    # inside the first replication with a ValueError traceback and exit 1.
+    cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 12}},
+           "probes": ["ru-path"], "output": str(tmp_path / "out")}
+    cfg_path = _write_json(tmp_path / "cfg.json", cfg)
+    assert cli_main(["simulate", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"netcoord simulate: cannot read {cfg_path}: "
+                                "the ru-path probe needs a strictly dominant maximizer"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_lattice_analyze(tmp_path, capsys):
     cfg = {
         "game": {"step_json": {"base": 0.3, "steps": []}},
@@ -850,8 +864,9 @@ print(json.dumps({"before": before, "after": [m for m in lazy if m in sys.module
 def test_wave_ru_and_early_lattice_runs_load_no_scipy_or_process_pool(tmp_path):
     # wave, ru-dominant, fixed-points and a lattice-analyze whose good-set
     # search stops at its early return import neither scipy module nor the
-    # process pool; a CSR network and a found good set still load scipy and
-    # give their recorded bytes in the same interpreter.
+    # process pool; a CSR network loads scipy.sparse, and a found good set
+    # (computed on the cube grid) loads nothing more; both give their
+    # recorded bytes in the same interpreter.
     root = Path(__file__).resolve().parents[1]
     panel = json.loads((root / "perfbench" / "reference.json").read_text())["wave_panel"][0]
     _write_json(tmp_path / "game.json", panel["game"])
@@ -863,8 +878,37 @@ def test_wave_ru_and_early_lattice_runs_load_no_scipy_or_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["before"] == []
-    assert out["after"] == ["scipy.sparse", "scipy.ndimage"]
+    assert out["after"] == ["scipy.sparse"]
     assert out["thresholds"] == pytest.approx(panel["thresholds"], rel=0, abs=1e-9)  # the benchmark's check
     assert out["weights"] == [[0.0, 0.5, 0.0], [0.5, 0.0, 2.0], [0.0, 2.0, 0.0]]
     got = [tuple(out["digests"][d].get(n) for n in _GOLDEN_NAMES) for d in ("early", "lat")]
     assert got == [_GOLDEN["cube", 3], _GOLDEN["sparse", 3]]
+
+
+_FAULTS_SCRIPT = """
+import contextlib, io, resource, sys
+from netcoord.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["lattice-analyze", sys.argv[1]])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(40):
+        main(["lattice-analyze", sys.argv[1]])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_repeated_lattice_analyze_calls_do_not_refault_the_heap(tmp_path):
+    # Each call's temporaries reuse the heap that the previous call freed:
+    # without the start-up block in netcoord.cli, glibc gives the freed
+    # heap top back to the kernel and every call faults in ~1,000 pages.
+    # The benchmark's lattice-analyze batch: (300,3), b = 3, B = 30, the cube game.
+    cfg = {"game": {"step_json": _GOLDEN_GAMES["cube"]}, "network": {"lattice": {"M": 300, "m": 3}},
+           "replications": 1, "seed": 11, "cubes": {"b": 3, "B": 30, "gamma": 0.2, "R": 2.0},
+           "output": str(tmp_path / "lat")}
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(_write_json(tmp_path / "cfg.json", cfg))],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 50
