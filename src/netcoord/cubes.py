@@ -22,15 +22,14 @@ A realization enters as its threshold array t (node index x*M + y),
 checked like the dynamics' input: one threshold per node, no NaN.
 Per-cube fractions beta(c) average the beta = Wa/g that the caller's
 closure computed on ``a`` in its final sweep (``largest_equilibrium``
-returns it), so a report runs no stencil of its own.  Other per-cube
-numbers come from one strided reduction of the node grid
-(``_cube_reduce``): a(c) is the cube's count of 1s over b^2, the
-extraordinary flags are an ``and``, and for a P with few pieces the
-gamma-bad test counts the thresholds below each knot.  beta(c) keeps
-numpy's mean: a strided sum adds the fractions in another order and
-rounds differently, so the CSV's bytes would move.  Node distances are
-the torus Euclidean metric scaled by 1/m; set distances are minima over
-node pairs, computed exactly on the small-cube grid (``_cube_distance``).
+returns it), so a report runs no stencil of its own.  Every per-cube
+number comes from one strided reduction of the node grid
+(``_cube_reduce``): a(c) and beta(c) are sums over b^2, added in numpy's
+own mean order for b < 8, the extraordinary flags are an ``and``, and
+for a P with few pieces the gamma-bad test counts the thresholds below
+each knot.  Node distances are the torus Euclidean metric scaled by 1/m;
+set distances are minima over node pairs, computed exactly on the
+small-cube grid (``_cube_distance``).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 from .contagion import ContagionWave
 from .dynamics import _thresholds
 from .network import LatticeSpec, is_pure
-from .stepfn import _FEW_PIECES, StepFn
+from .stepfn import StepFn
 
 __all__ = [
     "CubePartition",
@@ -59,6 +58,10 @@ __all__ = [
     "cube_report",
     "report_to_csv",
 ]
+
+# classify_bad's most pieces to count, one grid pass each (~0.13 ms at b = 3 on the (300,3)-lattice, 2-core Xeon),
+# before sorting cube rows (4-6 ms) wins: they cross at ~12 pieces for b = 1, 25-35 for b = 2, 3 and 20-30 for b = 10.
+_COUNT_PIECES = 24
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,7 @@ class CubePartition:
 
 def cube_means(part: CubePartition, values: np.ndarray) -> np.ndarray:
     """Per-small-cube mean of a per-node array, cube-id order."""
-    grid = part.node_grid(np.asarray(values, dtype=float))
-    s, b = part.small_side, part.b
-    return grid.reshape(s, b, s, b).mean(axis=(1, 3)).ravel()
+    return _cube_reduce(part, np.asarray(values, dtype=float), np.add) / part.b**2
 
 
 def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
@@ -127,17 +128,18 @@ def _blocks(part: CubePartition, values: np.ndarray) -> np.ndarray:
 def _cube_reduce(part: CubePartition, values: np.ndarray, ufunc: np.ufunc, dtype=None) -> np.ndarray:
     """``ufunc`` over each small cube's b x b values, in cube-id order.
 
-    The grid, viewed as (s, b, M), is reduced over each cube's b rows in
-    one call, then over its b columns as b strided slices, so no per-cube
-    copy is made.  ``dtype`` is the accumulator (e.g. an int type to
-    count a bool grid with ``np.add``); it defaults to the values' own.
+    Each node row is reduced over each cube's b columns by strided slices,
+    then each cube's b row results in one call: for b < 8 the order of
+    numpy's ``mean(axis=(1, 3))`` on the (s, b, s, b) view, whose inner
+    loop turns pairwise at 8 terms.  ``dtype`` is the accumulator (e.g. an
+    int type to count a bool grid with ``np.add``), by default the values'.
     """
     s, b = part.small_side, part.b
-    rows = ufunc.reduce(part.node_grid(values).reshape(s, b, part.M), axis=1, dtype=dtype)
-    out = rows[:, ::b].copy()
+    grid = part.node_grid(values)
+    out = grid[:, ::b].astype(grid.dtype if dtype is None else dtype)
     for j in range(1, b):
-        ufunc(out, rows[:, j::b], out=out)
-    return out.ravel()
+        ufunc(out, grid[:, j::b], out=out)
+    return ufunc.reduce(out.reshape(s, b, s), axis=1).ravel()
 
 
 def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) -> np.ndarray:
@@ -155,7 +157,7 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
     C_j/|c| - v_j with C_j = #{t < e_j}.  A piece without a threshold
     scores no more than the piece below it (same count, P no smaller), or
     -v_j <= 0 if none below has one, so every piece may be scored.  With
-    at most ``_FEW_PIECES`` pieces the C_j are counted per cube, one pass
+    at most ``_COUNT_PIECES`` pieces the C_j are counted per cube, one pass
     per piece; above it each cube's row is sorted, where position k
     counts (k+1)/|c| and the last copy of a repeated threshold carries
     the run's maximum.  Both score the same floats.
@@ -164,7 +166,7 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
         raise ValueError("gamma must be positive")
     t = _thresholds(t, part.M**2)
     size = part.b**2
-    if P.piece_values.size > _FEW_PIECES:
+    if P.piece_values.size > _COUNT_PIECES:
         t = np.maximum(np.sort(_blocks(part, t), axis=1), 0.0)
         inside = t < 1.0
         gap = np.arange(1, size + 1) / size - P.eval_array(np.where(inside, t, 0.0))
@@ -314,6 +316,8 @@ def domination_check(
     d(c, W) is the exact torus node metric between the cube and the
     union of W's cubes.  Returns (flag, first violating cube id).
     """
+    if not all(np.isfinite(v) and v >= 0.0 for v in (R, rho)):
+        raise ValueError(f"R and rho must be finite and nonnegative, got R={R}, rho={rho}")
     a_c, W = np.asarray(a_c, dtype=float), np.asarray(W, dtype=bool)
     if a_c.shape != (part.n_small,) or W.size != part.n_small:
         raise ValueError("a_c and W must each hold one entry per small cube")
@@ -356,7 +360,7 @@ def cube_report(
         raise ValueError("cube_report needs a pure profile (every entry 0 or 1)")
     return CubeReport(
         part=part,
-        a_c=_cube_reduce(part, a, np.add) / part.b**2,  # sums of 0/1 are exact, so this is the mean
+        a_c=cube_means(part, a),
         beta_c=cube_means(part, beta),
         bad=classify_bad(part, t, P, gamma),
         extraordinary=extraordinary_cubes(part, t),

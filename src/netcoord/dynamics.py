@@ -122,7 +122,7 @@ def capacity(g: Network, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=float)
     cols, w = _rows(g, np.arange(g.n))
     d = p[:, None] - p[cols]
-    return 0.5 * float(np.sum(d * d if w is None else w * d * d))
+    return 0.5 * float(np.sum(w * d * d))
 
 
 # ------------------------------------------------------------------ dynamics
@@ -154,25 +154,20 @@ class _FlipState:
     def flip(self, i: int, up: bool):
         """Set a_i to 1 (up) or 0 and update beta, p and q on N(i).
 
-        J = N(i) is i's row in CSR order, the order in which the audit's
-        sums over J and each q bin add.  beta_J sums J's rows (0/1 terms
-        in any order, weights in the matvec's), so beta equals Wa/g bit for
-        bit.  q moves by the increment W[J].T dp (W is symmetric, so row j
-        is also column j), so it drifts from Wp by rounding: 3.6e-15 after
-        866-989 flips of the three-point game on the (120,2)-lattice.
+        J = N(i) ascends, as a CSR row does: the order in which the audit's
+        sums over J and each q bin add.  beta_J sums J's weighted rows in the
+        matvec's order (0/1 terms on a structured network), so beta equals
+        Wa/g bit for bit.  q moves by W[J].T dp (W is symmetric), so it
+        drifts from Wp by rounding: 3.6e-15 after 866-989 flips of the
+        three-point game on the (120,2)-lattice.
         Returns (J, beta_J before, dp, q_J before); dp and q_J are None
         when P is None or no p_j moves.
         """
-        J, w = _rows(self.g, i)
-        if w is None:
-            J.sort()
+        J = np.sort(_rows(self.g, i)[0])
         self.a[i] = 1.0 if up else 0.0
         beta_old = self.beta[J]
         cols, w = _rows(self.g, J)
-        if w is None:
-            self.beta[J] = self.a[cols].sum(axis=1) / self.deg[J]
-        else:
-            self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
+        self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
         if self.P is None:
             return J, beta_old, None, None
         p_new = self.P.eval_array(self.beta[J])
@@ -180,11 +175,8 @@ class _FlipState:
         if not np.any(dp != 0.0):
             return J, beta_old, None, None
         q_old = self.q[J]
-        if w is None:
-            cols, terms = cols.ravel(), np.repeat(dp, cols.shape[1])
-        else:
-            real = cols >= 0  # padding, not a zero-weight edge
-            cols, terms = cols[real], (w * dp[:, None])[real]
+        real = cols >= 0  # padding, not a zero-weight edge
+        cols, terms = cols[real], (w * dp[:, None])[real]
         rows, inv = np.unique(cols, return_inverse=True)
         self.q[rows] += np.bincount(inv, weights=terms)
         self.p[J] = p_new

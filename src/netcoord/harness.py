@@ -169,14 +169,15 @@ class ExperimentConfig:
         if self.stability_radius is not None and not self.stability_radius > 0.0:
             raise ValueError("stability_radius must be positive")
         if self.cubes is not None:
-            b, B, gamma, R, _ = _cube_numbers(self)
+            b, B, gamma, R, rho = _cube_numbers(self)
             unknown = sorted(set(self.cubes) - set(_CUBE_KEYS))
             if unknown:
                 raise ValueError(f"unknown cubes keys: {unknown}")
             if min(b, B) < 1:
                 raise ValueError(f"cubes.b and cubes.B must be positive, got {b} and {B}")
-            if not (math.isfinite(R) and R >= 0.0):
-                raise ValueError(f"cubes.R must be finite and nonnegative, got {R}")
+            for key, v in (("R", R), ("rho", rho)):
+                if v is not None and not (math.isfinite(v) and v >= 0.0):
+                    raise ValueError(f"cubes.{key} must be finite and nonnegative, got {v}")
             if not gamma > 0.0:
                 raise ValueError("cubes.gamma must be positive")
             if "lattice" in self.network:

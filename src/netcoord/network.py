@@ -7,8 +7,8 @@ imported on the first CSR build, so lattices and copies load it only if
 their structure: neighbor sums come from a growing-window stencil or from
 block sums, which on pure profiles add the integers the CSR matvec adds,
 so the fractions are bit-identical.  ``_rows`` gives any network's
-neighbour rows; a structured network's CSR matrix is built from them on
-first access to ``weights``.
+neighbour rows and weights (1.0 unless CSR); a structured network's CSR
+matrix is built from them on first access to ``weights``.
 Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
 the operators take their accumulator from the profile, so a bool one is
 summed in integers (stencil, blocks) and gives its 0/1 copy's fractions.
@@ -157,28 +157,30 @@ def _torus_rows(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _rows(g: Network, J) -> tuple[np.ndarray, np.ndarray | None]:
+def _rows(g: Network, J) -> tuple[np.ndarray, np.ndarray]:
     """(cols, w): the neighbour ids of each node of J and their weights; an int J gives one row.
 
-    Lattice rows follow the ball offsets and block rows ascend; w is None
-    there (all 1).  A CSR network gives its stored rows, zero weights
-    included, padded to J's longest row with column -1 and weight 0.
+    Lattice rows follow the ball offsets and block rows ascend; their w is
+    a read-only broadcast of 1.0, which allocates nothing.  A CSR network
+    gives its stored rows, zero weights included, padded to J's longest
+    row with column -1 and weight 0.
     """
-    s = g.structure
+    s, J = g.structure, np.asarray(J)
+    if s is None:
+        W = g.weights
+        start, stop = W.indptr[J], W.indptr[J + 1]
+        pos = start[..., None] + np.arange(np.max(stop - start, initial=0))
+        real = pos < stop[..., None]
+        pos = np.where(real, pos, 0)
+        return np.where(real, W.indices[pos], -1), np.where(real, W.data[pos], 0.0)
     if isinstance(s, LatticeSpec):
         X, Y = _torus_rows(s)
         x, y = divmod(J, s.M)
-        return X[x] + Y[y], None
-    J = np.asarray(J)
-    if s is not None:
+        cols = X[x] + Y[y]
+    else:
         r, j = J % s, np.arange(s - 1)
-        return (J - r)[..., None] + j + (j >= r[..., None]), None
-    W = g.weights
-    start, stop = W.indptr[J], W.indptr[J + 1]
-    pos = start[..., None] + np.arange(np.max(stop - start, initial=0))
-    real = pos < stop[..., None]
-    pos = np.where(real, pos, 0)
-    return np.where(real, W.indices[pos], -1), np.where(real, W.data[pos], 0.0)
+        cols = (J - r)[..., None] + j + (j >= r[..., None])
+    return cols, np.broadcast_to(1.0, cols.shape)
 
 
 def _matvec(g: Network, x: np.ndarray) -> np.ndarray:

@@ -137,9 +137,7 @@ class StepFn:
 
     def eval(self, x: float) -> float:
         """Right-continuous value at x in [0, 1]."""
-        x = _check_unit("x", x)
-        idx = int(np.searchsorted(self._knots, x, side="right"))
-        return float(self._vals[idx])
+        return float(self.eval_array(_check_unit("x", x)))
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

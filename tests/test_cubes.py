@@ -10,6 +10,7 @@ from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (
     CubePartition,
     CubeReport,
+    _COUNT_PIECES,
     _blocks,
     _cube_distance,
     _cube_reduce,
@@ -26,7 +27,7 @@ from netcoord.cubes import (
 from netcoord.dynamics import largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
-from netcoord.stepfn import _FEW_PIECES, StepFn
+from netcoord.stepfn import StepFn
 
 
 def shocks_of(t) -> np.ndarray:
@@ -169,15 +170,15 @@ def _brute_bad_flag(t: np.ndarray, P: StepFn, gamma: float) -> bool:
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
 def test_classify_bad_matches_breakpoint_oracle(rng, b):
-    # P with 1 to _FEW_PIECES pieces (counted per piece) and with 12
-    # (sorted rows), half of them with a knot at exactly 1.0.  Thresholds
-    # are drawn from a pool with negatives, P's knots and their float
-    # neighbours, off-knot values, 0, 1, +inf and (by drawing with
-    # replacement) duplicates.
+    # P with 1 to 9 and _COUNT_PIECES pieces (counted per piece) and with
+    # _COUNT_PIECES + 1 and 40 (sorted rows), half of them with a knot at
+    # exactly 1.0.  Thresholds are drawn from a pool with negatives, P's
+    # knots and their float neighbours, off-knot values, 0, 1, +inf and
+    # (by drawing with replacement) duplicates.
     from conftest import step_with_pieces
 
     part = CubePartition(LatticeSpec(M=4 * b, m=1), b=b, B=4 * b)
-    for k in [*range(1, _FEW_PIECES + 1), 12] * 3:
+    for k in [*range(1, 10), _COUNT_PIECES, _COUNT_PIECES + 1, 40] * 3:
         P = step_with_pieces(rng, k)
         knots = P.piece_positions
         pool = np.concatenate(
@@ -202,9 +203,31 @@ def test_cube_reduce_matches_block_rows(rng, b):
     assert np.array_equal(counts, _blocks(part, flags).sum(axis=1))
     assert np.array_equal(_cube_reduce(part, np.ones(part.M**2, dtype=bool), np.add, np.min_scalar_type(b * b)),
                           np.full(part.n_small, b * b))
-    # 0/1 floats sum exactly, so count/b^2 is the cube mean bit for bit.
-    a = flags.astype(float)
-    assert np.array_equal((_cube_reduce(part, a, np.add) / b**2).view(np.int64), cube_means(part, a).view(np.int64))
+
+
+@pytest.mark.parametrize("b", [*range(1, 8), 8, 10])
+def test_cube_means_adds_each_row_then_the_rows(rng, b):
+    # The CSV's beta(c) bytes rely on this order: each node row's b terms
+    # left to right, then the cube's b row sums top to bottom.  For b < 8
+    # it is the order of numpy's mean over the cube axes, whose inner loop
+    # turns pairwise at 8 terms.  Magnitudes spread over 1e-4..1e4 make
+    # another order round differently.
+    part = CubePartition(LatticeSpec(M=4 * b, m=1), b=b, B=2 * b)
+    x = rng.random(part.M**2) * 10.0 ** rng.integers(-4, 5, part.M**2)
+    want = []
+    for block in _blocks(part, x):
+        total = 0.0
+        for row in block.reshape(b, b).tolist():
+            row_sum = 0.0
+            for v in row:
+                row_sum += v
+            total += row_sum
+        want.append(total / b**2)
+    got = cube_means(part, x)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    if b < 8:
+        s = part.small_side
+        assert np.array_equal(got.view(np.int64), x.reshape(s, b, s, b).mean(axis=(1, 3)).ravel().view(np.int64))
 
 
 # ------------------------------------------------------------- extraordinary
@@ -525,6 +548,17 @@ def test_domination_planted_violation(low_wave):
     a[cube_nodes(part)[1]] = 1.0
     ok, bad = domination_check(part, cube_means(part, a), low_wave, W, R=2.0, rho=0.05)
     assert not ok and bad == 1
+
+
+@pytest.mark.parametrize("R, rho", [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, -0.1),
+                                    (math.nan, 0.05), (math.inf, 0.05), (-1.0, 0.05)])
+def test_domination_rejects_a_non_finite_or_negative_radius_or_rho(low_wave, R, rho):
+    # NaN or +inf rho made every a(c) > sigma + rho false, so every cube passed; -inf failed every one.
+    part = CubePartition(LatticeSpec(M=24, m=2), b=3, B=12)
+    W = np.zeros(part.n_small, dtype=bool)
+    W[0] = True
+    with pytest.raises(ValueError, match="R and rho must"):
+        domination_check(part, cube_means(part, np.ones(24 * 24)), low_wave, W, R=R, rho=rho)
 
 
 def test_beliefs_in_a_cube_bound(rng):

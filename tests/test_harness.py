@@ -115,6 +115,10 @@ def test_config_rejects_bad_stability_parameters(kw):
         ({"b": 3, "B": 6, "R": math.nan}, "R must"),
         ({"b": 3, "B": 6, "gamma": 0.0}, "gamma must"),
         ({"b": 3, "B": 6, "gamma": -0.2}, "gamma must"),
+        ({"b": 3, "B": 6, "rho": -0.1}, "rho must"),
+        ({"b": 3, "B": 6, "rho": math.inf}, "rho must"),
+        ({"b": 3, "B": 6, "rho": -math.inf}, "rho must"),
+        ({"b": 3, "B": 6, "rho": math.nan}, "rho must"),
     ],
 )
 def test_config_rejects_bad_cubes(cubes, match):
@@ -160,7 +164,8 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     changes += [{"network": {"file": str(f)}} for f in (tmp_path / "missing.edges", empty, far)]
     changes += [{"game": {"additive": {}}}, {"game": {"additive": 5}}, {"game": {"step_json": {"steps": []}}}]
     changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}}, {"network": {"file": 5}}]
-    changes += [{"cubes": {"b": 3, "B": 6, key: value}} for key, value in (("R", [1]), ("gamma", True), ("rho", "x"))]
+    changes += [{"cubes": {"b": 3, "B": 6, key: value}} for key, value in
+                (("R", [1]), ("gamma", True), ("rho", "x"), ("rho", math.nan), ("rho", math.inf))]  # JSON NaN, Infinity
     # A section names exactly one kind and holds only that kind's keys.
     changes += [{"network": {"lattice": {"M": 12, "m": 2}, "complete": {"n": 5}}}]
     changes += [{"network": {"complete": {"n": 5, "k": 3}}}]
