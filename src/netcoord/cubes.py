@@ -59,8 +59,8 @@ __all__ = [
     "report_to_csv",
 ]
 
-# classify_bad's most pieces to count, one grid pass each (~0.13 ms at b = 3 on the (300,3)-lattice, 2-core Xeon),
-# before sorting cube rows (4-6 ms) wins: they cross at ~12 pieces for b = 1, 25-35 for b = 2, 3 and 20-30 for b = 10.
+# classify_bad's most pieces to count, one grid pass each (0.15-0.25 ms on (300,3), 2-core Xeon), before sorting cube
+# rows (4-9 ms) wins: they cross at 25-30 pieces for b = 1 and 10, and at 40 or more for b = 2, 3.
 _COUNT_PIECES = 24
 
 
@@ -131,15 +131,15 @@ def _cube_reduce(part: CubePartition, values: np.ndarray, ufunc: np.ufunc, dtype
     Each node row is reduced over each cube's b columns by strided slices,
     then each cube's b row results in one call: for b < 8 the order of
     numpy's ``mean(axis=(1, 3))`` on the (s, b, s, b) view, whose inner
-    loop turns pairwise at 8 terms.  ``dtype`` is the accumulator (e.g. an
-    int type to count a bool grid with ``np.add``), by default the values'.
+    loop turns pairwise at 8 terms.  ``dtype`` is both steps' accumulator
+    (e.g. an int type to count a bool grid with ``np.add``), by default the values'.
     """
     s, b = part.small_side, part.b
     grid = part.node_grid(values)
     out = grid[:, ::b].astype(grid.dtype if dtype is None else dtype)
     for j in range(1, b):
         ufunc(out, grid[:, j::b], out=out)
-    return ufunc.reduce(out.reshape(s, b, s), axis=1).ravel()
+    return ufunc.reduce(out.reshape(s, b, s), axis=1, dtype=out.dtype).ravel()
 
 
 def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) -> np.ndarray:

@@ -163,11 +163,12 @@ class _FlipState:
         Returns (J, beta_J before, dp, q_J before); dp and q_J are None
         when P is None or no p_j moves.
         """
-        J = np.sort(_rows(self.g, i)[0])
+        J = _rows(self.g, i)[0]
+        J.sort()
         self.a[i] = 1.0 if up else 0.0
         beta_old = self.beta[J]
         cols, w = _rows(self.g, J)
-        self.beta[J] = np.cumsum(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
+        self.beta[J] = np.add.accumulate(w * self.a[cols], axis=1)[:, -1] / self.deg[J]
         if self.P is None:
             return J, beta_old, None, None
         p_new = self.P.eval_array(self.beta[J])
@@ -175,10 +176,8 @@ class _FlipState:
         if not np.any(dp != 0.0):
             return J, beta_old, None, None
         q_old = self.q[J]
-        real = cols >= 0  # padding, not a zero-weight edge
-        cols, terms = cols[real], (w * dp[:, None])[real]
-        rows, inv = np.unique(cols, return_inverse=True)
-        self.q[rows] += np.bincount(inv, weights=terms)
+        rows = np.unique(cols)  # searchsorted finds its inverse faster than return_inverse
+        self.q[rows] += np.bincount(np.searchsorted(rows, cols.ravel()), weights=(w * dp[:, None]).ravel())
         self.p[J] = p_new
         return J, beta_old, dp, q_old
 

@@ -71,6 +71,9 @@ class Network:
     def from_weights(cls, W) -> "Network":
         import scipy.sparse as sp
         W = sp.csr_matrix(W, dtype=float)
+        if not W.has_canonical_format:  # rows ascend without repeats, as the flips and the matvec add them
+            W = W.copy()
+            W.sum_duplicates()
         if W.shape[0] != W.shape[1]:
             raise ValueError("weight matrix must be square")
         if not np.isfinite(W.data).all():
@@ -148,39 +151,38 @@ def lattice(spec: LatticeSpec) -> Network:
 
 
 @cache
-def _torus_rows(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y), read-only: node (x, y) has the neighbours X[x] + Y[y], in ball-offset order."""
+def _torus_rows(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, Y, w), read-only: node (x, y) has the neighbours X[x] + Y[y], in ball-offset order, of weights w = 1."""
     dx, dy = lattice_ball_offsets(spec.m).T
     r = np.arange(spec.M)[:, None]
-    X, Y = (r + dx) % spec.M * spec.M, (r + dy) % spec.M
-    X.flags.writeable = Y.flags.writeable = False
-    return X, Y
+    X, Y, w = (r + dx) % spec.M * spec.M, (r + dy) % spec.M, np.ones(dx.size)
+    X.flags.writeable = Y.flags.writeable = w.flags.writeable = False
+    return X, Y, w
 
 
 def _rows(g: Network, J) -> tuple[np.ndarray, np.ndarray]:
     """(cols, w): the neighbour ids of each node of J and their weights; an int J gives one row.
 
     Lattice rows follow the ball offsets and block rows ascend; their w is
-    a read-only broadcast of 1.0, which allocates nothing.  A CSR network
-    gives its stored rows, zero weights included, padded to J's longest
-    row with column -1 and weight 0.
+    a row of 1.0 that broadcasts against cols.  A CSR network gives its
+    stored rows, zero weights included, padded to J's longest row by
+    repeating its last column with weight 0, so the padding adds zeros.
     """
-    s, J = g.structure, np.asarray(J)
+    s = g.structure
+    if isinstance(s, LatticeSpec):
+        X, Y, w = _torus_rows(s)
+        x, y = divmod(J, s.M)
+        return X[x] + Y[y], w
+    J = np.asarray(J)
     if s is None:
         W = g.weights
         start, stop = W.indptr[J], W.indptr[J + 1]
         pos = start[..., None] + np.arange(np.max(stop - start, initial=0))
         real = pos < stop[..., None]
-        pos = np.where(real, pos, 0)
-        return np.where(real, W.indices[pos], -1), np.where(real, W.data[pos], 0.0)
-    if isinstance(s, LatticeSpec):
-        X, Y = _torus_rows(s)
-        x, y = divmod(J, s.M)
-        cols = X[x] + Y[y]
-    else:
-        r, j = J % s, np.arange(s - 1)
-        cols = (J - r)[..., None] + j + (j >= r[..., None])
-    return cols, np.broadcast_to(1.0, cols.shape)
+        pos = np.minimum(pos, stop[..., None] - 1)
+        return W.indices[pos], np.where(real, W.data[pos], 0.0)
+    r, j = J % s, np.arange(s - 1)
+    return (J - r)[..., None] + j + (j >= r[..., None]), np.ones(s - 1)
 
 
 def _matvec(g: Network, x: np.ndarray) -> np.ndarray:

@@ -200,6 +200,7 @@ def test_cube_reduce_matches_block_rows(rng, b):
     assert np.array_equal(_cube_reduce(part, x, np.minimum), _blocks(part, x).min(axis=1))
     assert np.array_equal(_cube_reduce(part, flags, np.logical_and), _blocks(part, flags).all(axis=1))
     counts = _cube_reduce(part, flags, np.add, np.min_scalar_type(b * b))
+    assert counts.dtype == np.min_scalar_type(b * b)
     assert np.array_equal(counts, _blocks(part, flags).sum(axis=1))
     assert np.array_equal(_cube_reduce(part, np.ones(part.M**2, dtype=bool), np.add, np.min_scalar_type(b * b)),
                           np.full(part.n_small, b * b))

@@ -522,6 +522,32 @@ def test_capacities_and_audit_over_a_thousand_flips(thousand_flips):
     assert np.max(np.abs(state.q - g.weights @ state.p)) <= 1e-12
 
 
+def test_flips_on_an_unsorted_csr_add_in_ascending_column_order(rng):
+    # A hand-built CSR whose rows are stored in descending column order:
+    # from_weights sorts a copy (the caller's arrays are kept), so beta, p
+    # and q after each flip equal those on the sorted matrix bit for bit.
+    n = 40
+    W = np.triu((rng.random((n, n)) < 0.5) * rng.uniform(0.2, 1.0, (n, n)), 1)
+    S = sp.csr_matrix(W + W.T)
+    ind, dat = S.indices.copy(), S.data.copy()
+    for r in range(n):
+        row = slice(S.indptr[r], S.indptr[r + 1])
+        ind[row], dat[row] = ind[row][::-1], dat[row][::-1]
+    U = sp.csr_matrix((dat, ind, S.indptr.copy()), shape=S.shape)
+    stored = U.indices.copy()
+    h = Network.from_weights(U)
+    assert np.array_equal(U.indices, stored) and np.array_equal(h.weights.indices, S.indices)
+    P = StepFn(base=0.1, steps=((0.25, 0.5), (0.75, 0.9)))
+    a0 = (rng.random(n) < 0.5).astype(float)
+    states = [_FlipState(x, a0.copy(), P) for x in (Network.from_weights(S), h)]
+    for i in rng.integers(0, n, 200).tolist():
+        up = states[0].a[i] == 0.0
+        for state in states:
+            state.flip(i, up)
+        for name in ("beta", "p", "q"):
+            assert np.array_equal(getattr(states[0], name).view(np.int64), getattr(states[1], name).view(np.int64))
+
+
 def test_async_dynamics_follow_exact_fractions(thousand_flips):
     g, P, x_star, shocks, _, (down, _, _) = thousand_flips
     for trace, before, _ in thousand_flips[4:]:
