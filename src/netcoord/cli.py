@@ -9,14 +9,15 @@ Subcommands:
 * ``simulate <config.json>``: run a replicated experiment;
 * ``lattice-analyze <config.json>``: per-cube report and good-set search
   on a lattice experiment;
-* ``enumerate <config.json>``: exhaustive equilibrium averages (n <= 20).
+* ``enumerate <config.json>``: equilibrium averages, both tie rules (n <= 20).
 
 Game files hold either a bare step function {"base": v, "steps": [...]}
 or a wrapped {"P": ..., "provenance": ...} document.  All numbers print
 with 12 significant digits.  A game or config file that cannot be read
 or parsed, or whose game or network cannot be built, ends the command
 with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
-so does a bad ``SIM_WORKERS`` for ``simulate``, with its own line.
+so do a bad ``SIM_WORKERS`` for ``simulate`` or ``enumerate`` and an
+unwritable output path (``cannot write``), each before the work starts.
 ``-v`` logs each ``simulate`` and ``lattice-analyze`` replication's stage
 times and each ``wave`` halving's outcome to stderr.  The stages are
 ``shocks`` (``lattice-analyze`` only), the cube step's ``largest``,
@@ -37,11 +38,9 @@ import numpy as np
 
 from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import report_to_csv
-from .dynamics import enumerate_equilibria
 from .game import sample_shocks
 from .harness import (ExperimentConfig, _fmt, _stage_text, _worker_count, build_game, build_network, run_experiment,
                       run_replication)
-from .network import weighted_average
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
 log = logging.getLogger("netcoord")
@@ -64,9 +63,29 @@ def _load(path, fn, arg):
         raise _BadInput(f"cannot read {path}: {e}") from e
 
 
-def _check_enumerable(path, g) -> None:
-    if g.n > 20:
+def _check_run(path, cfg) -> None:
+    """The checks a config passes before ``run_experiment`` runs it."""
+    P = _load(cfg.game.get("file", path), build_game, cfg.game)
+    g = _load(cfg.network.get("file", path), build_network, cfg.network)  # a check: each worker builds its own
+    if "ru-path" in cfg.probes and not ru_dominant(P)[1]:
+        raise _BadInput(f"cannot read {path}: the ru-path probe needs a strictly dominant maximizer")
+    if cfg.cubes is not None and "lattice" not in cfg.network:
+        raise _BadInput(f"cannot read {path}: a cubes section needs a lattice network")
+    if "enumerate" in cfg.probes and g.n > 20:
         raise _BadInput(f"cannot read {path}: enumerate needs a network of at most 20 nodes, got {g.n}")
+    try:
+        _worker_count()
+    except ValueError as e:
+        raise _BadInput(str(e)) from e
+
+
+def _out_dir(path) -> Path:
+    """The directory path, made before the command's work so that one it cannot write stops the command."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _BadInput(f"cannot write {path}: {e.strerror}") from e
+    return Path(path)
 
 
 def _cmd_ru_dominant(args) -> int:
@@ -87,6 +106,8 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_wave(args) -> int:
     P = _load(args.game, build_game, {"file": args.game})
+    if args.out and not Path(args.out).parent.is_dir():
+        raise _BadInput(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
     try:
         wave = build_delta_wave(P, args.eta)
     except (ValueError, WaveConstructionError) as e:
@@ -104,20 +125,10 @@ def _cmd_wave(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
-    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)  # a check: each worker builds its own
-    if "ru-path" in cfg.probes and not ru_dominant(P)[1]:
-        raise _BadInput(f"cannot read {args.config}: the ru-path probe needs a strictly dominant maximizer")
-    if cfg.cubes is not None and "lattice" not in cfg.network:
-        raise _BadInput(f"cannot read {args.config}: a cubes section needs a lattice network")
-    if "enumerate" in cfg.probes:
-        _check_enumerable(args.config, g)
-    try:
-        _worker_count()
-    except ValueError as e:
-        raise _BadInput(str(e)) from e
+    _check_run(args.config, cfg)
     if cfg.output is None:
         cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
+    _out_dir(cfg.output)
     out = run_experiment(cfg)
     print(f"replications={out['replications']}")
     for name in out["outputs"]:
@@ -132,8 +143,7 @@ def _cmd_lattice_analyze(args) -> int:
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(args.config, build_network, cfg.network)
     cfg = replace(cfg, probes=())
-    out_dir = Path(cfg.output or "lattice_analysis")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(cfg.output or "lattice_analysis")
     for rep in range(cfg.replications):
         t0 = time.perf_counter()
         t = sample_shocks(P, g.n, cfg.seed, stream=rep)
@@ -151,15 +161,11 @@ def _cmd_lattice_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
-    P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
-    g = _load(cfg.network.get("file", args.config), build_network, cfg.network)
-    _check_enumerable(args.config, g)
-    for rep in range(cfg.replications):
-        t = sample_shocks(P, g.n, cfg.seed, stream=rep)
-        for tie in ("upper", "lower"):
-            avs = sorted(weighted_average(g, e) for e in enumerate_equilibria(g, t, tie))
-            print(f"replication {rep} {tie}: " + " ".join(_fmt(a) for a in avs))
+    cfg = replace(_load(args.config, ExperimentConfig.from_json_file, args.config), probes=("enumerate",), output=None)
+    _check_run(args.config, cfg)
+    for rec in run_experiment(cfg)["records"]:
+        for tie, key in (("upper", "enumerated"), ("lower", "enumerated_lower")):
+            print(f"replication {rec['replication_id']} {tie}: " + " ".join(_fmt(a) for a in rec["averages"][key]))
     return 0
 
 
@@ -195,10 +201,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_enumerate)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(asctime)s [%(levelname)s] %(message)s",
-    )
+    logging.basicConfig(format="%(asctime)s [%(levelname)s] %(message)s")  # adds a handler once per process
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except _BadInput as e:

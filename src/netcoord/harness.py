@@ -322,8 +322,8 @@ def run_replication(
     del largest  # before the other probes and the good-set search allocate
 
     if "enumerate" in cfg.probes:
-        eqs = enumerate_equilibria(g, t, "upper")
-        averages["enumerated"] = sorted(weighted_average(g, e) for e in eqs)
+        for tie, key in (("upper", "enumerated"), ("lower", "enumerated_lower")):
+            averages[key] = sorted(weighted_average(g, e) for e in enumerate_equilibria(g, t, tie))
         marks.append(("enumerate", time.perf_counter()))
 
     if "seeded-local" in cfg.probes:

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from netcoord.cli import main as cli_main
 from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (CubePartition, classify_bad, cube_means, domination_check, extraordinary_cubes,
                             good_set_search)
-from netcoord.dynamics import largest_equilibrium
+from netcoord.dynamics import enumerate_equilibria, largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.harness import (
     ExperimentConfig,
@@ -36,7 +37,7 @@ from netcoord.harness import (
     run_replication,
     stable_fixed_points,
 )
-from netcoord.network import LatticeSpec
+from netcoord.network import LatticeSpec, weighted_average
 from netcoord.stepfn import StepFn
 from conftest import save_edgelist
 
@@ -63,6 +64,12 @@ def test_every_module_export_resolves():
         mod = importlib.import_module(f"netcoord.{info.name}")
         missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
         assert not missing, (info.name, missing)
+
+
+def test_package_lists_no_api_of_its_own():
+    # Each name is imported from its module; a second listing in __init__.py would drift from the __all__ lists.
+    extra = [k for k, v in vars(netcoord).items() if not (k.startswith("__") or isinstance(v, ModuleType))]
+    assert extra == [] and netcoord.__version__
 
 
 # ------------------------------------------------------------------- config
@@ -332,9 +339,11 @@ def test_enumerate_probe_small_n():
     cfg = small_cfg(network={"complete": {"n": 6}}, probes=("extremal", "enumerate"))
     out = run_experiment(cfg)
     for rec in out["records"]:
-        avs = rec["averages"]["enumerated"]
-        assert avs == sorted(avs)
+        avs, lower = rec["averages"]["enumerated"], rec["averages"]["enumerated_lower"]
+        assert avs == sorted(avs) and lower == sorted(lower)
         assert rec["averages"]["largest"] == pytest.approx(max(avs))
+    # plot.csv plots the upper tie rule only.
+    assert "enumerated_lower" not in out["outputs"]["plot.csv"] and "enumerated[0]" in out["outputs"]["plot.csv"]
 
 
 def test_enumerate_probe_rejects_large_network():
@@ -542,6 +551,29 @@ def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
     ]
 
 
+def test_cli_verbose_flag_holds_on_every_call(tmp_path, caplog):
+    # logging.basicConfig configures the root logger once per process; -v still decides each call's logging.
+    argv = ["wave", write_game(tmp_path, {"base": 0.1, "steps": []}), "--eta", "0.15"]
+
+    def logged(argv):
+        caplog.clear()
+        assert cli_main(argv) == 0
+        return [r.getMessage() for r in caplog.records if r.name == "netcoord"]
+
+    assert logged(argv) == []
+    assert len(logged(["-v", *argv])) == 2
+    assert logged(argv) == []
+
+
+def test_cli_wave_checks_its_output_directory_before_building(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(netcoord.cli, "build_delta_wave", lambda *a: pytest.fail("built before the output was checked"))
+    game, out = write_game(tmp_path, {"base": 0.05, "steps": []}), tmp_path / "missing_dir" / "x.json"
+    assert cli_main(["wave", game, "--eta", "0.15", "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.splitlines() == [f"netcoord wave: cannot write {out}: {out.parent} is not a directory"]
+
+
 def test_cli_wave_rejects_nan_eta(tmp_path, capsys):
     game = write_game(tmp_path, {"base": 0.05, "steps": []})
     assert cli_main(["wave", game, "--eta", "nan"]) == 1
@@ -581,6 +613,24 @@ def test_cli_simulate_and_enumerate(tmp_path, capsys):
     assert "replication 0 upper:" in out
 
 
+def test_cli_enumerate_prints_both_tie_rules(tmp_path, capsys):
+    # Seed 5 gives ties that the two rules break apart in both replications.
+    cfg = {"game": {"step_json": {"base": 0.3, "steps": [[0.4, 0.8]]}}, "network": {"complete": {"n": 6}},
+           "replications": 2, "seed": 5}
+    assert cli_main(["enumerate", str(_write_json(tmp_path / "cfg.json", cfg))]) == 0
+    P, g = build_game(cfg["game"]), build_network(cfg["network"])
+    want = []
+    for rep in range(2):
+        t = sample_shocks(P, g.n, 5, stream=rep)
+        lines = {}
+        for tie in ("upper", "lower"):
+            avs = sorted(weighted_average(g, e) for e in enumerate_equilibria(g, t, tie))
+            lines[tie] = " ".join(f"{a:.12g}" for a in avs)
+        assert lines["upper"] != lines["lower"]
+        want += [f"replication {rep} {tie}: {text}" for tie, text in lines.items()]
+    assert capsys.readouterr().out.splitlines() == want
+
+
 def test_cli_enumerate_rejects_large_network(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"game": {"step_json": TWO_POINT_GAME}, "network": {"complete": {"n": 30}}}))
@@ -602,6 +652,20 @@ def test_cli_simulate_rejects_the_enumerate_probe_on_a_large_network(tmp_path, c
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"netcoord simulate: cannot read {cfg_path}: enumerate needs a network of at most 20 nodes, got 30"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "lattice-analyze"])
+def test_cli_reports_an_output_it_cannot_write_before_any_replication(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(netcoord.harness, "run_replication", lambda *a: pytest.fail("ran before the output was made"))
+    monkeypatch.setattr(netcoord.cli, "run_replication", netcoord.harness.run_replication)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": {"lattice": {"M": 6, "m": 2}}, "cubes": {"b": 3, "B": 6},
+           "output": str(taken)}
+    assert cli_main([command, str(_write_json(tmp_path / "cfg.json", cfg))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"netcoord {command}: cannot write {taken}: File exists"]
 
 
 @pytest.mark.parametrize("network", [{"complete": {"n": 36}}, {"copies": {"n": 6, "k": 6}}])
