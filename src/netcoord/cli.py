@@ -108,6 +108,8 @@ def _cmd_wave(args) -> int:
     P = _load(args.game, build_game, {"file": args.game})
     if args.out and not Path(args.out).parent.is_dir():
         raise _BadInput(f"cannot write {args.out}: {Path(args.out).parent} is not a directory")
+    if args.out and Path(args.out).is_dir():
+        raise _BadInput(f"cannot write {args.out}: it is a directory")
     try:
         wave = build_delta_wave(P, args.eta)
     except (ValueError, WaveConstructionError) as e:
@@ -119,7 +121,10 @@ def _cmd_wave(args) -> int:
     for l, r in enumerate(wave.wave.residuals, start=1):
         print(f"{l} {_fmt(float(v[l]))} {_fmt(float(r))}")
     if args.out:
-        Path(args.out).write_text(json.dumps(wave.to_json_dict()))
+        try:
+            Path(args.out).write_text(json.dumps(wave.to_json_dict()))
+        except OSError as e:
+            raise _BadInput(f"cannot write {args.out}: {e.strerror}") from e
     return 0
 
 

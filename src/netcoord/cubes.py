@@ -162,8 +162,8 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
     counts (k+1)/|c| and the last copy of a repeated threshold carries
     the run's maximum.  Both score the same floats.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     t = _thresholds(t, part.M**2)
     size = part.b**2
     if P.piece_values.size > _COUNT_PIECES:
@@ -267,6 +267,8 @@ def good_set_search(
     from everything outside U, and verifies the four conditions
     directly.  Absence is a value, not an error.
     """
+    if not 0.0 < gamma < 1.0:  # at gamma >= 1 coverage (a) holds for any W
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     if not R >= 0.0:
         raise ValueError(f"R must be nonnegative, got {R}")
     bad, extra = np.asarray(bad), np.asarray(extra)

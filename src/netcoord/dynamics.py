@@ -134,7 +134,8 @@ class _FlipState:
     ``flip`` is the one place where a single revision updates these
     arrays; the async dynamics (without P) and the bound audit (with P)
     both replay their paths through it.  It reads the network's rows and
-    sums (``_rows``, ``_matvec``), so a structured network builds no CSR.
+    its neighbour-sum operator (``_rows``, ``_matvec``), so a structured
+    network builds no CSR.
     """
 
     def __init__(self, g: Network, a: np.ndarray, P: StepFn | None):
@@ -154,17 +155,16 @@ class _FlipState:
     def flip(self, i: int, up: bool):
         """Set a_i to 1 (up) or 0 and update beta, p and q on N(i).
 
-        J = N(i) ascends, as a CSR row does: the order in which the audit's
-        sums over J and each q bin add.  beta_J sums J's weighted rows in the
-        matvec's order (0/1 terms on a structured network), so beta equals
-        Wa/g bit for bit.  q moves by W[J].T dp (W is symmetric), so it
-        drifts from Wp by rounding: 3.6e-15 after 866-989 flips of the
-        three-point game on the (120,2)-lattice.
+        J = N(i) in ``_rows`` order.  beta_J adds J's weighted rows in
+        that order: a CSR row ascends, as the CSR matvec adds it, and a
+        structured row adds 0/1 terms exactly, so beta equals Wa/g bit for
+        bit.  q moves by W[J].T dp (W is symmetric), so it drifts from Wp
+        by rounding: 3.6e-15 after 866-989 flips of the three-point game on
+        the (120,2)-lattice.
         Returns (J, beta_J before, dp, q_J before); dp and q_J are None
         when P is None or no p_j moves.
         """
         J = _rows(self.g, i)[0]
-        J.sort()
         self.a[i] = 1.0 if up else 0.0
         beta_old = self.beta[J]
         cols, w = _rows(self.g, J)
@@ -347,7 +347,9 @@ def enumerate_equilibria(g: Network, t: np.ndarray, tie: str) -> np.ndarray:
     if n > 20:
         raise ValueError("enumerate_equilibria is guarded at n <= 20")
     t = _thresholds(t, n)
-    W = _matvec(g, np.eye(n))  # dense W
+    cols, w = _rows(g, np.arange(n))
+    W = np.zeros((n, n))
+    np.add.at(W, (np.arange(n)[:, None], cols), w)  # a CSR row's padding adds zero weights
     deg = g.degrees
     found = []
     chunk = 1 << 14

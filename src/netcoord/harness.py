@@ -178,8 +178,8 @@ class ExperimentConfig:
             for key, v in (("R", R), ("rho", rho)):
                 if v is not None and not (math.isfinite(v) and v >= 0.0):
                     raise ValueError(f"cubes.{key} must be finite and nonnegative, got {v}")
-            if not gamma > 0.0:
-                raise ValueError("cubes.gamma must be positive")
+            if not 0.0 < gamma < 1.0:  # at gamma >= 1 no cube is gamma-bad
+                raise ValueError(f"cubes.gamma must lie in (0, 1), got {gamma}")
             if "lattice" in self.network:
                 _cube_params(self)  # the partition checks b | B | M
 

@@ -4,11 +4,12 @@ Weights are symmetric, nonnegative, with zero diagonal; every node must
 have positive degree.  General graphs hold a scipy CSR matrix; scipy is
 imported on the first CSR build, so lattices and copies load it only if
 ``weights`` is read.  Torus lattices and copies of complete graphs hold
-their structure: neighbor sums come from a growing-window stencil or from
-block sums, which on pure profiles add the integers the CSR matvec adds,
-so the fractions are bit-identical.  ``_rows`` gives any network's
-neighbour rows and weights (1.0 unless CSR); a structured network's CSR
-matrix is built from them on first access to ``weights``.
+their structure: ``_matvec``, the one neighbour-sum operator, uses a
+growing-window stencil or block sums, which on pure profiles add the
+integers the CSR matvec adds, so the fractions are bit-identical; float
+sums agree to rounding.  ``_rows`` gives any network's neighbour rows
+and weights (1.0 unless CSR); a structured network's CSR matrix is built
+from them on first access to ``weights``.
 Profiles are float arrays in [0, 1], or bool arrays for pure profiles:
 the operators take their accumulator from the profile, so a bool one is
 summed in integers (stencil, blocks) and gives its 0/1 copy's fractions.
@@ -63,8 +64,8 @@ class Network:
 
     @classmethod
     def _from_degrees(cls, deg: np.ndarray, structure=None) -> "Network":
-        if np.any(deg <= 0):
-            raise ValueError("every node needs positive degree g_i > 0")
+        if deg.size == 0 or np.any(deg <= 0):
+            raise ValueError("a network needs at least one node, and every node positive degree g_i > 0")
         return cls(deg, float(deg.sum()), structure)
 
     @classmethod
@@ -185,29 +186,6 @@ def _rows(g: Network, J) -> tuple[np.ndarray, np.ndarray]:
     return (J - r)[..., None] + j + (j >= r[..., None]), np.ones(s - 1)
 
 
-def _matvec(g: Network, x: np.ndarray) -> np.ndarray:
-    """W @ x, each row summed in ascending column order as the CSR matvec sums it.
-
-    A structured network builds no CSR: it sums its sorted ``_rows`` in
-    chunks of ~2^20 entries, except that a lattice adds by shifted slices
-    the rows that do not wrap the torus, whose ball order is ascending.
-    """
-    s = g.structure
-    if s is None:
-        return g.weights @ x
-    sums, J = np.zeros((g.n,) + x.shape[1:]), np.arange(g.n)
-    if isinstance(s, LatticeSpec) and x.ndim == 1:
-        M, m = s.M, s.m
-        grid, acc = np.pad(x.reshape(M, M), m, mode="wrap"), sums.reshape(M, M)
-        for dx, dy in lattice_ball_offsets(m):
-            acc += grid[m + dx : m + dx + M, m + dy : m + dy + M]
-        wraps = (np.arange(M) < m) | (np.arange(M) >= M - m)
-        J = np.flatnonzero(wraps[:, None] | wraps)
-    for C in np.array_split(J, max(1, J.size * int(g.degrees[0]) >> 20)):
-        sums[C] = np.cumsum(x[np.sort(_rows(g, C)[0], axis=1, kind="stable")], axis=1)[:, -1]
-    return sums
-
-
 def _count_dtype(spec: LatticeSpec) -> type:
     """Smallest signed int type holding (2m+1)^2, which bounds a ball count and every partial sum."""
     return np.min_scalar_type(-((2 * spec.m + 1) ** 2) - 1).type
@@ -270,19 +248,21 @@ def is_pure(a: np.ndarray) -> bool:
     return bool(np.all((a == 0.0) | (a == 1.0)))
 
 
+def _matvec(g: Network, x: np.ndarray) -> np.ndarray:
+    """W @ x: the torus stencil, each block's sum less the node's own term, or the CSR matvec (see module doc)."""
+    s = g.structure
+    if isinstance(s, LatticeSpec):
+        return _torus_sums(s, x)
+    if s is not None:
+        blocks = x.reshape(-1, s)
+        return (blocks.sum(axis=1, keepdims=True) - blocks).ravel()
+    return g.weights @ x
+
+
 def neighborhood_fractions(g: Network, a: np.ndarray) -> np.ndarray:
     """beta_i = (1/g_i) sum_j g_ij a_j (a bool profile is summed as it is)."""
     a = np.asarray(a)
-    a = _check_profile(g, a, bool if a.dtype == bool else float)
-    s = g.structure
-    if isinstance(s, LatticeSpec):
-        sums = _torus_sums(s, a)
-    elif s is not None:
-        blocks = a.reshape(-1, s)
-        sums = (blocks.sum(axis=1, keepdims=True) - blocks).ravel()
-    else:
-        sums = g.weights @ a
-    return sums / g.degrees
+    return _matvec(g, _check_profile(g, a, bool if a.dtype == bool else float)) / g.degrees
 
 
 def weighted_average(g: Network, a: np.ndarray) -> float:

@@ -239,6 +239,17 @@ def test_extraordinary_all_inf():
     assert extraordinary_cubes(part, uniform_shocks(part, math.inf)).all()
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.1, 1.0, 5.0, math.inf, math.nan])
+def test_cube_entry_points_reject_gamma_outside_the_unit_interval(gamma):
+    # At gamma >= 1 no cube can be gamma-bad, and coverage (a) holds for any W.
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        classify_bad(part, np.full(144, 0.3), StepFn(0.5), gamma)
+    bad = np.arange(part.n_small) < 8  # half the lattice bad: found at gamma = 5 before the check
+    with pytest.raises(ValueError, match="gamma must lie in"):
+        good_set_search(part, bad, np.ones(part.n_small, dtype=bool), gamma, 0.0)
+
+
 def test_nan_threshold_rejected_by_cube_entry_points():
     part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     P = StepFn(0.5)

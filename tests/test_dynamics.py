@@ -28,6 +28,7 @@ from netcoord.network import (
     Network,
     _torus_sums,
     complete_graph,
+    disjoint_copies,
     lattice,
     is_pure,
     load_edgelist,
@@ -298,6 +299,20 @@ def test_extremal_matches_enumeration(rng):
         assert upper_all.size and lower_all.size
         assert np.array_equal(largest, upper_all.max(axis=0))
         assert np.array_equal(smallest, lower_all.min(axis=0))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_structured_enumeration_equals_its_csr_copy(seed):
+    # The dense W comes from each network's rows; thresholds on the count
+    # grid k/g put agents at ties, so both tie rules are exercised.
+    rng = np.random.default_rng(seed)
+    for g in (lattice(LatticeSpec(3, 1)), lattice(LatticeSpec(4, 1)), disjoint_copies(complete_graph(4), 4),
+              complete_graph(12)):
+        d = int(g.degrees[0])
+        t = np.where(rng.random(g.n) < 0.5, rng.integers(0, d + 1, g.n) / d, rng.random(g.n))
+        for tie in ("upper", "lower"):
+            got = enumerate_equilibria(g, t, tie)
+            assert got.size and np.array_equal(got, enumerate_equilibria(Network.from_weights(g.weights), t, tie))
 
 
 def test_largest_equilibrium_returns_its_beta(rng):

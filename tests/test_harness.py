@@ -126,6 +126,10 @@ def test_config_rejects_bad_stability_parameters(kw):
         ({"b": 3, "B": 6, "rho": math.inf}, "rho must"),
         ({"b": 3, "B": 6, "rho": -math.inf}, "rho must"),
         ({"b": 3, "B": 6, "rho": math.nan}, "rho must"),
+        ({"b": 3, "B": 6, "gamma": 1.0}, "gamma must"),  # no cube is gamma-bad at gamma >= 1
+        ({"b": 3, "B": 6, "gamma": 5.0}, "gamma must"),
+        ({"b": 3, "B": 6, "gamma": math.inf}, "gamma must"),
+        ({"b": 3, "B": 6, "gamma": math.nan}, "gamma must"),
     ],
 )
 def test_config_rejects_bad_cubes(cubes, match):
@@ -574,6 +578,27 @@ def test_cli_wave_checks_its_output_directory_before_building(tmp_path, capsys, 
     assert err.splitlines() == [f"netcoord wave: cannot write {out}: {out.parent} is not a directory"]
 
 
+def test_cli_wave_rejects_an_output_that_is_a_directory_before_building(tmp_path, capsys, monkeypatch):
+    # It used to build the whole wave and then end in an IsADirectoryError traceback.
+    monkeypatch.setattr(netcoord.cli, "build_delta_wave", lambda *a: pytest.fail("built before the output was checked"))
+    game, out = write_game(tmp_path, {"base": 0.05, "steps": []}), tmp_path / "taken"
+    out.mkdir()
+    assert cli_main(["wave", game, "--eta", "0.15", "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.splitlines() == [f"netcoord wave: cannot write {out}: it is a directory"]
+
+
+def test_cli_wave_reports_a_failed_write(tmp_path, capsys, monkeypatch):
+    def refuse(path, text):
+        raise PermissionError(13, "Permission denied")
+
+    game, out = write_game(tmp_path, {"base": 0.05, "steps": []}), tmp_path / "w.json"
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert cli_main(["wave", game, "--eta", "0.15", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"netcoord wave: cannot write {out}: Permission denied"]
+
+
 def test_cli_wave_rejects_nan_eta(tmp_path, capsys):
     game = write_game(tmp_path, {"base": 0.05, "steps": []})
     assert cli_main(["wave", game, "--eta", "nan"]) == 1
@@ -731,6 +756,18 @@ def test_cli_simulate_writes_next_to_a_config_without_output(tmp_path, capsys):
     out = tmp_path / "exp_out"
     assert sorted(f.name for f in out.iterdir()) == ["aggregate.csv", "plot.csv", "replications.jsonl"]
     assert f"wrote {out / 'plot.csv'}" in capsys.readouterr().out
+
+
+def test_cli_simulate_rejects_a_network_without_nodes(tmp_path, capsys):
+    # An "n 0" edge list used to pass every check and fail in sample_shocks after the output was made.
+    edges = tmp_path / "empty.edges"
+    edges.write_text("n 0\n")
+    cfg = {"game": {"step_json": TWO_POINT_GAME}, "network": {"file": str(edges)}, "output": str(tmp_path / "out")}
+    assert cli_main(["simulate", str(_write_json(tmp_path / "cfg.json", cfg))]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"netcoord simulate: cannot read {edges}: a network needs at least one node, "
+                   "and every node positive degree g_i > 0"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_reports_a_missing_game_file(tmp_path, capsys):

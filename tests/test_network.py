@@ -12,7 +12,6 @@ from netcoord.network import (
     lattice,
     lattice_ball_offsets,
     _count_dtype,
-    _matvec,
     _torus_sums,
     load_edgelist,
     neighborhood_fractions,
@@ -134,25 +133,6 @@ def test_lattice_weights_equal_the_old_builder_bit_for_bit(M, m):
 @pytest.mark.parametrize("s,k", [(2, 1), (2, 7), (5, 3), (30, 4), (200, 1)])
 def test_copies_weights_equal_the_old_builder_bit_for_bit(s, k):
     _assert_same_csr(disjoint_copies(complete_graph(s), k).weights, _copies_csr_oracle(s, s * k))
-
-
-ROW_SUM_NETWORKS = {f"lattice({M},{m})": (lambda rng, M=M, m=m: lattice(LatticeSpec(M, m)))
-                    for M, m in ((3, 1), (4, 1), (9, 3), (31, 4), (200, 5))}
-ROW_SUM_NETWORKS["copies(7x5)"] = lambda rng: disjoint_copies(complete_graph(7), 5)
-ROW_SUM_NETWORKS["complete(50)"] = lambda rng: complete_graph(50)
-ROW_SUM_NETWORKS["weighted-csr(60)"] = lambda rng: random_network(rng, 60)
-
-
-@pytest.mark.parametrize("name", ROW_SUM_NETWORKS)
-def test_row_sums_equal_the_csr_matvec_bit_for_bit(rng, name):
-    # The audit's initial q = Wp adds each row in the CSR's order: sorted
-    # rows, and shifted slices on lattice rows that do not wrap the torus.
-    g = ROW_SUM_NETWORKS[name](rng)
-    for _ in range(3):
-        x = rng.random(g.n)
-        assert np.array_equal(_matvec(g, x), g.weights @ x)
-    if g.n <= 20:
-        assert np.array_equal(_matvec(g, np.eye(g.n)), g.weights.toarray())
 
 
 def test_lattice_degree_m2():
