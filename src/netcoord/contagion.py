@@ -16,8 +16,10 @@ average action experienced at each threshold stays at or below the
 inverse of the next step value.  Each sweep keeps a coordinate capped at
 an unchanged cap without evaluating F there (the iterates only rise and
 F(x|v) falls as v rises), and finds the other crossings by bracketed
-Newton steps warm-started at the previous iterate, each row's bracket
-held as Python floats between vector evaluations of F and F'.
+Newton steps started at the previous iterate plus the last sweep's step,
+each row's bracket held as Python floats between vector evaluations of F
+and F'; the first Newton step reads the call that evaluates F at 0 and
+at the caps.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -110,11 +112,12 @@ def front_f_array(x: np.ndarray) -> np.ndarray:
 
 def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool = False):
     """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with ``slope`` also
-    F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi, from one clipped y."""
+    F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi, from one clipped y.
+    Rows are summed without BLAS, whose blocking makes a row's bits depend on the other xs."""
     f, s = _front(v[None, :] - xs[:, None])
     da = steps[1:] - steps[:-1]
-    F = steps[0] + np.subtract(1.0, f, out=f) @ da
-    return (F, np.multiply(s, 2.0 / math.pi, out=s) @ da) if slope else F
+    F = steps[0] + np.einsum("ij,j->i", np.subtract(1.0, f, out=f), da)
+    return (F, np.einsum("ij,j->i", np.multiply(s, 2.0 / math.pi, out=s), da)) if slope else F
 
 
 @dataclass(frozen=True)
@@ -123,13 +126,15 @@ class WaveSolution:
 
     ``residuals[l]`` is the slack of target_{l} - F(v_l | v) for
     l = 1..L (nonnegative up to 1e-9 on valid solutions); ``sweeps`` is
-    the number of b* sweeps the solver ran.
+    the number of b* sweeps the solver ran and ``evaluations`` the number
+    of vector evaluations of F it made, the residuals' one included.
     """
 
     steps: np.ndarray
     thresholds: np.ndarray
     residuals: np.ndarray
     sweeps: int
+    evaluations: int
 
     @property
     def L(self) -> int:
@@ -141,6 +146,7 @@ class WaveSolution:
             "thresholds": self.thresholds.tolist(),
             "residuals": self.residuals.tolist(),
             "sweeps": self.sweeps,
+            "evaluations": self.evaluations,
         }
 
 
@@ -167,17 +173,18 @@ def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, f
     return bool(vals[worst] > 0.0), float(vals[worst]), float(xs[worst])
 
 
-def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
+def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray, x0: np.ndarray):
     """One b* sweep: b*_l(v) = min(b_l, v_{l-1} + 1), b_l = inf{x >= 0 : F(x|v) >= targets_l}.
 
-    F at 0 and at the caps settles most l exactly.  Each other l keeps its
-    bracket state (l, lo_l, hi_l, target, x, last step) as Python floats;
-    an iteration evaluates F and F' at x -/+ 0.45e-12 for all of them in
-    one call, then takes each l's Newton step from v_l inside [lo_l, cap_l]
-    by scalar arithmetic, bisecting when the step leaves the bracket, is
-    longer than half the step before or F' is 0 (rtsafe; Numerical Recipes
-    sec. 9.4), until a point reaching the target lies within 1e-12 of one
-    that does not.
+    F at 0 and at the caps settles most l exactly.  Each other l starts at
+    x0_l clipped into [lo_l, cap_l] and keeps its bracket state (l, lo_l,
+    hi_l, target, x, last step) as Python floats; an iteration reads F and
+    F' at x -/+ 0.45e-12 for all of them from one call (the first from the
+    call that evaluates F at 0 and at the caps), then takes each l's Newton
+    step inside [lo_l, cap_l] by scalar arithmetic, bisecting when the step
+    leaves the bracket, is longer than half the step before or F' is 0
+    (rtsafe; Numerical Recipes sec. 9.4), until a point reaching the target
+    lies within 1e-12 of one that does not.  Returns (b*, lo, F calls).
     lo_l must miss the target where F(0|v) does; the returned lo keeps
     missing it at every v' >= v, since F(x|v) falls as v rises.  Only a
     capped l gets lo_l = cap_l; the others keep lo_l < cap_l.  So when lo
@@ -188,18 +195,17 @@ def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
     cap = v[:-1] + 1.0
     capped = lo == cap  # capped at this same cap in an earlier sweep (see above)
     rest = np.flatnonzero(~capped)
-    ends = _experienced(np.concatenate(([0.0], cap[rest])), v, a)
-    capped[rest] = ends[1:] < targets[rest]  # b_l > cap, so b*_l = cap exactly
-    b = np.where(targets <= ends[0], 0.0, cap)
+    m, x = rest.size, np.clip(x0[rest], lo[rest], cap[rest])
+    F, dF = _experienced(np.concatenate(([0.0], cap[rest], x - 0.45e-12, x + 0.45e-12)), v, a, slope=True)
+    capped[rest] = F[1 : m + 1] < targets[rest]  # b_l > cap, so b*_l = cap exactly
+    b = np.where(targets <= F[0], 0.0, cap)
     lo = np.where(capped, cap, lo)
-    idx = np.flatnonzero((targets > ends[0]) & ~capped)
-    state = (idx, lo[idx], cap[idx], targets[idx], v[idx + 1], np.full(idx.size, np.inf))
+    sel = np.flatnonzero((targets[rest] > F[0]) & ~capped[rest])
+    idx = rest[sel]
+    state = (idx, lo[idx], cap[idx], targets[idx], x[sel], np.full(idx.size, np.inf))
     rows = list(zip(*(arr.tolist() for arr in state)))
-    for _ in range(200):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
-        if not rows:
-            return b, lo
-        xs = np.array([row[4] for row in rows])
-        f, df = (r.tolist() for r in _experienced(np.concatenate((xs - 0.45e-12, xs + 0.45e-12)), v, a, slope=True))
+    f, df = (np.concatenate((r[m + 1 :][sel], r[2 * m + 1 :][sel])).tolist() for r in (F, dF))
+    for calls in range(1, 201):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
         k, still_open = len(rows), []
         for j, (l, lo_l, hi, t, x, step) in enumerate(rows):
             # A pair that straddles the root closes the bracket in one call:
@@ -218,6 +224,10 @@ def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray):
             else:
                 still_open.append((l, lo_l, hi, t, x, step))
         rows = still_open
+        if not rows:
+            return b, lo, calls
+        xs = np.array([row[4] for row in rows])
+        f, df = (r.tolist() for r in _experienced(np.concatenate((xs - 0.45e-12, xs + 0.45e-12)), v, a, slope=True))
     raise WaveConstructionError("first-crossing search did not close its bracket")
 
 
@@ -229,8 +239,9 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     v_{l-1} + 1), with b_l the first location where F(x|v) reaches
     Q^{-1}(a_{l+1}), is iterated from the zero vector until successive
     iterates differ by less than 1e-10 in max norm.  Each sweep brackets
-    b_l to 1e-12 by safeguarded Newton steps, warm-started at the
-    previous iterate (see ``_b_star``).
+    b_l to 1e-12 by safeguarded Newton steps that start where the last
+    step points, v^(n) + (v^(n) - v^(n-1)) (see ``_b_star``); the first
+    sweep starts at 0.
     """
     a = np.asarray(steps, dtype=float)
     q = np.asarray(inv_positions, dtype=float)
@@ -247,21 +258,22 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     if L < 1:
         raise ValueError("need at least two steps above the base")
     targets = q[2:].copy()  # Q^{-1}(a_{l+1}) for l = 1..L
-    v = np.zeros(L + 1)
+    v, step = np.zeros(L + 1), np.zeros(L + 1)
     lo = np.zeros(L)
+    evaluations = 1  # the residuals' call
     for sweeps in range(1, _MAX_ITER + 1):
-        b, lo = _b_star(v, a, targets, lo)
+        b, lo, calls = _b_star(v, a, targets, lo, (v + step)[1:])
+        evaluations += calls
         # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
         new = np.maximum(np.concatenate(([0.0], b)), v)
-        if (new - v).max() < _TOL:  # new >= v
-            v = new
+        step, v = new - v, new
+        if step.max() < _TOL:  # new >= v
             break
-        v = new
     else:
         raise WaveConstructionError("wave iteration did not converge")
     residuals = targets - _experienced(v[1:], v, a)
-    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps)
+    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps, evaluations=evaluations)
 
 
 @dataclass(frozen=True)
@@ -416,7 +428,8 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             ok, slack, worst_x = wave.verify_grid(P)
             if not ok:
                 raise WaveConstructionError(f"verification failed at x={worst_x:.6f} (slack {slack:.3e})")
-            log.info("wave halving k=%d delta1=%.6g: verified after %d b* sweeps", k, delta1, sol.sweeps)
+            msg = "wave halving k=%d delta1=%.6g: verified after %d b* sweeps and %d F evaluations"
+            log.info(msg, k, delta1, sol.sweeps, sol.evaluations)
             return wave
         except (ValueError, WaveConstructionError) as e:
             log.info("wave halving k=%d delta1=%.6g: %s", k, delta1, e)

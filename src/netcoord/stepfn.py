@@ -148,7 +148,7 @@ class StepFn:
             idx = np.searchsorted(self._knots, np.clip(x, 0.0, 1.0), side="right")
         else:  # the knots lie in (0, 1], so x >= knot as its clipped value would
             idx = _rank(x, self._knots, np.greater_equal)
-        return self._vals[idx]
+        return self._vals.take(idx)
 
     def eval_left(self, x: float) -> float:
         """Left limit P(x-); equals P(0) at x = 0."""
@@ -168,7 +168,7 @@ class StepFn:
             idx = np.searchsorted(self._vals, y, side="left")
         else:
             idx = _rank(y, self._vals, np.greater)
-        return np.append(self._pos, np.inf)[idx]
+        return np.append(self._pos, np.inf).take(idx)
 
     # -- structure accessors ----------------------------------------------
 

@@ -44,7 +44,7 @@ def wave_value(x, v, steps):
 
 def experienced(x, v, steps):
     """F(x|v) from ContagionWave.experienced_fraction for thresholds v and steps a_0 .. a_{L+1}."""
-    wave = WaveSolution(steps, v, np.zeros(v.size - 1), sweeps=0)
+    wave = WaveSolution(steps, v, np.zeros(v.size - 1), sweeps=0, evaluations=0)
     return ContagionWave(wave, delta=0.0, a_star=float(steps[0])).experienced_fraction(x)
 
 
@@ -58,16 +58,17 @@ def masked_front_f(x):
     return out
 
 
-def dense_b_star(v, a, targets, lo):
+def dense_b_star(v, a, targets, lo, x0):
     """One b* sweep that evaluates F at 0 and at every cap, then runs the
-    Newton loop over 2-row stacks with min/max reductions."""
+    Newton loop from x0 over 2-row stacks with min/max reductions."""
     cap = v[:-1] + 1.0
     ends = contagion._experienced(np.append(0.0, cap), v, a)
     capped = ends[1:] < targets
     b = np.where(targets <= ends[0], 0.0, cap)
     lo = np.where(capped, cap, lo)
     idx = np.flatnonzero((targets > ends[0]) & ~capped)
-    lo_i, hi, t, x, step = lo[idx], cap[idx], targets[idx], v[idx + 1], np.inf
+    lo_i, hi, t, step = lo[idx], cap[idx], targets[idx], np.inf
+    x = np.clip(x0[idx], lo_i, hi)
     for _ in range(200):
         if not idx.size:
             return b, lo
@@ -256,9 +257,24 @@ def test_experienced_slope_call_shares_the_clipped_front(rng):
     assert (np.abs(y) < 1.0).any() and (np.abs(y) == 1.0).any() and (np.abs(y) > 1.0).any()
     F, slope = contagion._experienced(xs, v, a, slope=True)
     assert F.tobytes() == contagion._experienced(xs, v, a).tobytes()
-    assert F.tobytes() == (a[0] + (1.0 - masked_front_f(y)) @ np.diff(a)).tobytes()
-    want = (2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y)) @ np.diff(a)
-    assert slope.tobytes() == want.tobytes()
+    row_sums = lambda m: np.einsum("ij,j->i", m, np.diff(a))  # noqa: E731
+    assert F.tobytes() == (a[0] + row_sums(1.0 - masked_front_f(y))).tobytes()
+    assert slope.tobytes() == row_sums((2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y))).tobytes()
+
+
+def test_experienced_rows_do_not_depend_on_the_other_points(rng):
+    # A point's F and F' bits are the same alone and inside any larger call,
+    # so a sweep may reuse one call's values where another sweep makes two.
+    for _ in range(300):
+        L = int(rng.integers(1, 200))
+        v = np.sort(rng.uniform(0.0, 0.5 * L, L + 1))
+        a = np.sort(rng.uniform(0.0, 1.0, L + 2))
+        xs = rng.uniform(-1.0, v[-1] + 1.0, int(rng.integers(2, 400)))
+        F, slope = contagion._experienced(xs, v, a, slope=True)
+        j = int(rng.integers(0, xs.size))
+        for part in (xs[j : j + 1], xs[j:]):
+            F_part, slope_part = contagion._experienced(part.copy(), v, a, slope=True)
+            assert (F_part[0], slope_part[0]) == (F[j], slope[j])
 
 
 def test_wave_value_far_left_is_base():
@@ -356,11 +372,11 @@ def _assert_sweep_exact(v, a, targets, b, lo_prev):
 
 
 def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
-    # solve_wave's own iteration, warm brackets included, checked sweep by
-    # sweep against the first-crossing guarantee of plain bisection, and
-    # bit for bit against the sweep that evaluates F at every cap.  The
-    # L = 177 wave runs its first 40 sweeps only; they take many rows
-    # through the Newton loop at once.
+    # solve_wave's own iteration, warm brackets and extrapolated starts
+    # included, checked sweep by sweep against the first-crossing guarantee
+    # of plain bisection, and bit for bit against the sweep that evaluates F
+    # at every cap from the same start.  The L = 177 wave runs its first 40
+    # sweeps only; they take many rows through the Newton loop at once.
     inputs = [(*panel_wave_inputs(monkeypatch), None), (*panel_wave_inputs(monkeypatch, eta=0.04), 40)]
     while len(inputs) < 12:
         out = random_admissible_wave_inputs(rng)
@@ -369,18 +385,19 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
     assert inputs[1][0].size == 177 + 2
     for a, q, limit in inputs:
         targets = q[2:]
-        v, lo = np.zeros(a.size - 1), np.zeros(a.size - 2)
+        v, lo, step = np.zeros(a.size - 1), np.zeros(a.size - 2), np.zeros(a.size - 1)
         newton_rows = 0
         for sweeps in range(1, 10_000):
-            want_b, want_lo = dense_b_star(v, a, targets, lo)
-            b, lo_next = contagion._b_star(v, a, targets, lo)
+            x0 = v[1:] + step[1:]
+            want_b, want_lo = dense_b_star(v, a, targets, lo, x0)
+            b, lo_next, _ = contagion._b_star(v, a, targets, lo, x0)
             assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
             _assert_sweep_exact(v, a, targets, b, lo)
             newton_rows += int(np.count_nonzero((b > 0.0) & (b < v[:-1] + 1.0)))
             lo = lo_next
             new = np.maximum(np.append(0.0, b), v)
-            v, step = new, np.max(np.abs(new - v))
-            if step < 1e-10 or sweeps == limit:
+            v, step = new, new - v
+            if np.max(step) < 1e-10 or sweeps == limit:
                 break
         if limit is not None:
             assert sweeps == limit and newton_rows >= 50 * limit
@@ -391,15 +408,16 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
 
 
 def test_sweep_bisects_where_the_slope_is_zero():
-    # Row 2 starts at v_2 = 5.5, far above its bracket [0, cap = 4.2]; the
-    # step is rejected and the sweep bisects to x = 2.1, where every front is
-    # more than 1 away, so F' = 0 at both Newton points.  That step must
-    # bisect again, as the oracle's inf step does, and raise nothing.
+    # Row 2's start x0 = v_2 = 5.5 lies far above its bracket [0, cap = 4.2],
+    # so the row starts at its cap; the step is rejected and the sweep
+    # bisects to x = 2.1, where every front is more than 1 away, so F' = 0 at
+    # both Newton points.  That step must bisect again, as the oracle's inf
+    # step does, and raise nothing.
     v, a = np.array([0.0, 3.2, 5.5]), np.array([0.1, 0.3, 0.99, 1.0])
     targets, lo = np.array([0.15, 0.35]), np.zeros(2)
     assert not contagion._experienced(np.array([2.1 - 0.45e-12, 2.1 + 0.45e-12]), v, a, slope=True)[1].any()
-    b, lo_next = contagion._b_star(v, a, targets, lo)
-    want_b, want_lo = dense_b_star(v, a, targets, lo)
+    b, lo_next, _ = contagion._b_star(v, a, targets, lo, v[1:])
+    want_b, want_lo = dense_b_star(v, a, targets, lo, v[1:])
     assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
     assert b[0] == 0.0 and 2.1 < b[1] < 4.2
 
@@ -683,7 +701,7 @@ def test_verify_catches_violation_narrower_than_capped_grid():
     v = 0.9 * np.arange(21)
     a = np.concatenate([np.linspace(0.1, 0.5, 21), [1.0]])
     d = 1e-6
-    wave = ContagionWave(WaveSolution(a, v, np.zeros(20), sweeps=0), delta=d, a_star=0.1)
+    wave = ContagionWave(WaveSolution(a, v, np.zeros(20), sweeps=0, evaluations=0), delta=d, a_star=0.1)
     r = float(v[-1]) + d
     z = d + float(wave.experienced_fraction(np.array([r - 1e-8]))[0])
     P = StepFn.from_grid([0.0, z], [0.0, a[-2] - d + 0.01])

@@ -535,7 +535,8 @@ def test_cli_wave(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "a_star=" in out and "delta=" in out
-    assert json.loads((tmp_path / "w.json").read_text())["sweeps"] >= 1
+    doc = json.loads((tmp_path / "w.json").read_text())
+    assert doc["sweeps"] >= 1 and doc["evaluations"] > doc["sweeps"]  # one call per sweep at least, and the residuals'
 
 
 def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
@@ -548,10 +549,10 @@ def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
     assert cli_main(["-v", "wave", game, "--eta", "0.15", "--out", str(loud)]) == 0
     assert capsys.readouterr().out == quiet_out
     assert loud.read_bytes() == quiet.read_bytes()
-    sweeps = json.loads(loud.read_text())["sweeps"]
+    doc = json.loads(loud.read_text())
     assert [r.getMessage() for r in caplog.records if r.name == "netcoord"] == [
         "wave halving k=1 delta1=0.075: staircase squeeze ran out of room near 0",
-        f"wave halving k=2 delta1=0.0375: verified after {sweeps} b* sweeps",
+        f"wave halving k=2 delta1=0.0375: verified after {doc['sweeps']} b* sweeps and {doc['evaluations']} F evaluations",
     ]
 
 
