@@ -34,8 +34,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .contagion import WaveConstructionError, build_delta_wave
 from .cubes import report_to_csv
 from .game import sample_shocks
@@ -44,11 +42,6 @@ from .harness import (ExperimentConfig, _fmt, _stage_text, _worker_count, build_
 from .stepfn import fixed_points, ru_dominant, ru_objective
 
 log = logging.getLogger("netcoord")
-
-# glibc raises its mmap and trim thresholds to the largest mmapped block freed
-# so far (mallopt(3)): one 4-MB block freed now keeps each replication's freed
-# heap top from going back to the kernel, to be faulted in again by the next.
-np.empty(4 << 20, dtype=np.uint8)
 
 
 class _BadInput(Exception):

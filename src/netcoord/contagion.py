@@ -15,11 +15,11 @@ fixed-point iteration of the capped first-crossing map, so that the
 average action experienced at each threshold stays at or below the
 inverse of the next step value.  Each sweep keeps a coordinate capped at
 an unchanged cap without evaluating F there (the iterates only rise and
-F(x|v) falls as v rises), and finds the other crossings by bracketed
-Newton steps started at the previous iterate plus the last sweep's step,
-each row's bracket held as Python floats between vector evaluations of F
-and F'; the first Newton step reads the call that evaluates F at 0 and
-at the caps.
+F(x|v) falls as v rises).  One call evaluates F at 0, at the other caps
+and at each other coordinate's first Newton pair, from the previous
+iterate plus the last sweep's step; one Python pass sorts those into
+capped, zero and open, and the open ones take bracketed Newton steps
+between vector calls of F and F', each summed by one row-sum call.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -72,11 +72,11 @@ class WaveConstructionError(RuntimeError):
 
 def lens_f0(d: float, r1: float, r2: float) -> float:
     """Disc intersection area over pi for radii r1 <= 1 <= r2 at distance d."""
-    if d < 0:
+    if not d >= 0:  # NaN fails too
         raise ValueError("d must be nonnegative")
     if not (0.0 < r1 <= 1.0):
         raise ValueError("r1 must lie in (0, 1]")
-    if r2 < 1.0:
+    if not r2 >= 1.0:
         raise ValueError("r2 must be at least 1")
     if d >= r1 + r2:
         return 0.0
@@ -95,29 +95,33 @@ def lens_f0(d: float, r1: float, r2: float) -> float:
     return area / math.pi
 
 
-def _front(y: np.ndarray):
-    """f(y) and s = sqrt(1 - c^2), c = y clipped to [-1, 1] in place (so c^2 <= 1: no max(0, .))."""
+def _front(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f(y), with y clipped to c in [-1, 1] in place and s = sqrt(1 - c^2) written into s (c^2 <= 1: no max(0, .))."""
     c = np.minimum(np.maximum(y, -1.0, out=y), 1.0, out=y)
-    s = np.sqrt(1.0 - c * c)
+    np.sqrt(np.subtract(1.0, c * c, out=s), out=s)
     f = np.arccos(-c)
     f += np.multiply(c, s, out=c)
     f /= math.pi
-    return f, s
+    return f
 
 
 def front_f_array(x: np.ndarray) -> np.ndarray:
     """Balanced front profile at each x: unit-disc segment of height 1 + x over pi."""
-    return _front(np.array(x, dtype=float))[0]  # f(-1) = 0 and f(1) = 1 exactly
+    return _front(np.array(x, dtype=float), np.empty(np.shape(x)))  # f(-1) = 0 and f(1) = 1 exactly
 
 
-def _experienced(xs: np.ndarray, v: np.ndarray, steps: np.ndarray, slope: bool = False):
-    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) (a_{k+1} - a_k) at each x of 1-d xs; with ``slope`` also
-    F'(x|v) = sum_k f'(v_k - x) (a_{k+1} - a_k), f'(y) = 2 sqrt(1 - y^2) / pi, from one clipped y.
-    Rows are summed without BLAS, whose blocking makes a row's bits depend on the other xs."""
-    f, s = _front(v[None, :] - xs[:, None])
-    da = steps[1:] - steps[:-1]
-    F = steps[0] + np.einsum("ij,j->i", np.subtract(1.0, f, out=f), da)
-    return (F, np.einsum("ij,j->i", np.multiply(s, 2.0 / math.pi, out=s), da)) if slope else F
+def _experienced(xs: np.ndarray, v: np.ndarray, a0: float, da: np.ndarray, slope: bool = False):
+    """F(x|v) = a_0 + sum_k (1 - f(v_k - x)) da_k at each x of 1-d xs, da = a[1:] - a[:-1]; with ``slope``
+    the rows (F, F'), F'(x|v) = sum_k f'(v_k - x) da_k, f'(y) = 2 sqrt(1 - y^2) / pi, from one clipped y and
+    one row-sum call.  Rows are summed without BLAS, whose blocking makes a row's bits depend on the other xs."""
+    terms = np.empty((2, xs.size, v.size))
+    f = _front(np.subtract(v, xs[:, None], out=terms[0]), terms[1])
+    np.subtract(1.0, f, out=terms[0])
+    if slope:
+        terms[1] *= 2.0 / math.pi
+    sums = np.einsum("kij,j->ki", terms[: 1 + slope], da)
+    sums[0] += a0
+    return sums if slope else sums[0]
 
 
 @dataclass(frozen=True)
@@ -173,41 +177,39 @@ def check_ru_wave(steps: np.ndarray, inv_positions: np.ndarray) -> tuple[bool, f
     return bool(vals[worst] > 0.0), float(vals[worst]), float(xs[worst])
 
 
-def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray, x0: np.ndarray):
+def _b_star(v: np.ndarray, a0: float, da: np.ndarray, targets: np.ndarray, lo: np.ndarray, x0: np.ndarray):
     """One b* sweep: b*_l(v) = min(b_l, v_{l-1} + 1), b_l = inf{x >= 0 : F(x|v) >= targets_l}.
 
-    F at 0 and at the caps settles most l exactly.  Each other l starts at
-    x0_l clipped into [lo_l, cap_l] and keeps its bracket state (l, lo_l,
-    hi_l, target, x, last step) as Python floats; an iteration reads F and
-    F' at x -/+ 0.45e-12 for all of them from one call (the first from the
-    call that evaluates F at 0 and at the caps), then takes each l's Newton
-    step inside [lo_l, cap_l] by scalar arithmetic, bisecting when the step
-    leaves the bracket, is longer than half the step before or F' is 0
-    (rtsafe; Numerical Recipes sec. 9.4), until a point reaching the target
-    lies within 1e-12 of one that does not.  Returns (b*, lo, F calls).
-    lo_l must miss the target where F(0|v) does; the returned lo keeps
-    missing it at every v' >= v, since F(x|v) falls as v rises.  Only a
-    capped l gets lo_l = cap_l; the others keep lo_l < cap_l.  So when lo
-    is the previous sweep's and v no lower, lo_l == cap_l means l was
-    capped at this same cap, F(cap_l|v) < targets_l still holds and b*_l =
-    cap_l, without evaluating F there.
+    One call evaluates F at 0, at the cap of each l not capped before and at
+    x -/+ 0.45e-12, x = x0_l clipped into [lo_l, cap_l]; one pass sorts those
+    l into capped (b*_l = cap_l), b_l = 0 and open, each open l's bracket,
+    target, x, last step and pair slot held as Python floats.  Each round
+    takes every open l's Newton step, bisecting when it leaves [lo_l, hi_l],
+    is longer than half the step before or F' is 0 (rtsafe; Numerical
+    Recipes sec. 9.4), until a point reaching the target lies within 1e-12
+    of one that does not; the open rows' next pairs come from one call.
+    Returns (b*, lo, F calls).  lo_l must miss the target where F(0|v) does;
+    the returned lo keeps missing it at every v' >= v, since F(x|v) falls as
+    v rises.  Only a capped l gets lo_l = cap_l.  So when lo is the previous
+    sweep's and v no lower, lo_l == cap_l means l was capped at this same
+    cap and b*_l = cap_l still, without evaluating F there.
     """
     cap = v[:-1] + 1.0
-    capped = lo == cap  # capped at this same cap in an earlier sweep (see above)
-    rest = np.flatnonzero(~capped)
-    m, x = rest.size, np.clip(x0[rest], lo[rest], cap[rest])
-    F, dF = _experienced(np.concatenate(([0.0], cap[rest], x - 0.45e-12, x + 0.45e-12)), v, a, slope=True)
-    capped[rest] = F[1 : m + 1] < targets[rest]  # b_l > cap, so b*_l = cap exactly
-    b = np.where(targets <= F[0], 0.0, cap)
-    lo = np.where(capped, cap, lo)
-    sel = np.flatnonzero((targets[rest] > F[0]) & ~capped[rest])
-    idx = rest[sel]
-    state = (idx, lo[idx], cap[idx], targets[idx], x[sel], np.full(idx.size, np.inf))
-    rows = list(zip(*(arr.tolist() for arr in state)))
-    f, df = (np.concatenate((r[m + 1 :][sel], r[2 * m + 1 :][sel])).tolist() for r in (F, dF))
+    rest = np.flatnonzero(lo != cap)  # the rows not capped at this same cap before
+    caps, los, ts, x0s = cap[rest].tolist(), lo[rest].tolist(), targets[rest].tolist(), x0[rest].tolist()
+    xs = [min(max(x, lo_l), hi) for x, lo_l, hi in zip(x0s, los, caps)]
+    pts = [0.0] + caps + [x - 0.45e-12 for x in xs] + [x + 0.45e-12 for x in xs]
+    F, dF = _experienced(np.array(pts), v, a0, da, slope=True).tolist()
+    b, lo, rows, k = np.where(targets <= F[0], 0.0, cap), lo.copy(), [], len(xs)
+    for j, (l, lo_l, hi, t, x) in enumerate(zip(rest.tolist(), los, caps, ts, xs)):
+        if F[1 + j] < t:
+            lo[l] = hi  # b_l > cap, so b*_l = cap exactly
+        elif t > F[0]:
+            rows.append((l, lo_l, hi, t, x, math.inf, j))
+    f, df = F[1 + k :], dF[1 + k :]  # row j's pair: f[j] at x - 0.45e-12, f[k + j] at x + 0.45e-12
     for calls in range(1, 201):  # a stall guard: bisection alone closes 1e3 to 1e-12 in 50
-        k, still_open = len(rows), []
-        for j, (l, lo_l, hi, t, x, step) in enumerate(rows):
+        still_open = []
+        for l, lo_l, hi, t, x, step, j in rows:
             # A pair that straddles the root closes the bracket in one call:
             # hi takes the lower reaching point, lo_l the higher missing one.
             p0, p1, f0, f1, d = x - 0.45e-12, x + 0.45e-12, f[j], f[k + j], df[j] + df[k + j]
@@ -222,12 +224,12 @@ def _b_star(v: np.ndarray, a: np.ndarray, targets: np.ndarray, lo: np.ndarray, x
             if hi - lo_l <= 1e-12:
                 b[l], lo[l] = hi, lo_l
             else:
-                still_open.append((l, lo_l, hi, t, x, step))
-        rows = still_open
+                still_open.append((l, lo_l, hi, t, x, step, len(still_open)))
+        rows, k = still_open, len(still_open)
         if not rows:
             return b, lo, calls
-        xs = np.array([row[4] for row in rows])
-        f, df = (r.tolist() for r in _experienced(np.concatenate((xs - 0.45e-12, xs + 0.45e-12)), v, a, slope=True))
+        pts = [row[4] - 0.45e-12 for row in rows] + [row[4] + 0.45e-12 for row in rows]
+        f, df = _experienced(np.array(pts), v, a0, da, slope=True).tolist()
     raise WaveConstructionError("first-crossing search did not close its bracket")
 
 
@@ -258,11 +260,12 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     if L < 1:
         raise ValueError("need at least two steps above the base")
     targets = q[2:].copy()  # Q^{-1}(a_{l+1}) for l = 1..L
+    da = a[1:] - a[:-1]  # the jumps F(x|v) weighs, once per solve
     v, step = np.zeros(L + 1), np.zeros(L + 1)
     lo = np.zeros(L)
     evaluations = 1  # the residuals' call
     for sweeps in range(1, _MAX_ITER + 1):
-        b, lo, calls = _b_star(v, a, targets, lo, (v + step)[1:])
+        b, lo, calls = _b_star(v, a[0], da, targets, lo, (v + step)[1:])
         evaluations += calls
         # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
@@ -272,7 +275,7 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
             break
     else:
         raise WaveConstructionError("wave iteration did not converge")
-    residuals = targets - _experienced(v[1:], v, a)
+    residuals = targets - _experienced(v[1:], v, a[0], da)
     return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps, evaluations=evaluations)
 
 
@@ -298,8 +301,8 @@ class ContagionWave:
 
     def experienced_fraction(self, x: np.ndarray) -> np.ndarray:
         """a* + sum over jumps (1 - f(jump_location - x)) * jump size."""
-        x = np.asarray(x, dtype=float)
-        return _experienced(x.ravel(), self.wave.thresholds, self.wave.steps).reshape(x.shape)
+        x, a = np.asarray(x, dtype=float), self.wave.steps
+        return _experienced(x.ravel(), self.wave.thresholds, a[0], a[1:] - a[:-1]).reshape(x.shape)
 
     def verify_grid(self, P: StepFn) -> tuple[bool, float, float]:
         """Check sigma(x - delta) >= delta + P(clip(delta + F(x))) for every x.

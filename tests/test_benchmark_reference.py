@@ -5,10 +5,12 @@ workload with ``perfbench/reference.json``; without this test, drift in
 those bytes would show only when the benchmark runs.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -34,11 +36,14 @@ def test_every_panel_wave_passes_the_benchmark_check(tmp_path, workloads):
     # wave-build's own check on each panel game at eta = 0.15: thresholds
     # strictly increasing and within 1e-9 of the record, residuals >= -1e-9.
     wave = workloads["wave-build"]
-    sweeps, evaluations = {}, 0
+    # The sweep and F-call counts and the thresholds' bits pin every b*
+    # iterate: a change that moves any of them re-records them and says why.
+    docs = {}
     for batch in wave.trace_batches(0, tmp_path, "full", ""):
         assert wave.run_batch(batch).errors == []
-        doc = json.loads(batch.out.read_text())
-        sweeps[batch.meta["game"]] = doc["sweeps"]
-        evaluations += doc["evaluations"]
-    assert [sweeps[g] for g in range(len(wave.panel))] == [94, 915, 830, 825]
-    assert evaluations <= 7000  # guards the extrapolated Newton start (6,588 calls)
+        docs[batch.meta["game"]] = json.loads(batch.out.read_text())
+    docs = [docs[g] for g in range(len(wave.panel))]
+    assert [doc["sweeps"] for doc in docs] == [94, 915, 830, 825]
+    assert [doc["evaluations"] for doc in docs] == [331, 2135, 2061, 2061]
+    digest = hashlib.sha256(b"".join(np.array(doc["thresholds"]).tobytes() for doc in docs)).hexdigest()
+    assert digest == "a712bab83d1c44b2a9dbc2e07230819ce40f83022be71576aa6ffd58c5b5f388"

@@ -62,7 +62,7 @@ def dense_b_star(v, a, targets, lo, x0):
     """One b* sweep that evaluates F at 0 and at every cap, then runs the
     Newton loop from x0 over 2-row stacks with min/max reductions."""
     cap = v[:-1] + 1.0
-    ends = contagion._experienced(np.append(0.0, cap), v, a)
+    ends = contagion._experienced(np.append(0.0, cap), v, a[0], np.diff(a))
     capped = ends[1:] < targets
     b = np.where(targets <= ends[0], 0.0, cap)
     lo = np.where(capped, cap, lo)
@@ -73,7 +73,7 @@ def dense_b_star(v, a, targets, lo, x0):
         if not idx.size:
             return b, lo
         pts = np.stack([x - 0.45e-12, x + 0.45e-12])
-        f, df = (r.reshape(2, -1) for r in contagion._experienced(pts.ravel(), v, a, slope=True))
+        f, df = (r.reshape(2, -1) for r in contagion._experienced(pts.ravel(), v, a[0], np.diff(a), slope=True))
         reach = f >= t
         hi = np.minimum(hi, np.where(reach, pts, np.inf).min(axis=0))
         lo_i = np.maximum(lo_i, np.where(reach, -np.inf, pts).max(axis=0))
@@ -97,10 +97,10 @@ def bisection_solve_wave(a, q):
     for sweeps in range(1, 100_001):
         lo = np.zeros(L)
         hi = np.full(L, float(v[-1] + 1.0))
-        done_zero = targets <= contagion._experienced(np.zeros(1), v, a)[0]
+        done_zero = targets <= contagion._experienced(np.zeros(1), v, a[0], np.diff(a))[0]
         for _ in range(64):
             mid = 0.5 * (lo + hi)
-            reach = contagion._experienced(mid, v, a) >= targets
+            reach = contagion._experienced(mid, v, a[0], np.diff(a)) >= targets
             hi = np.where(reach, mid, hi)
             lo = np.where(reach, lo, mid)
             if np.max(hi - lo) <= 1e-12:
@@ -210,6 +210,13 @@ def test_lens_domain_errors():
         lens_f0(0.5, 0.5, 0.8)
 
 
+@pytest.mark.parametrize("args", [(math.nan, 0.5, 1.0), (0.5, math.nan, 1.0), (0.5, 0.5, math.nan)])
+def test_lens_rejects_nan(args):
+    # A NaN fails every comparison, so each check must be written to fail on it.
+    with pytest.raises(ValueError):
+        lens_f0(*args)
+
+
 # ------------------------------------------------------------------ front_f_array
 
 
@@ -255,8 +262,8 @@ def test_experienced_slope_call_shares_the_clipped_front(rng):
     xs = np.concatenate(([-1.0, 0.5, 1.0, 3.0, 3.25, 4.0], rng.uniform(-2.0, 4.0, 40)))
     y = v[None, :] - xs[:, None]
     assert (np.abs(y) < 1.0).any() and (np.abs(y) == 1.0).any() and (np.abs(y) > 1.0).any()
-    F, slope = contagion._experienced(xs, v, a, slope=True)
-    assert F.tobytes() == contagion._experienced(xs, v, a).tobytes()
+    F, slope = contagion._experienced(xs, v, a[0], np.diff(a), slope=True)
+    assert F.tobytes() == contagion._experienced(xs, v, a[0], np.diff(a)).tobytes()
     row_sums = lambda m: np.einsum("ij,j->i", m, np.diff(a))  # noqa: E731
     assert F.tobytes() == (a[0] + row_sums(1.0 - masked_front_f(y))).tobytes()
     assert slope.tobytes() == row_sums((2.0 / math.pi) * np.sqrt(np.maximum(0.0, 1.0 - y * y))).tobytes()
@@ -270,10 +277,10 @@ def test_experienced_rows_do_not_depend_on_the_other_points(rng):
         v = np.sort(rng.uniform(0.0, 0.5 * L, L + 1))
         a = np.sort(rng.uniform(0.0, 1.0, L + 2))
         xs = rng.uniform(-1.0, v[-1] + 1.0, int(rng.integers(2, 400)))
-        F, slope = contagion._experienced(xs, v, a, slope=True)
+        F, slope = contagion._experienced(xs, v, a[0], np.diff(a), slope=True)
         j = int(rng.integers(0, xs.size))
         for part in (xs[j : j + 1], xs[j:]):
-            F_part, slope_part = contagion._experienced(part.copy(), v, a, slope=True)
+            F_part, slope_part = contagion._experienced(part.copy(), v, a[0], np.diff(a), slope=True)
             assert (F_part[0], slope_part[0]) == (F[j], slope[j])
 
 
@@ -359,7 +366,7 @@ def _assert_sweep_exact(v, a, targets, b, lo_prev):
     reaches the target with x - 1e-12 short of it; every row the sweep
     skipped as capped before (lo_prev == cap) misses the target at its cap."""
     cap = v[:-1] + 1.0
-    F = lambda x: contagion._experienced(x, v, a)  # noqa: E731
+    F = lambda x: contagion._experienced(x, v, a[0], np.diff(a))  # noqa: E731
     zero = targets <= F(np.zeros(1))[0]
     capped = F(cap) < targets
     assert np.all(capped[lo_prev == cap])
@@ -390,7 +397,7 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
         for sweeps in range(1, 10_000):
             x0 = v[1:] + step[1:]
             want_b, want_lo = dense_b_star(v, a, targets, lo, x0)
-            b, lo_next, _ = contagion._b_star(v, a, targets, lo, x0)
+            b, lo_next, _ = contagion._b_star(v, a[0], np.diff(a), targets, lo, x0)
             assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
             _assert_sweep_exact(v, a, targets, b, lo)
             newton_rows += int(np.count_nonzero((b > 0.0) & (b < v[:-1] + 1.0)))
@@ -415,8 +422,9 @@ def test_sweep_bisects_where_the_slope_is_zero():
     # step does, and raise nothing.
     v, a = np.array([0.0, 3.2, 5.5]), np.array([0.1, 0.3, 0.99, 1.0])
     targets, lo = np.array([0.15, 0.35]), np.zeros(2)
-    assert not contagion._experienced(np.array([2.1 - 0.45e-12, 2.1 + 0.45e-12]), v, a, slope=True)[1].any()
-    b, lo_next, _ = contagion._b_star(v, a, targets, lo, v[1:])
+    pair = np.array([2.1 - 0.45e-12, 2.1 + 0.45e-12])
+    assert not contagion._experienced(pair, v, a[0], np.diff(a), slope=True)[1].any()
+    b, lo_next, _ = contagion._b_star(v, a[0], np.diff(a), targets, lo, v[1:])
     want_b, want_lo = dense_b_star(v, a, targets, lo, v[1:])
     assert b.tobytes() == want_b.tobytes() and lo_next.tobytes() == want_lo.tobytes()
     assert b[0] == 0.0 and 2.1 < b[1] < 4.2

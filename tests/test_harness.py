@@ -1008,7 +1008,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
 def test_repeated_lattice_analyze_calls_do_not_refault_the_heap(tmp_path):
     # Each call's temporaries reuse the heap that the previous call freed:
-    # without the start-up block in netcoord.cli, glibc gives the freed
+    # without the start-up block in the netcoord package, glibc gives the freed
     # heap top back to the kernel and every call faults in ~1,000 pages.
     # The benchmark's lattice-analyze batch: (300,3), b = 3, B = 30, the cube game.
     cfg = {"game": {"step_json": _GOLDEN_GAMES["cube"]}, "network": {"lattice": {"M": 300, "m": 3}},
@@ -1019,3 +1019,30 @@ def test_repeated_lattice_analyze_calls_do_not_refault_the_heap(tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 50
+
+
+_LIBRARY_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from netcoord.stepfn import StepFn
+
+P = StepFn.from_grid([0.0, 0.25, 0.5, 0.75], [0.1, 0.3, 0.6, 0.9])
+y = np.random.default_rng(0).random(90_000)
+P.inverse_array(y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    P.inverse_array(y)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap behaviour")
+def test_library_use_without_the_cli_does_not_refault_the_heap():
+    # Importing any netcoord module runs the package's start-up block, so a
+    # library caller's large temporaries reuse freed heap too: without it,
+    # 20 three-step inverses of 90,000 values fault in ~6,400 pages.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LIBRARY_FAULTS_SCRIPT], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(root / "src")}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200
