@@ -178,8 +178,8 @@ def classify_bad(part: CubePartition, t: np.ndarray, P: StepFn, gamma: float) ->
 
 
 def extraordinary_cubes(part: CubePartition, t: np.ndarray) -> np.ndarray:
-    """Flags of cubes whose agents all have action 0 strictly dominant."""
-    return _cube_reduce(part, np.isinf(_thresholds(t, part.M**2)), np.logical_and)
+    """Flags of cubes whose agents all have action 0 strictly dominant (t = +inf; t = -inf plays 1)."""
+    return _cube_reduce(part, _thresholds(t, part.M**2) == np.inf, np.logical_and)
 
 
 # ---------------------------------------------------------- torus utilities

@@ -24,7 +24,7 @@ from netcoord.cubes import (
     r_interior,
     report_to_csv,
 )
-from netcoord.dynamics import largest_equilibrium
+from netcoord.dynamics import extremal_equilibria, largest_equilibrium
 from netcoord.game import sample_shocks
 from netcoord.network import LatticeSpec, lattice, neighborhood_fractions
 from netcoord.stepfn import StepFn
@@ -237,6 +237,21 @@ def test_cube_means_adds_each_row_then_the_rows(rng, b):
 def test_extraordinary_all_inf():
     part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
     assert extraordinary_cubes(part, uniform_shocks(part, math.inf)).all()
+
+
+def test_extraordinary_flags_only_action_0_dominance():
+    # t = -inf makes action 1 strictly dominant: those agents play 1 in every equilibrium, so the cube is not
+    # extraordinary.
+    part = CubePartition(LatticeSpec(M=12, m=2), b=3, B=6)
+    assert not extraordinary_cubes(part, uniform_shocks(part, -math.inf)).any()
+    largest, smallest = extremal_equilibria(lattice(part.spec), uniform_shocks(part, -math.inf))
+    assert largest.mean() == smallest.mean() == 1.0
+    nodes = cube_nodes(part)
+    t = np.full(144, math.inf)
+    t[nodes[3]] = -math.inf  # all -inf
+    t[nodes[5][::2]] = -math.inf  # mixed +inf and -inf
+    t[nodes[9][4]] = 0.3  # mixed +inf and finite
+    assert np.flatnonzero(~extraordinary_cubes(part, shocks_of(t))).tolist() == [3, 5, 9]
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.1, 1.0, 5.0, math.inf, math.nan])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -568,6 +569,64 @@ def test_cli_verbose_flag_holds_on_every_call(tmp_path, caplog):
     assert logged(argv) == []
     assert len(logged(["-v", *argv])) == 2
     assert logged(argv) == []
+
+
+SUBCOMMANDS = ["ru-dominant", "fixed-points", "wave", "simulate", "lattice-analyze", "enumerate"]
+
+
+@pytest.fixture(scope="module")
+def fresh_cli(tmp_path_factory):
+    """``python -m netcoord.cli`` in a fresh interpreter: (game path, --help stdout, ru-dominant stdout)."""
+    game = write_game(tmp_path_factory.mktemp("fresh"), TWO_POINT_GAME)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outs = []
+    for argv in (["--help"], ["ru-dominant", game]):
+        proc = subprocess.run([sys.executable, "-m", "netcoord.cli", *argv], capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        outs.append(proc.stdout)
+    return game, *outs
+
+
+def test_cli_main_module_in_a_fresh_interpreter(fresh_cli):
+    # The first-call parser build and the __main__ entry, which no in-process test reaches.
+    _, help_text, ru_text = fresh_cli
+    assert help_text.startswith("usage: netcoord") and all(name in help_text for name in SUBCOMMANDS)
+    assert ru_text == "0.1 objective=0.005\n0.9 objective=0.005\nstrict=false\n"
+
+
+def test_cli_builds_its_parser_once_per_process(fresh_cli, capsys, monkeypatch):
+    game = fresh_cli[0]
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    netcoord.cli._parser.cache_clear()
+    for argv in (["-v", "ru-dominant", game], ["ru-dominant", game], ["fixed-points", game],
+                 ["-v", "fixed-points", game], ["ru-dominant", game]):
+        assert cli_main(argv) == 0
+    assert progs == ["netcoord", *(f"netcoord {name}" for name in SUBCOMMANDS)]
+    assert logging.getLogger("netcoord").level == logging.WARNING  # the last call had no -v
+    assert capsys.readouterr().out.endswith(fresh_cli[2])
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["no-such-command"], 2)])
+def test_cli_parser_survives_an_exit(fresh_cli, capsys, argv, code):
+    game, _, ru_text = fresh_cli
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert all(name in out for name in SUBCOMMANDS)
+    else:
+        assert "invalid choice: 'no-such-command'" in err
+    assert cli_main(["ru-dominant", game]) == 0
+    assert capsys.readouterr().out == ru_text
 
 
 def test_cli_wave_checks_its_output_directory_before_building(tmp_path, capsys, monkeypatch):
