@@ -20,16 +20,15 @@ Sampling uses the counter-based Philox generator keyed on
 
 from __future__ import annotations
 
-from typing import Callable
+import math
 
 import numpy as np
 
-from .stepfn import StepFn, step_approximate
+from .stepfn import StepFn
 
 __all__ = [
     "DOMINANT_1",
     "additive_game",
-    "uniform_shock_cdf",
     "sample_shocks",
     "best_response_array",
 ]
@@ -38,42 +37,37 @@ __all__ = [
 DOMINANT_1 = 0.0
 
 
-def uniform_shock_cdf(lo: float = -0.5, hi: float = 0.5) -> Callable[[float], float]:
-    """CDF of the uniform distribution on [lo, hi]."""
-    width = hi - lo
-    if width <= 0:
-        raise ValueError("hi must exceed lo")
+def additive_game(alpha: float, lam: float, max_step: float, support: tuple[float, float] = (-0.5, 0.5)) -> StepFn:
+    """Additive-shock coordination game reduced to its threshold law, in closed form.
 
-    def cdf(e: float) -> float:
-        return min(1.0, max(0.0, (e - lo) / width))
-
-    return cdf
-
-
-def additive_game(
-    alpha: float,
-    lam: float,
-    shock_cdf: Callable[[float], float],
-    max_step: float,
-) -> StepFn:
-    """Additive-shock coordination game reduced to its threshold law.
-
-    The threshold of an agent with shock e is beta(e) = alpha - lam * e,
-    so P(x) = Prob(alpha - lam e <= x) = 1 - F((alpha - x) / lam) plus the
-    mass of the atom at the boundary when F has one.  The returned P is a
-    midpoint staircase with value gaps <= max_step.
+    An agent with shock e ~ U[lo, hi] has threshold alpha - lam * e, so P is
+    the clipped line (x - x0) / w with x0 = alpha - lam * hi and
+    w = lam * (hi - lo).  The ramp is cut into n = ceil(1 / max_step) cells
+    of width w / n, cell j taking (j + 1/2) / n: value gaps are at most
+    max_step, P lies within max_step / 2 of the line, and P is exactly 0
+    left of x0 and 1 right of x0 + w.  The staircase is cut to [0, 1].
     """
+    lo, hi = support
+    for name, v in (("alpha", alpha), ("lambda", lam), ("support", lo), ("support", hi), ("max_step", max_step)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise ValueError(f"lambda must be positive, got {lam}")
     if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-
-    def P_exact(x: float) -> float:
-        # Prob(e >= (alpha - x)/lam); atoms only matter on a null set of x
-        # for the staircase grid, so the continuous formula is used.
-        return 1.0 - shock_cdf((alpha - x) / lam)
-
-    return step_approximate(P_exact, max_step)
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    x0, w = alpha - lam * hi, lam * (hi - lo)
+    if not (lo < hi and 0.0 < w < math.inf and math.isfinite(x0)):
+        raise ValueError(f"support must be a pair lo < hi that gives a finite ramp, got {support}")
+    if max_step < 1e-6:  # bounds the staircase at a million cells
+        raise ValueError(f"max_step must be at least 1e-6, got {max_step}")
+    n = math.ceil(1.0 / max_step)
+    knots = x0 + w * (np.arange(n + 1) / n)  # cell j is [knots[j], knots[j + 1]); P = 1 from knots[n]
+    if not np.all(np.diff(knots) > 0.0):
+        raise ValueError(f"lambda must give cells that do not round together, got a ramp of width {w} in {n} cells")
+    values = np.append((np.arange(n) + 0.5) / n, 1.0)
+    base = np.append(0.0, values)[np.searchsorted(knots, 0.0, side="right")]
+    keep = (knots > 0.0) & (knots <= 1.0)
+    return StepFn(base, tuple(zip(knots[keep].tolist(), values[keep].tolist())))
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:

@@ -1,7 +1,8 @@
 """Experiment configuration, seeded Monte Carlo replication, and probes.
 
-An experiment is a single JSON document: the game (inline step function
-or additive parameters), the network generator, a replication count, a
+An experiment is a single JSON document: the game (inline step function,
+or additive parameters, which ``additive_game`` turns into the exact
+staircase of a clipped line), the network generator, a replication count, a
 64-bit seed, a tolerance eta, and the probe list.  Replications are
 embarrassingly parallel: replication r draws its thresholds from the Philox
 stream (seed, r), so output is byte-identical no matter how many worker
@@ -53,7 +54,7 @@ from .dynamics import (
     upper_closure,
     upper_dynamics,
 )
-from .game import additive_game, sample_shocks, uniform_shock_cdf
+from .game import additive_game, sample_shocks
 from .network import (
     LatticeSpec,
     Network,
@@ -238,9 +239,8 @@ def build_game(spec: dict) -> StepFn:
         support = spec["additive"].get("support", (-0.5, 0.5))
         if not (isinstance(support, (list, tuple)) and len(support) == 2):
             raise ValueError(f"additive.support must be a pair [lo, hi], got {support!r}")
-        cdf = uniform_shock_cdf(*(_number("additive.support", v) for v in support))
         max_step = _param(spec, "additive", "max_step", default=0.005)
-        return additive_game(alpha=alpha, lam=lam, shock_cdf=cdf, max_step=max_step)
+        return additive_game(alpha, lam, max_step, tuple(_number("additive.support", v) for v in support))
     return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
 
 
@@ -464,7 +464,7 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
     For every strongly stable fixed point x of P, a replication succeeds
     when some found equilibrium average lies within eta of x.  The probe
     needs a complete graph or disjoint copies.  Reports per-point
-    success frequencies with 95% binomial confidence intervals; small
+    success frequencies with 95% Wilson score intervals; small
     networks are reported but flagged against the fineness guidance.
     """
     if not ({"complete", "copies"} & set(cfg.network)):
@@ -482,10 +482,10 @@ def probe_theorem1(cfg: ExperimentConfig) -> dict:
                 successes[x] += 1
     R = cfg.replications
     freq = {x: successes[x] / R for x in points}
-    ci = {}
-    for x, p in freq.items():
-        half = 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / R)
-        ci[x] = (max(0.0, p - half), min(1.0, p + half))
+    ci, z2 = {}, 1.96**2 / R
+    for x, p in freq.items():  # the Wilson score interval, which keeps its width at p = 0 and p = 1
+        mid, half = (p + z2 / 2) / (1 + z2), math.sqrt(z2 * p * (1 - p) + z2 * z2 / 4) / (1 + z2)
+        ci[x] = (max(0.0, mid - half), min(1.0, mid + half))
     return {
         "stable_points": points,
         "success_frequency": freq,

@@ -14,9 +14,8 @@ dominance integral
 
     ru_objective(P, x) = int_0^x (y - P^{-1}(y)) dy,
 
-its global maximizers (``ru_dominant``), fixed points of P, a local
-stability test, and staircase approximation of arbitrary monotone
-functions.  One kernel, ``_dominance_integral``, evaluates the integral
+its global maximizers (``ru_dominant``), fixed points of P and a local
+stability test.  One kernel, ``_dominance_integral``, evaluates the integral
 at any number of points with one prefix sum over the segments on which
 the inverse is constant; every integral in the package
 (``ru_objective``, ``ru_dominant``, the contagion wave's RU checks and
@@ -30,7 +29,7 @@ so no maximizer can lie beyond P(1) and arithmetic stays finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "ru_dominant",
     "fixed_points",
     "is_strongly_stable",
-    "step_approximate",
 ]
 
 # Sentinel standing in for +inf when integrating P^{-1}.
@@ -334,44 +332,3 @@ def is_strongly_stable(P: StepFn, x: float, gamma: float, radius: float) -> bool
             if y_inf <= hi_lim and v > px + gamma * (y_inf - x) + 1e-15:
                 return False
     return True
-
-
-def step_approximate(f: Callable[[float], float], max_step: float) -> StepFn:
-    """Midpoint staircase of a monotone nondecreasing f on [0, 1].
-
-    Each cell takes the mean of f at its two ends, so the result lies
-    within max_step / 2 of f on the grid, with consecutive value gaps
-    <= max_step.  The grid is refined from 4097 points until per-cell
-    increments of f fit under max_step; a monotone violation on the
-    evaluation grid is rejected.
-    """
-    if max_step <= 0.0:
-        raise ValueError("max_step must be positive")
-    n = 4097
-    for _ in range(8):
-        xs = np.linspace(0.0, 1.0, n)
-        ys = np.asarray([float(f(float(x))) for x in xs])
-        if np.any(np.diff(ys) < -1e-12):
-            raise ValueError("f is not monotone nondecreasing on the grid")
-        if ys.min() < -1e-12 or ys.max() > 1.0 + 1e-12:
-            raise ValueError("f must have range within [0, 1]")
-        ys = np.clip(ys, 0.0, 1.0)
-        if np.max(np.diff(ys)) <= max_step:
-            break
-        n = 2 * (n - 1) + 1
-    else:
-        raise ValueError("f increments exceed max_step at the finest grid (jump?)")
-    # Greedy cell boundaries: extend each cell while the value increment
-    # stays under max_step.  sel always starts at 0 and ends at n-1 (x=1).
-    sel = [0]
-    while sel[-1] < n - 1:
-        k = sel[-1] + 1
-        while k + 1 < n and ys[k + 1] - ys[sel[-1]] <= max_step:
-            k += 1
-        sel.append(k)
-    # Cell i spans [xs[sel[i]], xs[sel[i+1]]) and takes the mean of its end values.
-    starts = [float(xs[i]) for i in sel[:-1]]
-    cell_vals = [0.5 * (float(ys[i]) + float(ys[j])) for i, j in zip(sel[:-1], sel[1:])]
-    # Collapse equal consecutive values.
-    keep = np.r_[True, np.diff(cell_vals) != 0.0]
-    return StepFn.from_grid(np.asarray(starts)[keep].tolist(), np.asarray(cell_vals)[keep].tolist())

@@ -188,7 +188,7 @@ def test_criterion_5_theorem4_desk_check():
 
 
 def test_theorem4_desk_check_audits_a_path_that_flips():
-    # Criterion 5's config flips no agent (its x* is near 0), so its audits hold trivially;
+    # Criterion 5's config flips no agent (its x* is 0), so its audits hold trivially;
     # on the narrow three-point game the ru-path runs hundreds of flips per replication.
     cfg = ExperimentConfig(
         game={"step_json": {"base": 0.3, "steps": [[0.35, 0.5], [0.65, 0.7]]}},
@@ -306,8 +306,8 @@ def test_criterion_7_geometry_suite(rng):
 
 
 def test_criterion_8_ru_dominance_limit():
-    # The maximizer sits within half a staircase cell of the deterministic
-    # selection (0), so monotonicity is judged at that resolution.
+    # The exact staircase puts the maximizer on the deterministic selection 0
+    # at every lambda; monotonicity is still judged at one staircase cell.
     max_step = 0.002
     xs_star = []
     for lam in (0.5, 0.1, 0.02):

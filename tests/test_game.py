@@ -9,7 +9,6 @@ from netcoord.game import (
     additive_game,
     best_response_array,
     sample_shocks,
-    uniform_shock_cdf,
 )
 from netcoord.network import LatticeSpec, _count_dtype
 from netcoord.stepfn import StepFn, ru_dominant, ru_objective
@@ -21,21 +20,52 @@ TWO_STEP = StepFn(base=0.2, steps=((0.5, 0.8),))
 # ------------------------------------------------------------ additive_game
 
 
+@pytest.mark.parametrize(
+    "alpha, lam, support, max_step",
+    [
+        (0.6, 0.5, (-0.5, 0.5), 0.002),
+        (0.6, 0.02, (-0.5, 0.5), 0.005),
+        (0.5, 1.0, (-0.5, 0.5), 0.01),  # x0 = 0: the ramp starts at 0
+        (0.5, 1.25, (-0.5, 0.5), 0.01),  # sticks out of [0, 1] at both ends
+        (0.3, 2.0, (-0.1, 0.7), 0.03),  # sticks out on the left only
+        (0.9, 0.7, (-0.2, 0.3), 0.007),  # sticks out on the right only
+        (0.55, 0.3, (-1.0, 2.0), 0.004),
+        (0.4, 0.05, (0.0, 1.0), 0.3),  # n = 4 cells
+        (0.2, 3.0, (-0.5, 0.5), 1.5),  # one cell
+    ],
+)
+def test_additive_staircase_tracks_the_clipped_line(alpha, lam, support, max_step):
+    lo, hi = support
+    x0, w = alpha - lam * hi, lam * (hi - lo)
+    P = additive_game(alpha, lam, max_step, support)
+
+    def affine(x):
+        return np.clip((x - x0) / w, 0.0, 1.0)
+
+    assert np.all(np.diff(P.piece_values) <= max_step + 1e-15)  # the float (j + 1/2) / n gaps exceed 1/n by an ulp
+    knots = P.piece_positions[1:]
+    xs = np.r_[np.linspace(0.0, 1.0, 100_001), knots, np.nextafter(knots, -np.inf)]
+    got = P.eval_array(xs)
+    assert np.max(np.abs(got - affine(xs))) <= max_step / 2 + 1e-12
+    assert np.all(got[xs < x0] == 0.0) and np.all(got[xs >= x0 + w] == 1.0)
+    if x0 > 0.0:  # at x0 = 0 the cell [0, w/n) takes its midpoint value 1/(2n), like every cell
+        assert P.eval(0.0) == 0.0
+
+
 def test_additive_small_lambda_inverse_concentrates_at_alpha():
     alpha = 0.63
-    P = additive_game(alpha, 0.01, uniform_shock_cdf(), max_step=0.02)
+    P = additive_game(alpha, 0.01, max_step=0.02)
     assert np.all(np.abs(P.inverse_array(np.linspace(0.05, 0.95, 19)) - alpha) <= 0.01 + 1e-12)
 
 
 def test_additive_uniform_unit_lambda_is_diagonal():
     # alpha = 1/2, lam = 1, uniform on [-1/2, 1/2]: P(x) = x.
-    P = additive_game(0.5, 1.0, uniform_shock_cdf(), max_step=0.01)
+    P = additive_game(0.5, 1.0, max_step=0.01)
     xs = np.linspace(0.0, 1.0, 401)
     got = P.eval_array(xs)
     assert np.max(np.abs(got - xs)) <= 0.01
     # Monte Carlo empirical CDF agreement.
     shocks = sample_shocks(P, 100_000, seed=11)
-    finite = shocks[np.isfinite(shocks)]
     for x in (0.25, 0.5, 0.75):
         emp = np.mean(shocks <= x)
         assert abs(emp - x) <= 0.01
@@ -43,7 +73,7 @@ def test_additive_uniform_unit_lambda_is_diagonal():
 
 def test_additive_small_lambda_ru_dominant_near_risk_dominant():
     # alpha = 0.6 > 1/2 makes 0 risk dominant; small lambda forces x* -> 0.
-    P = additive_game(0.6, 0.02, uniform_shock_cdf(), max_step=0.005)
+    P = additive_game(0.6, 0.02, max_step=0.005)
     maximizers, strict = ru_dominant(P)
     assert strict
     assert 0.0 <= maximizers[0] <= 0.05
@@ -55,13 +85,34 @@ def test_additive_small_lambda_ru_dominant_near_risk_dominant():
 
 def test_additive_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        additive_game(0.5, 0.0, uniform_shock_cdf(), max_step=0.01)
+        additive_game(0.5, 0.0, max_step=0.01)
+
+
+BAD_ADDITIVE = {
+    "lambda-nan": {"lam": math.nan},
+    "alpha-nan": {"alpha": math.nan},
+    "alpha-1": {"alpha": 1.0},
+    "support-inf": {"support": (-0.5, math.inf)},
+    "support-nan": {"support": (math.nan, 0.5)},
+    "support-empty": {"support": (0.5, 0.5)},
+    "support-overflow": {"support": (-1e308, 1e308)},  # hi - lo overflows to inf
+    "lambda-narrow": {"lam": 1e-15},  # cells narrower than an ulp of x0 cannot keep the gaps within max_step
+    "max_step-nan": {"max_step": math.nan},
+    "max_step-0": {"max_step": 0.0},
+    "max_step-1e-9": {"max_step": 1e-9},  # a billion cells: rejected before anything is allocated
+}
+
+
+@pytest.mark.parametrize("case", BAD_ADDITIVE)
+def test_additive_rejects_bad_inputs_naming_the_key(case):
+    with pytest.raises(ValueError, match=f"^{case.split('-')[0]} must"):
+        additive_game(**{"alpha": 0.5, "lam": 0.3, "max_step": 0.01, **BAD_ADDITIVE[case]})
 
 
 def test_additive_smaller_lambda_crosses_nearer_alpha():
     alpha = 0.6
-    d1 = additive_game(alpha, 0.1, uniform_shock_cdf(), max_step=0.002)
-    d2 = additive_game(alpha, 0.5, uniform_shock_cdf(), max_step=0.002)
+    d1 = additive_game(alpha, 0.1, max_step=0.002)
+    d2 = additive_game(alpha, 0.5, max_step=0.002)
     # Interior diagonal crossing of P (an up-crossing) by scanning.
     def crossing(P):
         xs = np.linspace(0.01, 0.99, 9801)
@@ -75,10 +126,10 @@ def test_additive_smaller_lambda_crosses_nearer_alpha():
 
 def test_additive_provenance_matches_formula_on_grid():
     alpha, lam = 0.55, 0.3
-    cdf = uniform_shock_cdf()
-    P = additive_game(alpha, lam, cdf, max_step=0.004)
+    P = additive_game(alpha, lam, max_step=0.004)
     xs = np.linspace(0.0, 1.0, 1000)
-    want = np.array([1.0 - cdf((alpha - float(x)) / lam) for x in xs])
+    # P(x) = Prob(alpha - lam e <= x) = 1 - F((alpha - x) / lam) for e ~ U[-1/2, 1/2].
+    want = 1.0 - np.clip((alpha - xs) / lam + 0.5, 0.0, 1.0)
     got = P.eval_array(xs)
     assert np.max(np.abs(got - want)) <= 0.004
 

@@ -25,7 +25,7 @@ from netcoord.contagion import build_delta_wave
 from netcoord.cubes import (CubePartition, classify_bad, cube_means, domination_check, extraordinary_cubes,
                             good_set_search)
 from netcoord.dynamics import enumerate_equilibria, largest_equilibrium
-from netcoord.game import sample_shocks
+from netcoord.game import additive_game, sample_shocks
 from netcoord.harness import (
     ExperimentConfig,
     _worker_count,
@@ -273,6 +273,21 @@ def test_build_game_additive():
     xs = np.linspace(0.0, 1.0, 501)
     exact = np.clip((xs - 0.45) / 0.3, 0.0, 1.0)
     assert np.max(np.abs(P.eval_array(xs) - exact)) <= 0.005 + 1e-12
+    wide = build_game({"additive": {"alpha": 0.6, "lambda": 0.3, "support": [-1, 1], "max_step": 0.01}})
+    assert wide == additive_game(0.6, 0.3, 0.01, (-1.0, 1.0)) and wide.eval(0.0) == 0.0 < wide.eval(0.3)
+
+
+@pytest.mark.parametrize("key, value", [("alpha", math.nan), ("lambda", math.nan), ("support", [-0.5, math.inf]),
+                                        ("max_step", math.nan), ("support", [0.5, -0.5])])
+def test_cli_simulate_rejects_a_bad_additive_game(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"  # json writes NaN and Infinity, and reads them back as floats
+    game = {"additive": {"alpha": 0.6, "lambda": 0.3, key: value}}
+    cfg = {"game": game, "network": {"complete": {"n": 50}}, "replications": 1, "seed": 1, "output": str(tmp_path / "out")}
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"netcoord simulate: cannot read {path}: {key} must"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_network_variants(tmp_path):
@@ -393,6 +408,23 @@ def test_probe_theorem1_two_point_game():
     assert out["stable_points"] == [0.1, 0.9]
     assert out["success_frequency"][0.1] >= 0.9
     assert out["success_frequency"][0.9] >= 0.9
+
+
+def test_probe_theorem1_ci95_is_a_wilson_interval(monkeypatch):
+    def fake_run(extremes):  # one record per (largest, smallest) pair
+        records = [{"averages": {"largest": hi, "smallest": lo}} for hi, lo in extremes]
+        return lambda cfg: {"records": records, "fineness": 1 / 49}
+
+    # 0.1 is never found and 0.9 once in four replications.
+    monkeypatch.setattr(netcoord.harness, "run_experiment", fake_run([(0.9, 0.5)] + [(0.5, 0.5)] * 3))
+    ci = probe_theorem1(small_cfg(replications=4))["ci95"]
+    assert ci[0.1][0] == 0.0 and ci[0.1][1] == pytest.approx(0.489900, abs=1e-6)  # p = 0 keeps a width
+    assert ci[0.9] == pytest.approx((0.045586, 0.699364), abs=1e-6)  # p = 1/4, not symmetric about p
+    # Both found in each of three: the Wald interval read [0.9999989, 1] here.
+    monkeypatch.setattr(netcoord.harness, "run_experiment", fake_run([(0.9, 0.1)] * 3))
+    out = probe_theorem1(small_cfg(replications=3))
+    assert out["success_frequency"] == {0.1: 1.0, 0.9: 1.0}
+    assert all(lo == pytest.approx(0.438494, abs=1e-6) and hi == 1.0 for lo, hi in out["ci95"].values())
 
 
 def test_probe_theorem1_rejects_lattice():

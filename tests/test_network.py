@@ -309,10 +309,10 @@ def test_averages_identity_lemma(rng):
 def test_lipschitz_averages_through_staircase(rng):
     # For a staircase of gamma*x + c with gamma < 1, the averaged image
     # contracts up to the staircase slack.
-    from netcoord.stepfn import step_approximate
+    from netcoord.game import additive_game
 
-    gamma, c, slack = 0.8, 0.1, 0.01
-    P = step_approximate(lambda x: gamma * x + c, max_step=slack)
+    slack = 0.01
+    P = additive_game(0.5, 1.25, max_step=slack)  # the staircase of 0.8x + 0.1
     for _ in range(20):
         n = int(rng.integers(3, 10))
         g = random_network(rng, n)

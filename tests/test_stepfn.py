@@ -18,7 +18,6 @@ from netcoord.stepfn import (
     is_strongly_stable,
     ru_dominant,
     ru_objective,
-    step_approximate,
 )
 from conftest import random_stepfn, step_with_pieces
 
@@ -436,39 +435,6 @@ def test_loss_constant_inverse_closed_form():
     for x in np.linspace(0.0, 1.0, 21):
         want = alpha * x - 0.5 * x * x
         assert abs(-ru_objective(P, float(x)) - want) <= 1e-12
-
-
-# -------------------------------------------------------- step_approximate
-
-
-def test_step_approximate_identity_quarters():
-    Q = step_approximate(lambda x: x, max_step=0.25)
-    assert np.allclose(Q.piece_positions, [0.0, 0.25, 0.5, 0.75])
-    assert np.allclose(Q.piece_values, [0.125, 0.375, 0.625, 0.875])
-    xs = np.linspace(0, 1, 1001)
-    assert np.all(np.abs(Q.eval_array(xs) - xs) <= 0.125 + 1e-12)
-
-
-def test_step_approximate_constant():
-    Q = step_approximate(lambda x: 0.3, max_step=0.1)
-    assert Q.piece_values.tolist() == [0.3]
-    assert Q.eval(0.5) == 0.3
-
-
-def test_step_approximate_logistic_dominance():
-    # f + max_step/2 dominates the midpoint staircase, which dominates f - max_step/2.
-    f = lambda x: 1.0 / (1.0 + math.exp(-6.0 * (x - 0.4)))
-    Q = step_approximate(f, max_step=0.05)
-    xs = np.linspace(0.0, 1.0, 100_001)
-    fx = 1.0 / (1.0 + np.exp(-6.0 * (xs - 0.4)))
-    assert np.all(np.abs(Q.eval_array(xs) - fx) <= 0.025 + 1e-12)
-    assert np.any(np.abs(Q.eval_array(xs) - fx) > 0.02)  # the cells are as wide as max_step allows
-    assert np.all(np.diff(Q.piece_values) <= 0.05 + 1e-12)
-
-
-def test_step_approximate_rejects_non_monotone():
-    with pytest.raises(ValueError):
-        step_approximate(lambda x: 1.0 - x, max_step=0.1)
 
 
 # ------------------------------------------------------------ serialization
