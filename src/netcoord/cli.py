@@ -22,9 +22,8 @@ unwritable output path (``cannot write``), each before the work starts.
 times and each ``wave`` halving's outcome to stderr.  The stages are
 ``shocks`` (``lattice-analyze`` only), the cube step's ``largest``,
 ``report`` and ``good set``, and each probe by its name.  The parser
-is built once per process, so a repeated in-process ``wave`` call's
-set-up fell from ~1.09 to ~0.30 ms (perfbench ``setup_s``, 2-CPU
-Linux host).
+is built once per process.  Output into a closed pipe ends the command
+with exit code 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import argparse
 import functools
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -212,10 +212,15 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(asctime)s [%(levelname)s] %(message)s")  # adds a handler once per process
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that block-buffered output meets a closed pipe here too
+        return code
     except _BadInput as e:
         print(f"netcoord {args.command}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: drop the rest, and the flush at exit with it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ F(x|v) falls as v rises).  One call evaluates F at 0, at the other caps
 and at each other coordinate's first Newton pair, from the previous
 iterate plus the last sweep's step; one Python pass sorts those into
 capped, zero and open, and the open ones take bracketed Newton steps
-between vector calls of F and F', each summed by one row-sum call.
+between vector calls of F and F', each summed by one row-sum call.  Where
+the steps shrink by a steady ratio, the iterate jumps over their tail.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -56,6 +57,7 @@ log = logging.getLogger("netcoord")
 # _TOL in max norm, and fails after _MAX_ITER sweeps.
 _TOL = 1e-10
 _MAX_ITER = 100_000
+_JUMP_EPS, _JUMP_MIN, _JUMP_AIM = 0.03, 4.0, 2.0  # solve_wave's jumps over the geometric tail
 
 # build_delta_wave tries delta1 = min(eta, 1 - P(1)) / 2^k, k = 1.._MAX_HALVINGS.
 _MAX_HALVINGS = 20
@@ -131,7 +133,8 @@ class WaveSolution:
     ``residuals[l]`` is the slack of target_{l} - F(v_l | v) for
     l = 1..L (nonnegative up to 1e-9 on valid solutions); ``sweeps`` is
     the number of b* sweeps the solver ran and ``evaluations`` the number
-    of vector evaluations of F it made, the residuals' one included.
+    of vector evaluations of F it made, the residuals' one included, and
+    ``jumps`` and ``rejected_jumps`` count the tail jumps it kept and undid.
     """
 
     steps: np.ndarray
@@ -139,6 +142,8 @@ class WaveSolution:
     residuals: np.ndarray
     sweeps: int
     evaluations: int
+    jumps: int = 0
+    rejected_jumps: int = 0
 
     @property
     def L(self) -> int:
@@ -151,6 +156,7 @@ class WaveSolution:
             "residuals": self.residuals.tolist(),
             "sweeps": self.sweeps,
             "evaluations": self.evaluations,
+            "jumps": {"accepted": self.jumps, "rejected": self.rejected_jumps},
         }
 
 
@@ -244,6 +250,13 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     b_l to 1e-12 by safeguarded Newton steps that start where the last
     step points, v^(n) + (v^(n) - v^(n-1)) (see ``_b_star``); the first
     sweep starts at 0.
+
+    Where three step maxima shrink by one ratio r (to _JUMP_EPS (1 - r)) and
+    s_n = r s_{n-1} (to _JUMP_EPS max s_n), v jumps to _JUMP_AIM E short of
+    the limit v + s_n r / (1 - r), E = 1e-10 / (1 - r), if over _JUMP_MIN E
+    away.  The next sweep keeps a jump to w only if b*(w) >= w (a sub-solution);
+    else v resumes, and the next jump waits twice as long.  Plain sweeps stop
+    r^2 E to r E short of the limit from any start, so the end moves < r 1e-10.
     """
     a = np.asarray(steps, dtype=float)
     q = np.asarray(inv_positions, dtype=float)
@@ -263,20 +276,34 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     da = a[1:] - a[:-1]  # the jumps F(x|v) weighs, once per solve
     v, step = np.zeros(L + 1), np.zeros(L + 1)
     lo = np.zeros(L)
-    evaluations = 1  # the residuals' call
+    evaluations, jumps, rejected = 1, 0, 0  # the residuals' call
+    maxes, back = [], None  # step maxima since the last jump; the (v, lo, step) a jump under test resumes from
     for sweeps in range(1, _MAX_ITER + 1):
-        b, lo, calls = _b_star(v, a[0], da, targets, lo, (v + step)[1:])
+        b, lo_next, calls = _b_star(v, a[0], da, targets, lo, (v + step)[1:])
         evaluations += calls
+        if back is not None and not np.all(b >= v[1:]):  # the jump to v fails its test, b*(v) >= v
+            (v, lo, step), back, rejected = back, None, rejected + 1
+            continue
+        jumps, back = jumps + (back is not None), None
         # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
         new = np.maximum(np.concatenate(([0.0], b)), v)
-        step, v = new - v, new
-        if step.max() < _TOL:  # new >= v
+        prev, step, v, lo = step, new - v, new, lo_next
+        maxes.append(step.max())
+        if maxes[-1] < _TOL:  # new >= v
             break
+        if len(maxes) >= 3 << rejected:  # each rejected jump doubles the wait before the next
+            m2, m1, m = maxes[-3:]
+            r = m / m1  # the limit lies D = m r / (1 - r) away, D > _JUMP_MIN * E when m r > _JUMP_MIN * _TOL
+            if (0.0 < r < 1.0 and abs(r - m1 / m2) <= _JUMP_EPS * (1.0 - r) and m * r > _JUMP_MIN * _TOL
+                    and np.max(np.abs(step - r * prev)) <= _JUMP_EPS * m):
+                back, maxes = (v, lo, step), []
+                v = v + step * ((r - _JUMP_AIM * _TOL / m) / (1.0 - r))  # D (1 - _JUMP_AIM * E / D) along step / m
     else:
         raise WaveConstructionError("wave iteration did not converge")
     residuals = targets - _experienced(v[1:], v, a[0], da)
-    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps, evaluations=evaluations)
+    return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps, evaluations=evaluations,
+                        jumps=jumps, rejected_jumps=rejected)
 
 
 @dataclass(frozen=True)
@@ -431,8 +458,8 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             ok, slack, worst_x = wave.verify_grid(P)
             if not ok:
                 raise WaveConstructionError(f"verification failed at x={worst_x:.6f} (slack {slack:.3e})")
-            msg = "wave halving k=%d delta1=%.6g: verified after %d b* sweeps and %d F evaluations"
-            log.info(msg, k, delta1, sol.sweeps, sol.evaluations)
+            msg = "wave halving k=%d delta1=%.6g: verified after %d b* sweeps (%d jumps, %d rejected) and %d F evaluations"
+            log.info(msg, k, delta1, sol.sweeps, sol.jumps, sol.rejected_jumps, sol.evaluations)
             return wave
         except (ValueError, WaveConstructionError) as e:
             log.info("wave halving k=%d delta1=%.6g: %s", k, delta1, e)

@@ -45,7 +45,8 @@ def additive_game(alpha: float, lam: float, max_step: float, support: tuple[floa
     w = lam * (hi - lo).  The ramp is cut into n = ceil(1 / max_step) cells
     of width w / n, cell j taking (j + 1/2) / n: value gaps are at most
     max_step, P lies within max_step / 2 of the line, and P is exactly 0
-    left of x0 and 1 right of x0 + w.  The staircase is cut to [0, 1].
+    left of x0 and 1 right of x0 + w (at x0 = 0 the first cell takes 0
+    below its middle, so P(0) = 0).  The staircase is cut to [0, 1].
     """
     lo, hi = support
     for name, v in (("alpha", alpha), ("lambda", lam), ("support", lo), ("support", hi), ("max_step", max_step)):
@@ -65,6 +66,8 @@ def additive_game(alpha: float, lam: float, max_step: float, support: tuple[floa
     if not np.all(np.diff(knots) > 0.0):
         raise ValueError(f"lambda must give cells that do not round together, got a ramp of width {w} in {n} cells")
     values = np.append((np.arange(n) + 0.5) / n, 1.0)
+    if x0 == 0.0:
+        knots, values = np.insert(knots, 1, w / (2 * n)), np.insert(values, 0, 0.0)
     base = np.append(0.0, values)[np.searchsorted(knots, 0.0, side="right")]
     keep = (knots > 0.0) & (knots <= 1.0)
     return StepFn(base, tuple(zip(knots[keep].tolist(), values[keep].tolist())))

@@ -43,7 +43,12 @@ def test_every_panel_wave_passes_the_benchmark_check(tmp_path, workloads):
         assert wave.run_batch(batch).errors == []
         docs[batch.meta["game"]] = json.loads(batch.out.read_text())
     docs = [docs[g] for g in range(len(wave.panel))]
-    assert [doc["sweeps"] for doc in docs] == [94, 915, 830, 825]
-    assert [doc["evaluations"] for doc in docs] == [331, 2135, 2061, 2061]
+    assert [doc["sweeps"] for doc in docs] == [73, 151, 200, 195]
+    assert [doc["evaluations"] for doc in docs] == [280, 482, 679, 661]
+    assert [doc["jumps"] for doc in docs] == [{"accepted": n, "rejected": 0} for n in (2, 6, 6, 6)]
     digest = hashlib.sha256(b"".join(np.array(doc["thresholds"]).tobytes() for doc in docs)).hexdigest()
-    assert digest == "a712bab83d1c44b2a9dbc2e07230819ce40f83022be71576aa6ffd58c5b5f388"
+    assert digest == "155bf6bee6b6dd1d996555ee11b79449af8141ac9fadb0f531780021f39f3b4a"
+    # The jumps land in the plain iteration's stopping window, which is
+    # under 1e-10 wide, so the thresholds stay that close to the record.
+    for doc, game in zip(docs, wave.panel):
+        assert np.max(np.abs(np.array(doc["thresholds"]) - game["thresholds"])) <= 1e-10

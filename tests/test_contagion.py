@@ -356,7 +356,7 @@ def test_solve_wave_panel_game_matches_bisection_oracle(monkeypatch):
     vals, pos = panel_wave_inputs(monkeypatch)
     sol = solve_wave(steps=vals, inv_positions=pos)
     want, sweeps = bisection_solve_wave(vals, pos)
-    assert (sol.L, sol.sweeps, sweeps) == (44, 94, 94)
+    assert (sol.L, sweeps) == (44, 94) and sol.sweeps < sweeps  # the jumps skip the geometric tail
     assert np.max(np.abs(sol.thresholds - want)) <= 1e-10
     assert np.all(sol.residuals >= -1e-9)
 
@@ -379,17 +379,19 @@ def _assert_sweep_exact(v, a, targets, b, lo_prev):
 
 
 def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
-    # solve_wave's own iteration, warm brackets and extrapolated starts
+    # solve_wave's plain iteration, warm brackets and extrapolated starts
     # included, checked sweep by sweep against the first-crossing guarantee
     # of plain bisection, and bit for bit against the sweep that evaluates F
-    # at every cap from the same start.  The L = 177 wave runs its first 40
-    # sweeps only; they take many rows through the Newton loop at once.
+    # at every cap from the same start; solve_wave itself, whose jumps skip
+    # the geometric tail, ends within 1e-10 of it.  The L = 177 wave runs its
+    # first 40 sweeps only; they take many rows through the Newton loop at once.
     inputs = [(*panel_wave_inputs(monkeypatch), None), (*panel_wave_inputs(monkeypatch, eta=0.04), 40)]
     while len(inputs) < 12:
         out = random_admissible_wave_inputs(rng)
         if out is not None:
             inputs.append((*out, None))
     assert inputs[1][0].size == 177 + 2
+    jumped = 0
     for a, q, limit in inputs:
         targets = q[2:]
         v, lo, step = np.zeros(a.size - 1), np.zeros(a.size - 2), np.zeros(a.size - 1)
@@ -410,8 +412,62 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
             assert sweeps == limit and newton_rows >= 50 * limit
             continue
         sol = solve_wave(steps=a, inv_positions=q)
-        assert sol.sweeps == sweeps
-        assert np.array_equal(sol.thresholds, v)
+        if sol.jumps + sol.rejected_jumps == 0:  # no jump tried: the plain iteration, bit for bit
+            assert sol.sweeps == sweeps and np.array_equal(sol.thresholds, v)
+        else:
+            assert sol.sweeps < sweeps
+        assert np.max(np.abs(sol.thresholds - v)) <= 1e-10
+        jumped += sol.jumps
+    assert jumped > 0  # the L = 44 panel wave's tail
+
+
+def criterion_6iii_games(seed, count):
+    """The first count strictly dominant games of criterion 6(iii)'s generator; seed 1 starts with the
+    benchmark's four panel games."""
+    rng, games = np.random.default_rng(seed), []
+    while len(games) < count:
+        k = int(rng.integers(1, 4))
+        pos, vals = np.sort(rng.uniform(0.1, 0.9, size=k)), np.sort(rng.uniform(0.02, 0.25, size=k + 1))
+        P = StepFn.from_grid([0.0] + pos.tolist(), vals.tolist())
+        if ru_dominant(P)[1]:
+            games.append(P)
+    return games
+
+
+def test_tail_jumps_keep_criterion_6iii_waves(monkeypatch):
+    # Each wave against the plain iteration (no jump fires at _JUMP_MIN = inf): the same L, a
+    # verified wave, thresholds within 5e-10, fewer sweeps in all, and a last sweep that moved less than _TOL.
+    games = criterion_6iii_games(1, 10)
+    sweeps, rejected = [0, 0], 0
+    for P, eta in [(P, 0.15) for P in games] + [(P, 0.04) for P in games[4:6]]:
+        starts, b_star = [], contagion._b_star
+        with monkeypatch.context() as spy:
+            spy.setattr(contagion, "_b_star", lambda v, *rest: starts.append(v) or b_star(v, *rest))
+            wave = build_delta_wave(P, eta)
+        with monkeypatch.context() as plain_only:
+            plain_only.setattr(contagion, "_JUMP_MIN", math.inf)
+            plain = build_delta_wave(P, eta)
+        v = wave.wave.thresholds
+        assert wave.L == plain.L
+        assert wave.verify_grid(P)[0]
+        assert np.max(np.abs(v - plain.wave.thresholds)) <= 5e-10
+        assert 0.0 <= np.max(v - starts[-1]) < contagion._TOL
+        sweeps[0] += wave.wave.sweeps
+        sweeps[1] += plain.wave.sweeps
+        rejected += wave.wave.rejected_jumps
+    assert sweeps[0] < sweeps[1] / 3 and rejected > 0
+
+
+def test_a_rejected_jump_resumes_the_plain_iteration(monkeypatch):
+    # Aimed 2 E past the estimated limit, a jump that overshoots some coordinate fails b*(w) >= w; the solver
+    # takes it back, and the wave still ends in the plain iteration's stopping window.
+    a, q = panel_wave_inputs(monkeypatch)
+    plain = bisection_solve_wave(a, q)[0]
+    monkeypatch.setattr(contagion, "_JUMP_AIM", -2.0)
+    sol = solve_wave(steps=a, inv_positions=q)
+    assert sol.rejected_jumps > 0
+    assert np.max(np.abs(sol.thresholds - plain)) <= 1e-10
+    assert np.all(sol.residuals >= -1e-9)
 
 
 def test_sweep_bisects_where_the_slope_is_zero():

@@ -32,6 +32,8 @@ TWO_STEP = StepFn(base=0.2, steps=((0.5, 0.8),))
         (0.55, 0.3, (-1.0, 2.0), 0.004),
         (0.4, 0.05, (0.0, 1.0), 0.3),  # n = 4 cells
         (0.2, 3.0, (-0.5, 0.5), 1.5),  # one cell
+        (0.9, 1.8, (-0.5, 0.5), 0.02),  # x0 = 0, sticks out on the right
+        (0.75, 1.5, (-2.0, 0.5), 1.5),  # x0 = 0, one cell whose middle lies past 1
     ],
 )
 def test_additive_staircase_tracks_the_clipped_line(alpha, lam, support, max_step):
@@ -48,7 +50,7 @@ def test_additive_staircase_tracks_the_clipped_line(alpha, lam, support, max_ste
     got = P.eval_array(xs)
     assert np.max(np.abs(got - affine(xs))) <= max_step / 2 + 1e-12
     assert np.all(got[xs < x0] == 0.0) and np.all(got[xs >= x0 + w] == 1.0)
-    if x0 > 0.0:  # at x0 = 0 the cell [0, w/n) takes its midpoint value 1/(2n), like every cell
+    if x0 >= 0.0:  # no DOMINANT_1 atom, also where the ramp starts at 0
         assert P.eval(0.0) == 0.0
 
 

@@ -585,7 +585,8 @@ def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
     doc = json.loads(loud.read_text())
     assert [r.getMessage() for r in caplog.records if r.name == "netcoord"] == [
         "wave halving k=1 delta1=0.075: staircase squeeze ran out of room near 0",
-        f"wave halving k=2 delta1=0.0375: verified after {doc['sweeps']} b* sweeps and {doc['evaluations']} F evaluations",
+        f"wave halving k=2 delta1=0.0375: verified after {doc['sweeps']} b* sweeps ({doc['jumps']['accepted']} jumps, "
+        f"{doc['jumps']['rejected']} rejected) and {doc['evaluations']} F evaluations",
     ]
 
 
@@ -659,6 +660,25 @@ def test_cli_parser_survives_an_exit(fresh_cli, capsys, argv, code):
         assert "invalid choice: 'no-such-command'" in err
     assert cli_main(["ru-dominant", game]) == 0
     assert capsys.readouterr().out == ru_text
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_wave_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, unbuffered):
+    # Unbuffered, the first print meets the closed pipe; block-buffered, main's flush does.  Both used to end in a
+    # BrokenPipeError traceback (exit 1) or an "Exception ignored" line at the exit's flush (exit 120).
+    game = write_game(tmp_path, {"base": 0.1, "steps": []})
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "netcoord.cli", "wave", game, "--eta", "0.15"], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_wave_checks_its_output_directory_before_building(tmp_path, capsys, monkeypatch):
