@@ -11,11 +11,10 @@ Subcommands:
   on a lattice experiment;
 * ``enumerate <config.json>``: equilibrium averages, both tie rules (n <= 20).
 
-Game files hold either a bare step function {"base": v, "steps": [...]}
-or a wrapped {"P": ..., "provenance": ...} document.  All numbers print
-with 12 significant digits.  A game or config file that cannot be read
-or parsed, or whose game or network cannot be built, ends the command
-with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
+Game files hold a step function {"base": v, "steps": [...]}.  All
+numbers print with 12 significant digits.  A game or config file that
+cannot be read or parsed, or whose game or network cannot be built, ends
+the command with one ``netcoord <cmd>: cannot read`` line on stderr and exit code 2;
 so do a bad ``SIM_WORKERS`` for ``simulate`` or ``enumerate`` and an
 unwritable output path (``cannot write``), each before the work starts.
 ``-v`` logs each ``simulate`` and ``lattice-analyze`` replication's stage
@@ -66,8 +65,6 @@ def _check_run(path, cfg) -> None:
     g = _load(cfg.network.get("file", path), build_network, cfg.network)  # a check: each worker builds its own
     if "ru-path" in cfg.probes and not ru_dominant(P)[1]:
         raise _BadInput(f"cannot read {path}: the ru-path probe needs a strictly dominant maximizer")
-    if cfg.cubes is not None and "lattice" not in cfg.network:
-        raise _BadInput(f"cannot read {path}: a cubes section needs a lattice network")
     if "enumerate" in cfg.probes and g.n > 20:
         raise _BadInput(f"cannot read {path}: enumerate needs a network of at most 20 nodes, got {g.n}")
     try:
@@ -140,7 +137,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_lattice_analyze(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
-    if "lattice" not in cfg.network or not cfg.cubes:
+    if cfg.cubes is None:  # the config rejects a cubes section on any other network
         raise _BadInput(f"cannot read {args.config}: lattice-analyze needs a lattice network and a cubes section")
     P = _load(cfg.game.get("file", args.config), build_game, cfg.game)
     g = _load(args.config, build_network, cfg.network)

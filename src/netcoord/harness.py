@@ -3,11 +3,14 @@
 An experiment is a single JSON document: the game (inline step function,
 or additive parameters, which ``additive_game`` turns into the exact
 staircase of a clipped line), the network generator, a replication count, a
-64-bit seed, a tolerance eta, and the probe list.  Replications are
-embarrassingly parallel: replication r draws its thresholds from the Philox
-stream (seed, r), so output is byte-identical no matter how many worker
-processes run (``SIM_WORKERS`` environment variable; the config file
-stays the whole truth about the experiment).
+64-bit seed, a tolerance eta, and the probe list.  ``_SECTIONS`` holds
+each section's keys, number types and defaults; ``ExperimentConfig``
+reads every section against it once, at construction, and nothing else
+parses a section.  Replications are embarrassingly parallel: replication
+r draws its thresholds from the Philox stream (seed, r), so output is
+byte-identical no matter how many worker processes run (``SIM_WORKERS``
+environment variable, capped at the usable CPUs; the config file stays
+the whole truth about the experiment).
 
 Outputs per run: ``replications.jsonl`` (one record per replication),
 ``aggregate.csv`` (one row per replication), and ``plot.csv``
@@ -16,7 +19,7 @@ written with 12 significant digits.
 
 ``run_replication`` is the one place where a replication's thresholds
 become evidence: ``simulate``, the probes and ``lattice-analyze`` all
-call it.  With a ``cubes`` section on a lattice it first runs the cube
+call it.  With a ``cubes`` section (lattices only) it first runs the cube
 step: the largest equilibrium (whose profile the extremal probes reuse),
 the cube report, and, after the probes, the good-set search on the
 report's flags; the record gains ``bad_cubes`` and ``good_set``.  Each
@@ -33,6 +36,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -85,13 +89,17 @@ __all__ = [
 log = logging.getLogger("netcoord")
 
 _ALL_PROBES = ("extremal", "enumerate", "seeded-local", "ru-path")
-_CUBE_KEYS = ("b", "B", "gamma", "R", "rho")
-# A kind with a key tuple takes an object holding only those keys; step_json takes a document, file a path.
-_KINDS = {
-    "game": {"step_json": None, "additive": ("alpha", "lambda", "support", "max_step"), "file": None},
-    "network": {"complete": ("n",), "copies": ("n", "k"), "lattice": ("M", "m"), "file": None},
+# Every config section's keys: a key table maps each key to its number type (a tuple: a list of such numbers) and
+# default (``...``: required).  A file kind takes a path; step_json's document is checked when the game is built.
+_SECTIONS = {
+    "game": {"step_json": None,
+             "additive": {"alpha": (float, ...), "lambda": (float, ...), "support": ((float, float), (-0.5, 0.5)),
+                          "max_step": (float, 0.005)}, "file": str},
+    "network": {"complete": {"n": (int, ...)}, "copies": {"n": (int, ...), "k": (int, ...)},
+                "lattice": {"M": (int, ...), "m": (int, ...)}, "file": str},
+    "cubes": {"b": (int, ...), "B": (int, ...), "gamma": (float, None), "R": (float, 2.0), "rho": (float, None)},
 }
-# ExperimentConfig.from_dict reads these fields as numbers of this type and takes the others as given.
+# ExperimentConfig reads these fields as numbers of this type and checks the others' types.
 _NUMBERS = {"replications": int, "seed": int, "eta": float, "stability_gamma": float, "stability_radius": float}
 
 
@@ -111,37 +119,50 @@ def _fmt(x: float) -> str:
 
 
 def _number(name: str, v, kind=float):
-    """v as kind; a bool, a non-number, or a non-integral value for an int, is a ValueError."""
-    wrong_type = isinstance(v, bool) or not isinstance(v, (int, float))
-    if wrong_type or (kind is int and isinstance(v, float) and not v.is_integer()):
+    """v as kind (as given for None; a list of numbers for a tuple of kinds); a bool, a non-number (numpy scalars
+    are numbers), or a non-integral value for an int, is a ValueError."""
+    if kind is None:
+        return v
+    if isinstance(kind, tuple):
+        if not (isinstance(v, (list, tuple)) and len(v) == len(kind)):
+            raise ValueError(f"{name} must be a list of {len(kind)} numbers, got {v!r}")
+        return tuple(_number(name, x, k) for x, k in zip(v, kind))
+    wrong_type = isinstance(v, bool) or not isinstance(v, (int, float, numbers.Real))  # int, float first: ABCs are slow
+    if wrong_type or (kind is int and not isinstance(v, (int, numbers.Integral)) and not float(v).is_integer()):
         raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {v!r}")
     return kind(v)
 
 
-def _param(spec: dict, section: str, key: str, kind=float, default=None):
-    """spec[section][key] as a number of kind; default (if any) when the key is missing."""
-    params = spec[section]
-    if not isinstance(params, dict) or (default is None and key not in params):
-        raise ValueError(f"{section} must be an object with the key {key!r}, got {params!r}")
-    return _number(f"{section}.{key}", params.get(key, default), kind)
+def _read(where: str, params, keys: dict) -> dict:
+    """params checked against the key table keys: each key's value as its type, or the key's default."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(params).__name__}")
+    unknown = sorted(params.keys() - keys.keys())
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    missing = [key for key, (_, default) in keys.items() if default is ... and key not in params]
+    if missing:
+        raise ValueError(f"{where} needs the keys: {missing}")
+    return {key: _number(f"{where}.{key}", params[key], kind) if key in params else default
+            for key, (kind, default) in keys.items()}
 
 
-def _kind(section: str, spec) -> str:
-    """The one kind that the config section spec names, checked against its entry in ``_KINDS``."""
-    kinds = _KINDS[section]
+def _kind(section: str, spec) -> tuple[str, object]:
+    """The one kind that the config section spec names, and its parameters read against ``_SECTIONS``."""
+    kinds = _SECTIONS[section]
     if not (isinstance(spec, dict) and len(spec) == 1 and set(spec) <= kinds.keys()):
         raise ValueError(f"{section} must be an object naming exactly one of: {', '.join(kinds)}")
     ((kind, params),) = spec.items()
-    if kind == "file" and not isinstance(params, str):
-        raise ValueError(f"{section}.file must be a path, got {params!r}")
-    unknown = sorted(set(params) - set(kinds[kind])) if kinds[kind] and isinstance(params, dict) else ()
-    if unknown:  # a params that is not an object is reported by _param
-        raise ValueError(f"unknown {section}.{kind} keys: {unknown}")
-    return kind
+    if kinds[kind] is str and not isinstance(params, str):
+        raise ValueError(f"{section}.{kind} must be a path, got {params!r}")
+    return kind, _read(f"{section}.{kind}", params, kinds[kind]) if isinstance(kinds[kind], dict) else params
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked and typed at construction, whether by ``from_dict``, ``replace`` or the constructor.
+    ``cube_params`` holds the cubes section as read there: (partition, gamma, R, rho), or None without one."""
+
     game: dict
     network: dict
     replications: int = 1
@@ -154,8 +175,16 @@ class ExperimentConfig:
     cubes: dict | None = None
 
     def __post_init__(self):
+        for k, kind in _NUMBERS.items():
+            if not (k == "stability_radius" and self.stability_radius is None):
+                object.__setattr__(self, k, _number(k, getattr(self, k), kind))
+        if not (isinstance(self.probes, (list, tuple)) and all(isinstance(p, str) for p in self.probes)):
+            raise ValueError(f"probes must be a list of names, got {self.probes!r}")
+        object.__setattr__(self, "probes", tuple(self.probes))
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ValueError(f"output must be a path, got {self.output!r}")
         _kind("game", self.game)
-        _kind("network", self.network)
+        network, params = _kind("network", self.network)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not (0.0 < self.eta <= 0.5):
@@ -169,11 +198,10 @@ class ExperimentConfig:
             raise ValueError("stability_gamma must lie in [0, 1)")
         if self.stability_radius is not None and not self.stability_radius > 0.0:
             raise ValueError("stability_radius must be positive")
+        cube_params = None
         if self.cubes is not None:
-            b, B, gamma, R, rho = _cube_numbers(self)
-            unknown = sorted(set(self.cubes) - set(_CUBE_KEYS))
-            if unknown:
-                raise ValueError(f"unknown cubes keys: {unknown}")
+            b, B, gamma, R, rho = _read("cubes", self.cubes, _SECTIONS["cubes"]).values()
+            gamma = self.eta if gamma is None else gamma
             if min(b, B) < 1:
                 raise ValueError(f"cubes.b and cubes.B must be positive, got {b} and {B}")
             for key, v in (("R", R), ("rho", rho)):
@@ -181,8 +209,11 @@ class ExperimentConfig:
                     raise ValueError(f"cubes.{key} must be finite and nonnegative, got {v}")
             if not 0.0 < gamma < 1.0:  # at gamma >= 1 no cube is gamma-bad
                 raise ValueError(f"cubes.gamma must lie in (0, 1), got {gamma}")
-            if "lattice" in self.network:
-                _cube_params(self)  # the partition checks b | B | M
+            if network != "lattice":  # the cube step runs on lattices only
+                raise ValueError("a cubes section needs a lattice network")
+            part = CubePartition(LatticeSpec(**params), b, B)  # the partition checks b | B | M
+            cube_params = (part, gamma, R, b / part.m if rho is None else rho)
+        object.__setattr__(self, "cube_params", cube_params)
 
     @property
     def effective_stability_radius(self) -> float:
@@ -191,25 +222,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise ValueError(f"config needs the keys: {missing}")
-        kw = dict(doc)
-        for k in _NUMBERS.keys() & kw.keys():
-            if not (k == "stability_radius" and kw[k] is None):
-                kw[k] = _number(k, kw[k], _NUMBERS[k])
-        if "probes" in kw:
-            if not (isinstance(kw["probes"], (list, tuple)) and all(isinstance(p, str) for p in kw["probes"])):
-                raise ValueError(f"probes must be a list of names, got {kw['probes']!r}")
-            kw["probes"] = tuple(kw["probes"])
-        if not (kw.get("output") is None or isinstance(kw["output"], str)):
-            raise ValueError(f"output must be a path, got {kw['output']!r}")
-        return cls(**kw)
+        """The config the JSON object doc describes: its keys are the fields, and an absent one takes its default."""
+        keys = {f.name: (None, ... if f.default is MISSING else f.default) for f in fields(cls)}
+        return cls(**_read("config", doc, keys))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -224,59 +239,27 @@ class ReplicationResult:
     cubes: tuple[CubeReport, GoodSet | None] | None  # the cube step's report and good set; never serialized
 
 
-def _dist_from_doc(doc: dict) -> StepFn:
-    """P from a wrapped {"P": ..., "provenance": ...} document or a bare step function."""
-    return StepFn.from_json_dict(doc["P"] if isinstance(doc, dict) and "P" in doc else doc)
-
-
 def build_game(spec: dict) -> StepFn:
     """Game source: inline step function, additive parameters, or file."""
-    kind = _kind("game", spec)
-    if kind == "step_json":
-        return _dist_from_doc(spec["step_json"])
+    kind, params = _kind("game", spec)
     if kind == "additive":
-        alpha, lam = _param(spec, "additive", "alpha"), _param(spec, "additive", "lambda")
-        support = spec["additive"].get("support", (-0.5, 0.5))
-        if not (isinstance(support, (list, tuple)) and len(support) == 2):
-            raise ValueError(f"additive.support must be a pair [lo, hi], got {support!r}")
-        max_step = _param(spec, "additive", "max_step", default=0.005)
-        return additive_game(alpha, lam, max_step, tuple(_number("additive.support", v) for v in support))
-    return _dist_from_doc(json.loads(Path(spec["file"]).read_text()))
-
-
-def _lattice_spec(spec: dict) -> LatticeSpec:
-    return LatticeSpec(M=_param(spec, "lattice", "M", int), m=_param(spec, "lattice", "m", int))
+        return additive_game(params["alpha"], params["lambda"], params["max_step"], params["support"])
+    return StepFn.from_json_dict(json.loads(Path(params).read_text()) if kind == "file" else params)
 
 
 def build_network(spec: dict) -> Network:
-    kind = _kind("network", spec)
-    if kind == "complete":
-        return complete_graph(_param(spec, "complete", "n", int))
-    if kind == "copies":
-        return disjoint_copies(complete_graph(_param(spec, "copies", "n", int)), _param(spec, "copies", "k", int))
+    kind, params = _kind("network", spec)
     if kind == "lattice":
-        return lattice(_lattice_spec(spec))
-    return load_edgelist(spec["file"])
+        return lattice(LatticeSpec(**params))
+    if kind == "file":
+        return load_edgelist(params)
+    g = complete_graph(params["n"])
+    return disjoint_copies(g, params["k"]) if kind == "copies" else g
 
 
 def stable_fixed_points(P: StepFn, gamma: float, radius: float) -> list[float]:
     """Fixed points passing the strong-stability test at (gamma, radius)."""
     return [f.x for f in fixed_points(P) if is_strongly_stable(P, f.x, gamma=gamma, radius=radius)]
-
-
-def _cube_numbers(cfg: ExperimentConfig) -> tuple[int, int, float, float, float | None]:
-    """cubes' b and B, gamma (default eta), R (default 2.0) and rho (None when unset)."""
-    spec = {"cubes": cfg.cubes}
-    b, B = (_param(spec, "cubes", key, int) for key in ("b", "B"))
-    gamma, R = _param(spec, "cubes", "gamma", default=cfg.eta), _param(spec, "cubes", "R", default=2.0)
-    return b, B, gamma, R, _param(spec, "cubes", "rho") if "rho" in cfg.cubes else None
-
-
-def _cube_params(cfg: ExperimentConfig) -> tuple[CubePartition, float, float, float]:
-    """Cube partition of the lattice, gamma, R and rho (default b/m)."""
-    b, B, gamma, R, rho = _cube_numbers(cfg)
-    part = CubePartition(_lattice_spec(cfg.network), b, B)
-    return part, gamma, R, b / part.m if rho is None else rho
 
 
 def _mix_seed(seed: int, rep: int) -> int:
@@ -301,8 +284,8 @@ def run_replication(
     unweighted: dict = {}
     largest = report = cubes = None
 
-    if cfg.cubes is not None and "lattice" in cfg.network:
-        part, gamma, R, _ = _cube_params(cfg)
+    if cfg.cube_params is not None:
+        part, gamma, R, _ = cfg.cube_params
         largest, beta = largest_equilibrium(g, t)
         marks.append(("largest", time.perf_counter()))
         report = cube_report(part, t, P, largest, beta, gamma)
@@ -396,6 +379,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     replication's ``ReplicationResult.cubes``.
     """
     workers = min(_worker_count(), cfg.replications)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if workers > cpus:  # a fork pool starts every worker at once
+        log.warning("%d worker processes capped at the %d usable CPUs", workers, cpus)
+        workers = cpus
     reps = list(range(cfg.replications))
     t0 = time.perf_counter()
     chunks = [(cfg, reps[w::workers]) for w in range(workers)]
@@ -534,16 +521,17 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     nodes, the delta-wave construction outcome, and good-set/domination
     results when cube parameters are configured.
     """
-    if "lattice" not in cfg.network:
+    kind, params = _kind("network", cfg.network)
+    if kind != "lattice":
         raise ValueError("probe_theorem3 needs a lattice network")
-    M = _lattice_spec(cfg.network).M
+    M = params["M"]
     P = build_game(cfg.game)
     maximizers, strict = ru_dominant(P)
     x_star = maximizers[0] if strict else None
 
     lat_cfg = replace(cfg, probes=("extremal",), output=None)
     lat_out = run_experiment(lat_cfg)
-    comp_out = run_experiment(replace(lat_cfg, network={"complete": {"n": M * M}}))
+    comp_out = run_experiment(replace(lat_cfg, network={"complete": {"n": M * M}}, cubes=None))
     lat_large = [r["averages"]["largest"] for r in lat_out["records"]]
     comp_large = [r["averages"]["largest"] for r in comp_out["records"]]
     lat_small = [r["averages"]["smallest"] for r in lat_out["records"]]
@@ -562,7 +550,7 @@ def probe_theorem3(cfg: ExperimentConfig) -> dict:
     good_sets = [(report.a_c, found.W) for report, found in lat_out["cubes"] if found is not None] if cfg.cubes else []
     dominated = 0
     if wave is not None and good_sets:
-        part, _, R, rho = _cube_params(cfg)
+        part, _, R, rho = cfg.cube_params
         dominated = sum(domination_check(part, a_c, wave, W, R, rho)[0] for a_c, W in good_sets)
     return {
         "x_star": x_star,

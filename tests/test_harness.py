@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import hashlib
 import importlib
 import json
@@ -44,6 +45,7 @@ from conftest import save_edgelist
 
 TWO_POINT_GAME = {"base": 0.1, "steps": [[0.5, 0.9]]}
 THREE_POINT_GAME = {"base": 0.1, "steps": [[0.25, 0.5], [0.75, 0.9]]}
+CUBE_LATTICE = {"lattice": {"M": 6, "m": 2}}  # takes the cubes {"b": 3, "B": 6}
 
 
 def small_cfg(**kw):
@@ -135,8 +137,48 @@ def test_config_rejects_bad_stability_parameters(kw):
 )
 def test_config_rejects_bad_cubes(cubes, match):
     with pytest.raises(ValueError, match=match):
-        small_cfg(cubes=cubes)
-    small_cfg(cubes={"b": 3, "B": 6, "gamma": 0.2, "R": 0.0, "rho": 1.5})
+        small_cfg(network=CUBE_LATTICE, cubes=cubes)
+    small_cfg(network=CUBE_LATTICE, cubes={"b": 3, "B": 6, "gamma": 0.2, "R": 0.0, "rho": 1.5})
+
+
+@pytest.mark.parametrize("network", [{"complete": {"n": 36}}, {"copies": {"n": 6, "k": 6}}])
+def test_config_rejects_a_cubes_section_off_a_lattice(network):
+    # The cube step runs on lattices only; elsewhere the section would silently do nothing.
+    with pytest.raises(ValueError, match="a cubes section needs a lattice network"):
+        small_cfg(network=network, cubes={"b": 3, "B": 6})
+    with pytest.raises(ValueError, match="a cubes section needs a lattice network"):
+        replace(small_cfg(network=CUBE_LATTICE, cubes={"b": 3, "B": 6}), network=network)
+
+
+@pytest.mark.parametrize(
+    "section, spec, match",
+    [
+        ("network", {"lattice": {"M": "x", "m": 2}}, "network.lattice.M must be an integer, got 'x'"),
+        ("network", {"lattice": {"M": 6}}, r"network.lattice needs the keys: \['m'\]"),
+        ("network", {"copies": {"n": 6, "k": 2.5}}, "network.copies.k must be an integer, got 2.5"),
+        ("game", {"additive": {"alpha": True, "lambda": 0.3}}, "game.additive.alpha must be a number, got True"),
+        ("game", {"additive": {"alpha": 0.6, "lambda": 0.3, "support": [0, "1"]}}, "game.additive.support must be a"),
+        ("game", {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}, "game.additive.support must be a list"),
+    ],
+    ids=["lattice-M", "lattice-missing-m", "copies-k", "additive-alpha", "additive-support-item", "additive-support"],
+)
+def test_config_reads_section_numbers_at_construction(section, spec, match):
+    with pytest.raises(ValueError, match=match):
+        small_cfg(**{section: spec})
+
+
+def test_config_types_every_field_at_construction():
+    # The constructor, replace and from_dict check the same things.
+    with pytest.raises(ValueError, match="replications must be an integer, got 2.5"):
+        small_cfg(replications=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got '7'"):
+        small_cfg(seed="7")
+    for key, value in (("replications", True), ("seed", np.bool_(True)), ("eta", "0.1"), ("probes", 5), ("output", 5)):
+        with pytest.raises(ValueError, match=key):
+            replace(small_cfg(), **{key: value})
+    cfg = small_cfg(replications=3.0, seed=np.uint64(7), eta=np.float32(0.25), probes=["extremal"])
+    assert (cfg.replications, cfg.seed, cfg.eta, cfg.probes) == (3, 7, 0.25, ("extremal",))
+    assert (type(cfg.replications), type(cfg.seed), type(cfg.eta)) == (int, int, float)
 
 
 @pytest.mark.parametrize("key", ["game", "network"])
@@ -173,7 +215,9 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     changes = [{"game": 5}, {"network": [1]}, {"cubes": 5}, {"cubes": {"B": 6}}, {"cubes": {"b": 5, "B": 6}}]
     changes += [{"network": {"lattice": {"M": 6}}}, {"network": {"complete": {"n": 1}}}]
     changes += [{"network": {"lattice": {"M": 6, "m": 3}}}]  # M < 3m
-    changes += [{"network": {"file": str(f)}} for f in (tmp_path / "missing.edges", empty, far)]
+    # A file network with the base's cubes section is rejected before the file is read.
+    changes += [{"network": {"file": str(f)}, **cubes} for f in (tmp_path / "missing.edges", empty, far)
+                for cubes in ({}, {"cubes": None})]
     changes += [{"game": {"additive": {}}}, {"game": {"additive": 5}}, {"game": {"step_json": {"steps": []}}}]
     changes += [{"game": {"additive": {"alpha": 0.6, "lambda": 0.3, "support": 5}}}, {"network": {"file": 5}}]
     changes += [{"cubes": {"b": 3, "B": 6, key: value}} for key, value in
@@ -193,8 +237,9 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
         assert cli_main([command, str(path)]) == 2, change
         err = capsys.readouterr().err.strip().splitlines()
         net = change.get("network")
-        # lattice-analyze rejects a file network before it reads the file.
+        # lattice-analyze rejects a file network before it reads the file, and so does a cubes section.
         read_first = isinstance(net, dict) and isinstance(net.get("file"), str) and command != "lattice-analyze"
+        read_first = read_first and change.get("cubes", base["cubes"]) is None
         where = net["file"] if read_first else typo if change == {"game": {"file": str(typo)}} else path
         assert len(err) == 1 and err[0].startswith(f"netcoord {command}: cannot read {where}: "), err
     assert not (tmp_path / "out").exists()
@@ -206,7 +251,7 @@ def test_cli_rejects_malformed_config_sections(tmp_path, capsys, command):
     + [("cubes", {"b": 3, "B": 6, key: value}) for key, value in (("R", [1]), ("R", "2"), ("gamma", True), ("rho", "x"))],
 )
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, key, value):
-    doc = {**asdict(small_cfg(output=str(tmp_path / "out"))), key: value}
+    doc = {**asdict(small_cfg(network=CUBE_LATTICE, output=str(tmp_path / "out"))), key: value}
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_dict(doc)
     path = tmp_path / "cfg.json"
@@ -258,13 +303,15 @@ def test_build_game_inline_and_file(tmp_path):
     assert P2.eval(0.2) == 0.1
 
 
-def test_build_game_reads_wrapped_and_bare_files_alike(tmp_path):
-    bare, wrapped = tmp_path / "bare.json", tmp_path / "wrapped.json"
-    bare.write_text(json.dumps(TWO_POINT_GAME))
-    wrapped.write_text(json.dumps({"P": TWO_POINT_GAME, "provenance": {"kind": "direct"}}))
-    P = build_game({"file": str(bare)})
-    assert isinstance(P, StepFn)
-    assert build_game({"file": str(wrapped)}) == P
+def test_cli_rejects_a_wrapped_game_file(tmp_path, capsys):
+    # A game file is a bare step function; the old {"P": ..., "provenance": ...} wrapping is not read.
+    wrapped = _write_json(tmp_path / "wrapped.json", {"P": TWO_POINT_GAME, "provenance": {"kind": "direct"}})
+    cfg = {"game": {"file": str(wrapped)}, "network": {"complete": {"n": 6}}, "output": str(tmp_path / "out")}
+    for argv in (["ru-dominant", str(wrapped)], ["simulate", str(_write_json(tmp_path / "cfg.json", cfg))]):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"netcoord {argv[0]}: cannot read {wrapped}: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_game_additive():
@@ -384,6 +431,42 @@ def test_worker_count_reads_environment(monkeypatch):
     assert _worker_count() == 1
     monkeypatch.setenv("SIM_WORKERS", "64")
     assert _worker_count() == 64
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_run_experiment_caps_its_pool_at_the_usable_cpus(monkeypatch, caplog, affinity):
+    # A fork pool starts all its workers at once; no real process starts here.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caplog.set_level(logging.WARNING, logger="netcoord")
+    cfg = small_cfg(replications=6)
+    monkeypatch.setenv("SIM_WORKERS", "64")
+    capped = run_experiment(cfg)["outputs"]
+    assert sizes == [2] and "6 worker processes capped at the 2 usable CPUs" in caplog.text
+    caplog.clear()
+    monkeypatch.setenv("SIM_WORKERS", "2")
+    assert run_experiment(cfg)["outputs"] == capped and sizes == [2, 2] and not caplog.records
+    monkeypatch.setenv("SIM_WORKERS", "1")
+    assert run_experiment(cfg)["outputs"] == capped and sizes == [2, 2]
 
 
 def test_ru_path_probe_records_audit():
@@ -902,7 +985,9 @@ def test_cli_lattice_analyze_rejects_what_it_cannot_analyze_before_building(tmp_
     path.write_text(json.dumps({**cfg, **change}))
     assert cli_main(["lattice-analyze", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    reason = "lattice-analyze needs a lattice network and a cubes section"
+    # A cubes section on another network is rejected as the config is read.
+    reason = ("a cubes section needs a lattice network" if "network" in change
+              else "lattice-analyze needs a lattice network and a cubes section")
     assert err == [f"netcoord lattice-analyze: cannot read {path}: {reason}"]
     assert not (tmp_path / "out").exists()
 
@@ -951,6 +1036,20 @@ def test_cli_lattice_analyze_classifies_once_per_replication(tmp_path, monkeypat
     stages = [r.getMessage() for r in caplog.records if "largest" in r.getMessage()]
     assert len(stages) == 3
     assert all("shocks" in m and "good set" in m and "bad cubes" in m and "good_set=" in m for m in stages)
+
+
+def test_cli_lattice_analyze_reads_its_cube_partition_once_per_config(tmp_path, monkeypatch):
+    # The partition is read with the config, not once per replication.
+    built = []
+    monkeypatch.setattr(netcoord.harness, "CubePartition", lambda *a: built.append(a) or CubePartition(*a))
+    counts = []
+    for reps in (1, 3):
+        cfg = {"game": {"step_json": {"base": 0.05, "steps": [[0.4, 0.3]]}}, "network": {"lattice": {"M": 24, "m": 2}},
+               "replications": reps, "cubes": {"b": 3, "B": 12}, "output": str(tmp_path / f"lat{reps}")}
+        built.clear()
+        assert cli_main(["lattice-analyze", str(_write_json(tmp_path / "cfg.json", cfg))]) == 0
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0
 
 
 def test_cli_lattice_analyze_runs_no_lower_closure(tmp_path, monkeypatch):
