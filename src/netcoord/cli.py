@@ -59,10 +59,10 @@ def _load(path, fn, arg):
         raise _BadInput(f"cannot read {path}: {e}") from e
 
 
-def _check_run(path, cfg) -> None:
-    """The checks a config passes before ``run_experiment`` runs it."""
+def _check_run(path, cfg):
+    """The checks a config passes before ``run_experiment`` runs it; returns the game and network they built."""
     P = _load(cfg.game.get("file", path), build_game, cfg.game)
-    g = _load(cfg.network.get("file", path), build_network, cfg.network)  # a check: each worker builds its own
+    g = _load(cfg.network.get("file", path), build_network, cfg.network)
     if "ru-path" in cfg.probes and not ru_dominant(P)[1]:
         raise _BadInput(f"cannot read {path}: the ru-path probe needs a strictly dominant maximizer")
     if "enumerate" in cfg.probes and g.n > 20:
@@ -71,6 +71,7 @@ def _check_run(path, cfg) -> None:
         _worker_count()
     except ValueError as e:
         raise _BadInput(str(e)) from e
+    return P, g
 
 
 def _out_dir(path) -> Path:
@@ -124,11 +125,11 @@ def _cmd_wave(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args.config, ExperimentConfig.from_json_file, args.config)
-    _check_run(args.config, cfg)
+    P, g = _check_run(args.config, cfg)
     if cfg.output is None:
         cfg = replace(cfg, output=str(Path(args.config).with_suffix("")) + "_out")
     _out_dir(cfg.output)
-    out = run_experiment(cfg)
+    out = run_experiment(cfg, P, g)
     print(f"replications={out['replications']}")
     for name in out["outputs"]:
         print(f"wrote {Path(cfg.output) / name}")
@@ -161,8 +162,7 @@ def _cmd_lattice_analyze(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cfg = replace(_load(args.config, ExperimentConfig.from_json_file, args.config), probes=("enumerate",), output=None)
-    _check_run(args.config, cfg)
-    for rec in run_experiment(cfg)["records"]:
+    for rec in run_experiment(cfg, *_check_run(args.config, cfg))["records"]:
         for tie, key in (("upper", "enumerated"), ("lower", "enumerated_lower")):
             print(f"replication {rec['replication_id']} {tie}: " + " ".join(_fmt(a) for a in rec["averages"][key]))
     return 0

@@ -19,8 +19,16 @@ F(x|v) falls as v rises).  One call evaluates F at 0, at the other caps
 and at each other coordinate's first Newton pair, from the previous
 iterate plus the last sweep's step; one Python pass sorts those into
 capped, zero and open, and the open ones take bracketed Newton steps
-between vector calls of F and F', each summed by one row-sum call.  Where
+between vector calls of F and F', each summed by one row-sum call.
+
+For its first sweeps the iterate is a *chain* then a *pile*: the chain's
+rows sit at their caps, v_l = v_{l-1} + 1, and the pile, every row after
+the chain, lies within 1 of the chain's end.  A plain sweep adds a row to
+the chain and moves the pile forward by less than 1, so most sweeps of a
+long wave only move the pile.  A *pile shift* does k of those at once: it
+extends the chain by k rows and lifts each pile row l to v_{l-k} + k.  Where
 the steps shrink by a steady ratio, the iterate jumps over their tail.
+The next sweep keeps a shift or a jump only if it is a sub-solution.
 
 ``build_delta_wave`` assembles a delta-contagion wave for a game P with
 P(1) < 1 and a strictly dominant low outcome: it lifts P by delta,
@@ -58,6 +66,7 @@ log = logging.getLogger("netcoord")
 _TOL = 1e-10
 _MAX_ITER = 100_000
 _JUMP_EPS, _JUMP_MIN, _JUMP_AIM = 0.03, 4.0, 2.0  # solve_wave's jumps over the geometric tail
+_SHIFT_START, _SHIFT_STEP = 1, 0.1  # solve_wave's pile shifts: the first shift's rows, the least step max
 
 # build_delta_wave tries delta1 = min(eta, 1 - P(1)) / 2^k, k = 1.._MAX_HALVINGS.
 _MAX_HALVINGS = 20
@@ -144,6 +153,8 @@ class WaveSolution:
     evaluations: int
     jumps: int = 0
     rejected_jumps: int = 0
+    shifts: int = 0
+    rejected_shifts: int = 0
 
     @property
     def L(self) -> int:
@@ -157,6 +168,7 @@ class WaveSolution:
             "sweeps": self.sweeps,
             "evaluations": self.evaluations,
             "jumps": {"accepted": self.jumps, "rejected": self.rejected_jumps},
+            "shifts": {"accepted": self.shifts, "rejected": self.rejected_shifts},
         }
 
 
@@ -257,6 +269,16 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     away.  The next sweep keeps a jump to w only if b*(w) >= w (a sub-solution);
     else v resumes, and the next jump waits twice as long.  Plain sweeps stop
     r^2 E to r E short of the limit from any start, so the end moves < r 1e-10.
+
+    Before that, while the chain ends at row c >= 1 (its last row with
+    v_c = v_{c-1} + 1), the pile rows c+1..L lie within 1 of v_c and the step
+    maximum exceeds _SHIFT_STEP, v shifts by k rows to w: w_l = w_{l-1} + 1
+    for l = c+1..c+k, the bits the caps give, and w_l = v_{l-k} + k above.
+    k starts at _SHIFT_START, is at most L - c - 1 (a shift that leaves no
+    pile row cannot save a sweep), doubles when the next sweep keeps w and
+    halves when it undoes w, as for a jump.  lo carries over: F(x|v) falls
+    as v rises, so each lo_l still misses its target, and a row whose cap
+    rose has lo_l below the new cap, so ``_b_star`` evaluates it again.
     """
     a = np.asarray(steps, dtype=float)
     q = np.asarray(inv_positions, dtype=float)
@@ -276,15 +298,20 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
     da = a[1:] - a[:-1]  # the jumps F(x|v) weighs, once per solve
     v, step = np.zeros(L + 1), np.zeros(L + 1)
     lo = np.zeros(L)
-    evaluations, jumps, rejected = 1, 0, 0  # the residuals' call
-    maxes, back = [], None  # step maxima since the last jump; the (v, lo, step) a jump under test resumes from
+    evaluations, jumps, shifts, k = 1, [0, 0], [0, 0], _SHIFT_START  # the residuals' call; [kept, undone] counts
+    maxes, back = [], None  # step maxima since the last proposal; the (v, lo, step, shift rows or 0) it resumes from
     for sweeps in range(1, _MAX_ITER + 1):
         b, lo_next, calls = _b_star(v, a[0], da, targets, lo, (v + step)[1:])
         evaluations += calls
-        if back is not None and not np.all(b >= v[1:]):  # the jump to v fails its test, b*(v) >= v
-            (v, lo, step), back, rejected = back, None, rejected + 1
-            continue
-        jumps, back = jumps + (back is not None), None
+        if back is not None:  # this sweep tests the proposal w = v: kept only if b*(w) >= w (a sub-solution)
+            (v_back, lo_back, step_back, rows), back = back, None
+            undone = not np.all(b >= v[1:])
+            (shifts if rows else jumps)[undone] += 1
+            if rows:
+                k = rows // 2 if undone else 2 * rows
+            if undone:
+                v, lo, step = v_back, lo_back, step_back
+                continue
         # The exact map is monotone; clip away root-finding jitter so the
         # iterate sequence stays nondecreasing.
         new = np.maximum(np.concatenate(([0.0], b)), v)
@@ -292,18 +319,26 @@ def solve_wave(steps: np.ndarray, inv_positions: np.ndarray) -> WaveSolution:
         maxes.append(step.max())
         if maxes[-1] < _TOL:  # new >= v
             break
-        if len(maxes) >= 3 << rejected:  # each rejected jump doubles the wait before the next
+        capped = np.flatnonzero(v[1:] == v[:-1] + 1.0)
+        c = int(capped[-1]) + 1 if capped.size else 0  # the chain's last row; the pile is rows c+1..L
+        rows = min(k, L - c - 1)  # leave the pile a row: a shift that ends the pile cannot save a sweep
+        if c and rows > 0 and v[-1] - v[c] < 1.0 and maxes[-1] > _SHIFT_STEP:
+            w = v.copy()
+            w[c : c + rows + 1] = np.add.accumulate(np.append(v[c], np.ones(rows)))  # the caps' bits, row by row
+            w[c + rows + 1 :] = v[c + 1 : L + 1 - rows] + rows
+            back, maxes, v = (v, lo, step, rows), [], w
+        elif len(maxes) >= 3 << jumps[1]:  # each rejected jump doubles the wait before the next
             m2, m1, m = maxes[-3:]
             r = m / m1  # the limit lies D = m r / (1 - r) away, D > _JUMP_MIN * E when m r > _JUMP_MIN * _TOL
             if (0.0 < r < 1.0 and abs(r - m1 / m2) <= _JUMP_EPS * (1.0 - r) and m * r > _JUMP_MIN * _TOL
                     and np.max(np.abs(step - r * prev)) <= _JUMP_EPS * m):
-                back, maxes = (v, lo, step), []
+                back, maxes = (v, lo, step, 0), []
                 v = v + step * ((r - _JUMP_AIM * _TOL / m) / (1.0 - r))  # D (1 - _JUMP_AIM * E / D) along step / m
     else:
         raise WaveConstructionError("wave iteration did not converge")
     residuals = targets - _experienced(v[1:], v, a[0], da)
     return WaveSolution(steps=a.copy(), thresholds=v, residuals=residuals, sweeps=sweeps, evaluations=evaluations,
-                        jumps=jumps, rejected_jumps=rejected)
+                        jumps=jumps[0], rejected_jumps=jumps[1], shifts=shifts[0], rejected_shifts=shifts[1])
 
 
 @dataclass(frozen=True)
@@ -458,8 +493,10 @@ def build_delta_wave(P: StepFn, eta: float) -> ContagionWave:
             ok, slack, worst_x = wave.verify_grid(P)
             if not ok:
                 raise WaveConstructionError(f"verification failed at x={worst_x:.6f} (slack {slack:.3e})")
-            msg = "wave halving k=%d delta1=%.6g: verified after %d b* sweeps (%d jumps, %d rejected) and %d F evaluations"
-            log.info(msg, k, delta1, sol.sweeps, sol.jumps, sol.rejected_jumps, sol.evaluations)
+            msg = ("wave halving k=%d delta1=%.6g: verified after %d b* sweeps (%d jumps, %d rejected; "
+                   "%d shifts, %d rejected) and %d F evaluations")
+            log.info(msg, k, delta1, sol.sweeps, sol.jumps, sol.rejected_jumps, sol.shifts, sol.rejected_shifts,
+                     sol.evaluations)
             return wave
         except (ValueError, WaveConstructionError) as e:
             log.info("wave halving k=%d delta1=%.6g: %s", k, delta1, e)

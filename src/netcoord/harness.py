@@ -349,10 +349,11 @@ def run_replication(
 
 
 def _run_chunk(args) -> tuple[list[ReplicationResult], dict]:
-    """Replications ``reps`` of config ``cfg``, plus the network's statistics."""
-    cfg, reps = args
-    P = build_game(cfg.game)
-    g = build_network(cfg.network)
+    """Replications ``reps`` of config ``cfg`` on its game P and network g (built here when None), plus the
+    network's statistics."""
+    cfg, reps, P, g = args
+    P = build_game(cfg.game) if P is None else P
+    g = build_network(cfg.network) if g is None else g
     results = [run_replication(g, P, cfg, rep, sample_shocks(P, g.n, cfg.seed, stream=rep)) for rep in reps]
     return results, {"fineness": fineness(g), "imbalance": imbalance(g)}
 
@@ -368,7 +369,7 @@ def _worker_count() -> int:
     return workers
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, game: StepFn | None = None, network: Network | None = None) -> dict:
     """Run all replications and emit JSONL + CSV artifacts.
 
     Deterministic given (config, seed): replication r is seeded by the
@@ -376,7 +377,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     serialized in replication order.  Exit is clean regardless of
     theorem-check outcomes -- the checks are data.  The result also holds
     the network's ``fineness`` and ``imbalance``, and under ``cubes`` each
-    replication's ``ReplicationResult.cubes``.
+    replication's ``ReplicationResult.cubes``.  ``game`` and ``network``,
+    when given, are cfg's built game and network, and a single-process run
+    uses them in place of building its own; each worker process builds its own.
     """
     workers = min(_worker_count(), cfg.replications)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -385,13 +388,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         workers = cpus
     reps = list(range(cfg.replications))
     t0 = time.perf_counter()
-    chunks = [(cfg, reps[w::workers]) for w in range(workers)]
     if workers == 1:
-        parts = [_run_chunk(chunks[0])]
+        parts = [_run_chunk((cfg, reps, game, network))]
     else:
         from concurrent.futures import ProcessPoolExecutor  # single-worker runs never load multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, chunks))
+            parts = list(pool.map(_run_chunk, [(cfg, reps[w::workers], None, None) for w in range(workers)]))
     results = sorted((r for part, _ in parts for r in part), key=lambda r: r.replication_id)
     log.info("ran %d replications in %.2fs", len(results), time.perf_counter() - t0)
     for r in results:

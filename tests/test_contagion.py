@@ -335,6 +335,11 @@ def test_solve_wave_precondition_guard():
         solve_wave(steps=vals, inv_positions=pos)
 
 
+def proposals(sol):
+    """The tail jumps and pile shifts solve_wave tried, kept or undone."""
+    return sol.jumps + sol.rejected_jumps + sol.shifts + sol.rejected_shifts
+
+
 def test_solve_wave_random_admissible(rng):
     made = 0
     while made < 50:
@@ -348,7 +353,10 @@ def test_solve_wave_random_admissible(rng):
         assert sol.thresholds[-1] <= sol.L + 1e-9
         want, sweeps = bisection_solve_wave(vals, pos)
         assert np.max(np.abs(sol.thresholds - want)) <= 1e-10
-        assert sol.sweeps == sweeps
+        # A shift leaves the pile a row, so none is tried at L = 2, where it could not save a sweep.
+        assert sol.L > 2 or sol.shifts + sol.rejected_shifts == 0
+        if proposals(sol) == 0:  # neither a jump nor a shift tried: the plain iteration's sweeps
+            assert sol.sweeps == sweeps
         made += 1
 
 
@@ -412,7 +420,7 @@ def test_every_sweep_caps_exactly_and_brackets_each_root(rng, monkeypatch):
             assert sweeps == limit and newton_rows >= 50 * limit
             continue
         sol = solve_wave(steps=a, inv_positions=q)
-        if sol.jumps + sol.rejected_jumps == 0:  # no jump tried: the plain iteration, bit for bit
+        if proposals(sol) == 0:  # neither a jump nor a shift tried: the plain iteration, bit for bit
             assert sol.sweeps == sweeps and np.array_equal(sol.thresholds, v)
         else:
             assert sol.sweeps < sweeps
@@ -435,10 +443,11 @@ def criterion_6iii_games(seed, count):
 
 
 def test_tail_jumps_keep_criterion_6iii_waves(monkeypatch):
-    # Each wave against the plain iteration (no jump fires at _JUMP_MIN = inf): the same L, a
-    # verified wave, thresholds within 5e-10, fewer sweeps in all, and a last sweep that moved less than _TOL.
+    # Each wave against the plain iteration (no jump fires at _JUMP_MIN = inf, no shift at _SHIFT_START = 0):
+    # the same L, a verified wave, thresholds within 5e-10, fewer sweeps in all, and a last sweep that moved
+    # less than _TOL.
     games = criterion_6iii_games(1, 10)
-    sweeps, rejected = [0, 0], 0
+    sweeps, rejected, shifts = [0, 0], 0, 0
     for P, eta in [(P, 0.15) for P in games] + [(P, 0.04) for P in games[4:6]]:
         starts, b_star = [], contagion._b_star
         with monkeypatch.context() as spy:
@@ -446,7 +455,9 @@ def test_tail_jumps_keep_criterion_6iii_waves(monkeypatch):
             wave = build_delta_wave(P, eta)
         with monkeypatch.context() as plain_only:
             plain_only.setattr(contagion, "_JUMP_MIN", math.inf)
+            plain_only.setattr(contagion, "_SHIFT_START", 0)
             plain = build_delta_wave(P, eta)
+        assert proposals(plain.wave) == 0
         v = wave.wave.thresholds
         assert wave.L == plain.L
         assert wave.verify_grid(P)[0]
@@ -455,7 +466,8 @@ def test_tail_jumps_keep_criterion_6iii_waves(monkeypatch):
         sweeps[0] += wave.wave.sweeps
         sweeps[1] += plain.wave.sweeps
         rejected += wave.wave.rejected_jumps
-    assert sweeps[0] < sweeps[1] / 3 and rejected > 0
+        shifts += wave.wave.shifts
+    assert sweeps[0] < sweeps[1] / 3 and rejected > 0 and shifts > 0
 
 
 def test_a_rejected_jump_resumes_the_plain_iteration(monkeypatch):
@@ -466,6 +478,19 @@ def test_a_rejected_jump_resumes_the_plain_iteration(monkeypatch):
     monkeypatch.setattr(contagion, "_JUMP_AIM", -2.0)
     sol = solve_wave(steps=a, inv_positions=q)
     assert sol.rejected_jumps > 0
+    assert np.max(np.abs(sol.thresholds - plain)) <= 1e-10
+    assert np.all(sol.residuals >= -1e-9)
+
+
+def test_a_rejected_shift_resumes_the_plain_iteration(monkeypatch):
+    # A first shift of every pile row but one moves the pile past where it can go, so it fails b*(w) >= w;
+    # the solver takes it back, halves the rows, shifts again, and the wave still ends within 1e-10 of the plain
+    # iteration's.
+    a, q = panel_wave_inputs(monkeypatch)
+    plain = bisection_solve_wave(a, q)[0]
+    monkeypatch.setattr(contagion, "_SHIFT_START", a.size)
+    sol = solve_wave(steps=a, inv_positions=q)
+    assert sol.rejected_shifts > 0 and sol.shifts > 0
     assert np.max(np.abs(sol.thresholds - plain)) <= 1e-10
     assert np.all(sol.residuals >= -1e-9)
 

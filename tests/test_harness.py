@@ -347,6 +347,39 @@ def test_build_network_variants(tmp_path):
     assert build_network({"file": str(f)}).n == 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_a_single_process_run_builds_the_game_and_network_once(tmp_path, monkeypatch, capsys, command):
+    # The CLI's checks build both, and with SIM_WORKERS=1 the replications reuse them: the edge-list file is read
+    # once, and the outputs are those of a run that builds its own.
+    monkeypatch.setenv("SIM_WORKERS", "1")
+    save_edgelist(build_network({"complete": {"n": 6}}), tmp_path / "g.edges")
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(TWO_POINT_GAME))
+    doc = {"game": {"file": str(game)}, "network": {"file": str(tmp_path / "g.edges")}, "replications": 2, "seed": 5,
+           "probes": ["extremal"], "output": str(tmp_path / "out")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    calls = Counter()
+    for module in (netcoord.cli, netcoord.harness):
+        for name in ("build_game", "build_network"):
+            fn = getattr(netcoord.harness, name)
+            monkeypatch.setattr(module, name, lambda spec, fn=fn, name=name: calls.update([name]) or fn(spec))
+    assert cli_main([command, str(cfg_path)]) == 0
+    assert calls == {"build_game": 1, "build_network": 1}
+    printed = capsys.readouterr().out
+    monkeypatch.undo()
+    cfg = ExperimentConfig.from_json_file(cfg_path)
+    if command == "simulate":
+        written = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        built = run_experiment(replace(cfg, output=None))["outputs"]
+        assert written == {name: text.encode() for name, text in built.items()}
+    else:
+        records = run_experiment(replace(cfg, probes=("enumerate",), output=None))["records"]
+        assert [line.split(": ")[1] for line in printed.splitlines()] == [
+            " ".join(format(a, ".12g") for a in rec["averages"][key])
+            for rec in records for key in ("enumerated", "enumerated_lower")]
+
+
 def test_stable_fixed_points_two_point_game():
     P = StepFn.from_json_dict(TWO_POINT_GAME)
     pts = stable_fixed_points(P, gamma=0.9, radius=0.025)
@@ -669,7 +702,8 @@ def test_cli_wave_verbose_logs_each_halving(tmp_path, capsys, caplog):
     assert [r.getMessage() for r in caplog.records if r.name == "netcoord"] == [
         "wave halving k=1 delta1=0.075: staircase squeeze ran out of room near 0",
         f"wave halving k=2 delta1=0.0375: verified after {doc['sweeps']} b* sweeps ({doc['jumps']['accepted']} jumps, "
-        f"{doc['jumps']['rejected']} rejected) and {doc['evaluations']} F evaluations",
+        f"{doc['jumps']['rejected']} rejected; {doc['shifts']['accepted']} shifts, {doc['shifts']['rejected']} rejected) "
+        f"and {doc['evaluations']} F evaluations",
     ]
 
 
